@@ -1,12 +1,13 @@
 """QUBO solvers: Metropolis simulated annealing and an exhaustive oracle.
 
-Annealing runs n_reads independent restarts. Each read owns an RNG stream
-seeded from (seed, read index) and consumes it in a fixed order — initial
-bitstring, then per sweep one variable permutation and one block of
-uniforms — so results are identical whether reads run serially, batched,
-or split across threads. One sweep proposes a single-bit flip for every
-variable in the read's permuted order with acceptance min(1, exp(-dE/T))
-on a geometric temperature ladder.
+Annealing runs n_reads independent restarts as one seeded batch, stepped
+lockstep. Each read owns an RNG stream seeded from (seed, read index) and
+consumes it in a fixed order — initial bitstring, then per sweep one
+variable permutation and one block of uniforms. One sweep proposes a
+single-bit flip for every variable in the read's permuted order with
+acceptance min(1, exp(-dE/T)) on a geometric temperature ladder. The
+n_threads argument is kept for compatibility; it changes neither the
+results nor how they are computed.
 
 Energies attached to returned samples are always recomputed from the
 bitstring with per-term fsum, never taken from the incremental tracking,
@@ -19,7 +20,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,52 +126,29 @@ def _temperature_ladder(t_initial: float, t_final: float, n_sweeps: int) -> np.n
     return t_initial * (t_final / t_initial) ** exponents
 
 
-def _dense_arrays(problem: QuboProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Linear vector h and symmetric zero-diagonal coupling matrix."""
-    n = problem.n_vars
-    h = np.zeros(n)
-    q_sym = np.zeros((n, n))
-    for (a, b), value in problem.coeffs.items():
-        if a == b:
-            h[a] += value
-        else:
-            q_sym[a, b] += value
-            q_sym[b, a] += value
-    return h, q_sym
-
-
 def _anneal_reads(
-    problem: QuboProblem,
-    h: np.ndarray,
-    q_sym: np.ndarray,
-    read_ids: list[int],
-    seed: int,
-    n_sweeps: int,
-    temps: np.ndarray,
-) -> list[np.ndarray]:
-    """Run a batch of reads lockstep; returns each read's best bitstring."""
+    problem: QuboProblem, seed: int, n_reads: int, temps: np.ndarray
+) -> np.ndarray:
+    """Run every read lockstep; returns each read's best bitstring as a row."""
+    h, q_sym = problem.dense
     n = problem.n_vars
-    n_batch = len(read_ids)
-    rngs = [np.random.default_rng([seed, r]) for r in read_ids]
-    state = np.empty((n_batch, n), dtype=np.float64)
+    rngs = [np.random.default_rng([seed, r]) for r in range(n_reads)]
+    state = np.empty((n_reads, n), dtype=np.float64)
     for k, rng in enumerate(rngs):
         state[k] = rng.integers(0, 2, size=n, dtype=np.uint8)
 
-    coeff_items = list(problem.coeffs.items())
-    running = np.array(
-        [
-            math.fsum(v for (a, b), v in coeff_items if state[k, a] and state[k, b])
-            for k in range(n_batch)
-        ]
-    )
+    running = np.empty(n_reads)
+    for k in range(n_reads):
+        active = np.flatnonzero(state[k])
+        couplings = np.triu(q_sym[np.ix_(active, active)], 1)
+        running[k] = math.fsum(np.concatenate([h[active], couplings[couplings != 0.0]]))
     best_energy = running.copy()
     best_state = state.astype(np.uint8)
-    batch_rows = np.arange(n_batch)
+    batch_rows = np.arange(n_reads)
 
-    perms = np.empty((n_batch, n), dtype=np.intp)
-    unifs = np.empty((n_batch, n), dtype=np.float64)
-    for sweep in range(n_sweeps):
-        temperature = temps[sweep]
+    perms = np.empty((n_reads, n), dtype=np.intp)
+    unifs = np.empty((n_reads, n), dtype=np.float64)
+    for temperature in temps:
         for k, rng in enumerate(rngs):
             perms[k] = rng.permutation(n)
             unifs[k] = rng.random(n)
@@ -190,39 +167,24 @@ def _anneal_reads(
             if improved.any():
                 best_energy[improved] = running[improved]
                 best_state[improved] = state[improved].astype(np.uint8)
-    return [best_state[k] for k in range(n_batch)]
+    return best_state
 
 
 def simulated_anneal(
     problem: QuboProblem, sched: AnnealSchedule, n_threads: int = 1
 ) -> SampleSet:
-    """Seeded multi-read annealing; identical output for any n_threads."""
+    """Seeded multi-read annealing.
+
+    All reads run as one seeded batch; n_threads is accepted for
+    compatibility and changes neither the results nor the execution.
+    """
     started = time.perf_counter()
     t_initial, t_final = resolve_temperatures(problem, sched)
     temps = _temperature_ladder(t_initial, t_final, sched.n_sweeps)
-    h, q_sym = _dense_arrays(problem)
-
-    read_ids = list(range(sched.n_reads))
-    n_threads = max(1, min(n_threads, sched.n_reads))
-    if n_threads == 1:
-        best_states = _anneal_reads(problem, h, q_sym, read_ids, sched.seed, sched.n_sweeps, temps)
-    else:
-        chunks = [read_ids[k::n_threads] for k in range(n_threads)]
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [
-                pool.submit(
-                    _anneal_reads, problem, h, q_sym, chunk, sched.seed, sched.n_sweeps, temps
-                )
-                for chunk in chunks
-            ]
-            by_read: dict[int, np.ndarray] = {}
-            for chunk, future in zip(chunks, futures):
-                for read, bits in zip(chunk, future.result()):
-                    by_read[read] = bits
-        best_states = [by_read[r] for r in read_ids]
+    best_states = _anneal_reads(problem, sched.seed, sched.n_reads, temps)
 
     samples = []
-    for read, bits in zip(read_ids, best_states):
+    for read, bits in enumerate(best_states):
         assignment = Assignment(bits)
         breakdown = energy(problem, assignment)
         samples.append(
@@ -287,13 +249,8 @@ def brute_force(problem: QuboProblem, keep: int = 32) -> SampleSet:
     if n == 0:
         candidates[()] = None
     else:
-        h = np.zeros(n)
-        q_upper = np.zeros((n, n))
-        for (a, b), value in problem.coeffs.items():
-            if a == b:
-                h[a] += value
-            else:
-                q_upper[a, b] += value
+        h, q_sym = problem.dense
+        q_upper = np.triu(q_sym, 1)
 
         total_states = 1 << n
         scanned = np.empty(total_states)
@@ -344,19 +301,9 @@ def incremental_delta(problem: QuboProblem, assignment: Assignment, flip: int) -
         raise ValueError(
             f"assignment has {len(bits)} bits, problem has {problem.n_vars} variables"
         )
-    pieces = []
-    for (a, b), value in problem.coeffs.items():
-        if a == b:
-            if a == flip:
-                pieces.append(value)
-        elif a == flip:
-            if bits[b]:
-                pieces.append(value)
-        elif b == flip:
-            if bits[a]:
-                pieces.append(value)
+    h, q_sym = problem.dense
     sign = 1.0 - 2.0 * float(bits[flip])
-    return sign * math.fsum(pieces)
+    return sign * math.fsum(np.append(q_sym[flip, bits != 0], h[flip]))
 
 
 def import_samples(problem: QuboProblem, path) -> SampleSet:

@@ -8,8 +8,9 @@ scores externally produced samples against a complex.
 
 An optional JSON config file supplies defaults; explicit flags win. Exit
 codes: 0 success, 1 domain error, 2 usage error. All randomness flows
-through --seed, and outputs are byte-identical for identical inputs
-regardless of --threads.
+through --seed, and outputs are byte-identical for identical inputs.
+Annealing reads run as one seeded batch; --threads is accepted but changes
+neither results nor execution.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--exact", action="store_true", default=None,
                            help="solve by exhaustive enumeration instead of annealing")
             p.add_argument("--threads", type=_positive_int,
-                           help="worker threads (default: available cores)")
+                           help="accepted for compatibility; reads run as one seeded "
+                                "batch and the value changes neither results nor execution")
         if out:
             p.add_argument("--out", help="output path")
 
@@ -181,10 +182,6 @@ def _schedule(args, config) -> AnnealSchedule:
         n_sweeps=_setting(args, config, "sweeps", 2000),
         seed=_setting(args, config, "seed", 0),
     )
-
-
-def _threads(args, config) -> int:
-    return _setting(args, config, "threads", os.cpu_count() or 1)
 
 
 def _write_json(doc, out_path) -> None:
@@ -308,7 +305,7 @@ def _cmd_solve(args, config, parser) -> int:
     if _setting(args, config, "exact", False):
         sample_set = brute_force(problem)
     else:
-        sample_set = simulated_anneal(problem, _schedule(args, config), _threads(args, config))
+        sample_set = simulated_anneal(problem, _schedule(args, config))
     _write_json(sample_set.to_dict(), _setting(args, config, "out"))
     return 0
 
@@ -319,7 +316,6 @@ def _dock_one(complex_input, args, config):
         _hyperparameters(args, config),
         _schedule(args, config),
         exact=bool(_setting(args, config, "exact", False)),
-        n_threads=_threads(args, config),
     )
 
 
@@ -367,7 +363,6 @@ def _cmd_tune(args, config, parser) -> int:
         _schedule(args, config),
         hp_template=hp_template,
         exact=bool(_setting(args, config, "exact", False)),
-        n_threads=_threads(args, config),
     )
 
     out = _setting(args, config, "out")
@@ -388,7 +383,6 @@ def _cmd_tune(args, config, parser) -> int:
                     tuned,
                     _schedule(args, config),
                     exact=bool(_setting(args, config, "exact", False)),
-                    n_threads=_threads(args, config),
                 )
             )
         except NoValidSolutionError as exc:

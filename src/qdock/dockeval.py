@@ -198,12 +198,15 @@ def dock(
     exact: bool = False,
     n_threads: int = 1,
 ) -> DockingReport:
-    """Build the QUBO, solve it, and score the best valid pose."""
+    """Build the QUBO, solve it, and score the best valid pose.
+
+    n_threads is accepted for compatibility and has no effect.
+    """
     problem = build_full(complex_input, hp)
     if exact:
         sample_set = brute_force(problem)
     else:
-        sample_set = simulated_anneal(problem, sched, n_threads=n_threads)
+        sample_set = simulated_anneal(problem, sched)
     return report_from_samples(problem, sample_set, complex_input.name)
 
 
@@ -229,7 +232,6 @@ def _mean_adjusted(
     hp_template: Hyperparameters,
     sched: AnnealSchedule,
     exact: bool,
-    n_threads: int,
 ) -> tuple[float | None, int]:
     """Mean adjusted RMSD of the lowest-energy valid pose per complex.
 
@@ -246,7 +248,7 @@ def _mean_adjusted(
     excluded = 0
     for complex_input in dataset:
         try:
-            report = dock(complex_input, hp, sched, exact=exact, n_threads=n_threads)
+            report = dock(complex_input, hp, sched, exact=exact)
         except NoValidSolutionError:
             excluded += 1
             continue
@@ -271,6 +273,7 @@ def greedy_tune(
     adjusted RMSD, and adopts the best pair if it strictly improves the
     current mean. Ties go to the earlier interaction (el, vdw, hba, hbd,
     hydro) and then to the smaller weight, which is the iteration order.
+    n_threads is accepted for compatibility and has no effect.
     """
     if not dataset:
         raise ValueError("tuner needs a non-empty dataset")
@@ -285,9 +288,7 @@ def greedy_tune(
 
     def evaluate(lambdas, interaction, weight):
         nonlocal any_valid
-        mean, excluded = _mean_adjusted(
-            dataset, tuple(lambdas), hp_template, sched, exact, n_threads
-        )
+        mean, excluded = _mean_adjusted(dataset, tuple(lambdas), hp_template, sched, exact)
         if mean is not None:
             any_valid = True
         trace.append(

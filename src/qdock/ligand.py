@@ -47,9 +47,6 @@ class LigandGraph:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(e.i, e.j) for e in self.edges}
-
 
 def build_ligand_graph(complex_input: ComplexInput) -> LigandGraph:
     """Build the extended ligand graph from a validated complex.

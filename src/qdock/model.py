@@ -117,6 +117,33 @@ def _as_flag(value, where: str) -> int:
     return int(value)
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ComplexFormatError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _objects(value, where: str) -> list[tuple[str, dict]]:
+    """(path, entry) for each entry of a JSON array of objects."""
+    if not isinstance(value, list):
+        raise ComplexFormatError(f"{where}: expected a JSON array, got {type(value).__name__}")
+    return [(f"{where}[{k}]", _object(entry, f"{where}[{k}]")) for k, entry in enumerate(value)]
+
+
+def _required(entry: dict, key: str, where: str):
+    if key not in entry:
+        raise ComplexFormatError(f"{where}.{key}: missing required key")
+    return entry[key]
+
+
+def _number(entry: dict, key: str, where: str, kind=float):
+    value = _required(entry, key, where)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ComplexFormatError(f"{where}.{key}: expected a number, got {value!r}") from None
+
+
 def _check_unique_ids(items, kind: str) -> None:
     seen = set()
     for item in items:
@@ -133,7 +160,7 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
         if key not in doc:
             raise ComplexFormatError(f"missing top-level key '{key}'")
 
-    table_doc = doc["type_table"]
+    table_doc = _object(doc["type_table"], "type_table")
     epsilon = np.array(table_doc.get("epsilon", []), dtype=float)
     r_min = np.array(table_doc.get("r_min", []), dtype=float)
     if len(epsilon) == 0 or len(epsilon) != len(r_min):
@@ -153,17 +180,16 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
         raise ComplexFormatError(f"dielectric must be > 0, got {dielectric}")
 
     protein = []
-    for k, entry in enumerate(doc["protein"]):
-        where = f"protein[{k}]"
+    for where, entry in _objects(doc["protein"], "protein"):
         role = HBondRole(entry.get("hbond_role", "none"))
         hydrogens = tuple(
             _as_vec3(h, f"{where}.donor_hydrogens") for h in entry.get("donor_hydrogens", [])
         )
         atom = ProteinAtom(
-            id=int(entry["id"]),
-            position=_as_vec3(entry["position"], where),
-            charge=float(entry["charge"]),
-            type_index=int(entry["type_index"]),
+            id=_number(entry, "id", where, int),
+            position=_as_vec3(_required(entry, "position", where), f"{where}.position"),
+            charge=_number(entry, "charge", where),
+            type_index=_number(entry, "type_index", where, int),
             hbond_role=role,
             hydrophobic=bool(entry.get("hydrophobic", False)),
             donor_hydrogens=hydrogens,
@@ -183,17 +209,16 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
         protein.append(atom)
     _check_unique_ids(protein, "protein atom")
 
-    ligand_doc = doc["ligand"]
+    ligand_doc = _object(doc["ligand"], "ligand")
     if "atoms" not in ligand_doc:
         raise ComplexFormatError("ligand: missing 'atoms'")
     ligand_atoms = []
-    for k, entry in enumerate(ligand_doc["atoms"]):
-        where = f"ligand.atoms[{k}]"
+    for where, entry in _objects(ligand_doc["atoms"], "ligand.atoms"):
         atom = LigandAtom(
-            id=int(entry["id"]),
-            position=_as_vec3(entry["position"], where),
-            charge=float(entry["charge"]),
-            type_index=int(entry["type_index"]),
+            id=_number(entry, "id", where, int),
+            position=_as_vec3(_required(entry, "position", where), f"{where}.position"),
+            charge=_number(entry, "charge", where),
+            type_index=_number(entry, "type_index", where, int),
             hbond_acceptor=_as_flag(entry.get("hbond_acceptor", 0), f"{where}.hbond_acceptor"),
             hbond_donor=_as_flag(entry.get("hbond_donor", 0), f"{where}.hbond_donor"),
             hydrophobic=_as_flag(entry.get("hydrophobic", 0), f"{where}.hydrophobic"),
@@ -209,8 +234,7 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
     atom_ids = {a.id for a in ligand_atoms}
 
     ligand_bonds = []
-    for k, entry in enumerate(ligand_doc.get("bonds", [])):
-        where = f"ligand.bonds[{k}]"
+    for where, entry in _objects(ligand_doc.get("bonds", []), "ligand.bonds"):
         pair = entry.get("atoms")
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ComplexFormatError(f"{where}: 'atoms' must be a pair of atom ids")
@@ -229,9 +253,12 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
         )
 
     grid_points = []
-    for k, entry in enumerate(doc["grid_points"]):
+    for where, entry in _objects(doc["grid_points"], "grid_points"):
         grid_points.append(
-            GridPointInput(id=int(entry["id"]), position=_as_vec3(entry["position"], f"grid_points[{k}]"))
+            GridPointInput(
+                id=_number(entry, "id", where, int),
+                position=_as_vec3(_required(entry, "position", where), f"{where}.position"),
+            )
         )
     _check_unique_ids(grid_points, "grid")
     for a in range(len(grid_points)):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +127,27 @@ class QuboProblem:
 
     def has_decode_context(self) -> bool:
         return self.grid_positions is not None
+
+    @cached_property
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """Linear vector h and symmetric zero-diagonal coupling matrix.
+
+        Built once from `coeffs`, which must not change afterwards. Keys
+        are unique, so index assignment places each coefficient exactly
+        once.
+        """
+        n = self.n_vars
+        keys = np.array(list(self.coeffs), dtype=np.intp).reshape(-1, 2)
+        values = np.fromiter(self.coeffs.values(), dtype=np.float64, count=len(self.coeffs))
+        a, b = keys[:, 0], keys[:, 1]
+        linear = a == b
+        h = np.zeros(n)
+        h[a[linear]] = values[linear]
+        q_sym = np.zeros((n, n))
+        pair = ~linear
+        q_sym[a[pair], b[pair]] = values[pair]
+        q_sym[b[pair], a[pair]] = values[pair]
+        return h, q_sym
 
 
 @dataclass(frozen=True)

@@ -210,11 +210,13 @@ def test_more_sweeps_do_not_hurt_median_quality(planted6):
 
 # -------------------------------------------------------- incremental delta
 
-def test_incremental_delta_matches_energy_difference():
+def test_incremental_delta_matches_energy_difference(tiny4):
     rng = np.random.default_rng(73)
-    for _ in range(25):
-        n = int(rng.integers(1, 10))
-        problem = random_problem(rng, n)
+    built = build_full(tiny4, Hyperparameters(lambdas=(0.1,) * 5))
+    for case in range(35):
+        # 25 random toy problems, then 10 random states of the built tiny4.
+        problem = random_problem(rng, int(rng.integers(1, 10))) if case < 25 else built
+        n = problem.n_vars
         bits = rng.integers(0, 2, size=n).astype(np.uint8)
         flip = int(rng.integers(0, n))
         assignment = Assignment(bits)

@@ -62,6 +62,30 @@ def test_missing_samples_file_reports_path(capsys, tmp_path):
     assert str(missing) in err
 
 
+@pytest.mark.parametrize(
+    "break_doc, where",
+    [
+        (lambda doc: doc["protein"][0].pop("id"), "protein[0].id"),
+        (lambda doc: doc.__setitem__("type_table", [0.1]), "type_table"),
+    ],
+    ids=["missing-id", "type-table-list"],
+)
+def test_malformed_complex_exits_without_traceback(tmp_path, break_doc, where):
+    doc = json.loads(TINY4.read_text())
+    break_doc(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdock.cli", "graph", "--complex", str(bad)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and where in lines[0]
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qdock.cli", "--help"],

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -96,6 +97,56 @@ def test_missing_top_level_keys_rejected():
         del doc[key]
         with pytest.raises(ComplexFormatError, match=f"missing top-level key '{key}'"):
             parse_complex(doc)
+
+
+def _parent(doc, path):
+    for step in path[:-1]:
+        doc = doc[step]
+    return doc
+
+
+def _drop(*path):
+    return lambda doc: _parent(doc, path).pop(path[-1])
+
+
+def _replace(value, *path):
+    return lambda doc: _parent(doc, path).__setitem__(path[-1], value)
+
+
+MALFORMED_ENTRIES = [
+    (_drop("protein", 0, "id"), "protein[0].id"),
+    (_drop("protein", 0, "position"), "protein[0].position"),
+    (_drop("protein", 0, "charge"), "protein[0].charge"),
+    (_drop("protein", 0, "type_index"), "protein[0].type_index"),
+    (_drop("ligand", "atoms", 0, "id"), "ligand.atoms[0].id"),
+    (_drop("ligand", "atoms", 0, "position"), "ligand.atoms[0].position"),
+    (_drop("ligand", "atoms", 0, "charge"), "ligand.atoms[0].charge"),
+    (_drop("ligand", "atoms", 0, "type_index"), "ligand.atoms[0].type_index"),
+    (_drop("grid_points", 0, "id"), "grid_points[0].id"),
+    (_drop("grid_points", 0, "position"), "grid_points[0].position"),
+    (_replace([0.1, 1.5], "type_table"), "type_table"),
+    (_replace([1], "ligand"), "ligand"),
+    (_replace({"id": 5}, "protein"), "protein"),
+    (_replace(7, "protein", 0), "protein[0]"),
+    (_replace("atom", "ligand", "atoms", 0), "ligand.atoms[0]"),
+    (_replace([[1, 2]], "ligand", "bonds"), "ligand.bonds[0]"),
+    (_replace(None, "grid_points", 0), "grid_points[0]"),
+    (_replace("five", "protein", 0, "id"), "protein[0].id"),
+    (_replace(float("inf"), "ligand", "atoms", 0, "id"), "ligand.atoms[0].id"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    MALFORMED_ENTRIES,
+    ids=[f"case{k}-{where}" for k, (_, where) in enumerate(MALFORMED_ENTRIES)],
+)
+def test_malformed_entry_names_its_json_path(mutate, where):
+    doc = minimal_doc()
+    doc["protein"].append({"id": 5, "position": [5.0, 5.0, 5.0], "charge": 0.0, "type_index": 0})
+    mutate(doc)
+    with pytest.raises(ComplexFormatError, match=re.escape(where) + "[: ]"):
+        parse_complex(doc)
 
 
 def test_type_table_invariants():

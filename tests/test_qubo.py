@@ -16,7 +16,8 @@ from qdock import (
     one_hot_assignment,
     parse_complex,
 )
-from qdock.qubo import PHYSCHEM_TERMS, TERM_NAMES
+from qdock.qubo import PHYSCHEM_TERMS, TERM_NAMES, QuboProblem
+from qdock.qubofile import export_qubo, import_qubo
 
 from conftest import PLANTED6_DECOY, PLANTED6_PLANTED, TINY4_PLANTED, index_mapping
 
@@ -216,6 +217,28 @@ def test_term_maps_sum_to_combined_coefficients(tiny4):
     assert set(resummed) == set(problem.coeffs)
     for key, value in resummed.items():
         assert problem.coeffs[key] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+def test_dense_view_places_each_coefficient(tiny4, tmp_path):
+    built = build_full(tiny4, UNIT_HP)
+    export_qubo(built, tmp_path / "tiny4.qubo")
+    empty = QuboProblem(n_mol=1, n_grid=3, coeffs={}, term_coeffs={"imported": {}})
+    for problem in (built, import_qubo(tmp_path / "tiny4.qubo"), empty):
+        h, q_sym = problem.dense
+        assert problem.dense is problem.dense
+        n = problem.n_vars
+        assert h.shape == (n,) and q_sym.shape == (n, n)
+        placed_h = np.zeros(n, dtype=bool)
+        placed_q = np.zeros((n, n), dtype=bool)
+        for (a, b), value in problem.coeffs.items():
+            if a == b:
+                assert h[a] == value
+                placed_h[a] = True
+            else:
+                assert q_sym[a, b] == value and q_sym[b, a] == value
+                placed_q[a, b] = placed_q[b, a] = True
+        assert np.all(h[~placed_h] == 0.0)
+        assert np.all(q_sym[~placed_q] == 0.0)
 
 
 # ------------------------------------------------------- energy evaluation
