@@ -15,13 +15,14 @@ Hamiltonian assembly never touches protein atoms again:
   angle condition reduces to a distance window (see hbond_donor_count);
 * hydrophobic contact count: hydrophobic protein atoms within 4.5 A.
 
-Edge weights are the complete pairwise distance matrix. Summations run in
-ascending protein-atom-id order so results are reproducible bit for bit.
+Edge weights are the complete pairwise distance matrix. Each coloring takes
+one point or an (n, 3) array of points, measures each point-atom distance
+once, and gives one value (an LJ row) per point, the same bit for bit either
+way. The Coulomb potential adds atoms one at a time in ascending id order.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -55,93 +56,97 @@ class GridGraph:
         return len(self.point_ids)
 
 
-def _sorted_by_id(protein: list[ProteinAtom]) -> list[ProteinAtom]:
-    return sorted(protein, key=lambda a: a.id)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis through `np.dot`'s kernel, so distances equal
+    `np.linalg.norm`'s bit for bit (a summed `d * d` or `einsum` rounds differently)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _distance_to(point: np.ndarray, atom: ProteinAtom) -> float:
-    r = float(np.linalg.norm(np.asarray(point, dtype=float) - atom.position))
-    if r < MIN_POINT_SEPARATION:
+def _point_atom_distances(points, protein: list[ProteinAtom]):
+    """The protein sorted by id and the (..., n_atoms) point-atom distances; raises
+    GraphBuildError for the first coincident pair, points in input order, atoms by id."""
+    atoms = sorted(protein, key=lambda a: a.id)
+    atom_positions = np.array([a.position for a in atoms], dtype=float).reshape(len(atoms), 3)
+    delta = np.asarray(points, dtype=float)[..., None, :] - atom_positions
+    r = np.sqrt(_dot(delta, delta))
+    clashes = np.argwhere(r < MIN_POINT_SEPARATION)
+    if len(clashes):
+        first = tuple(clashes[0])
         raise GraphBuildError(
-            f"grid point coincides with protein atom {atom.id} (r = {r:.2e} A)"
+            f"grid point coincides with protein atom {atoms[first[-1]].id} (r = {r[first]:.2e} A)"
         )
-    return r
+    return atoms, r
 
 
-def coulomb_potential(grid_point, protein: list[ProteinAtom], dielectric: float) -> float:
-    """Electrostatic potential at a grid point, kcal/(mol*e).
+def coulomb_potential(points, protein: list[ProteinAtom], dielectric: float):
+    """Electrostatic potential at one point or an (n, 3) array of points, kcal/(mol*e).
 
     The prefactor is applied per atom before summing, so the potential of a
     protein split into disjoint parts is the sum of the parts' potentials.
+    Atoms are added one at a time in ascending id order, so splitting off
+    the highest-id atom is exact bit for bit.
     """
-    prefactor = COULOMB_CONSTANT / dielectric
-    total = 0.0
-    for atom in _sorted_by_id(protein):
-        total += prefactor * atom.charge / _distance_to(grid_point, atom)
-    return total
+    atoms, r = _point_atom_distances(points, protein)
+    terms = COULOMB_CONSTANT / dielectric * np.array([a.charge for a in atoms], dtype=float) / r
+    # cumsum folds left like `total += term` from total = 0.0
+    return np.cumsum(np.insert(terms, 0, 0.0, axis=-1), axis=-1)[..., -1][()]
 
 
-def lj_vector(grid_point, protein: list[ProteinAtom], table: AtomTypeTable) -> np.ndarray:
-    """Lennard-Jones 8-4 energy at a grid point for every ligand atom type.
+def lj_vector(points, protein: list[ProteinAtom], table: AtomTypeTable) -> np.ndarray:
+    """Lennard-Jones 8-4 energy for every ligand atom type: (n_types,) at
+    one point, (n, n_types) at an (n, 3) array of points.
 
     Cross parameters use Lorentz-Berthelot mixing: geometric mean for the
     well depth, arithmetic mean for the minimum position. Per-atom
     contributions are clamped to LJ_CONTRIBUTION_CAP before summation so a
     near-clash cannot blow up the coefficient range.
     """
-    ordered = _sorted_by_id(protein)
-    out = np.zeros(table.n_types, dtype=float)
-    if not ordered:
-        return out
-    r = np.array([_distance_to(grid_point, atom) for atom in ordered])
-    eps_k = table.epsilon[[a.type_index for a in ordered]]
-    rmin_k = table.r_min[[a.type_index for a in ordered]]
+    atoms, r = _point_atom_distances(points, protein)
+    types = np.array([a.type_index for a in atoms], dtype=int)
     # (n_types, n_atoms) mixed parameters
-    eps_mix = np.sqrt(np.outer(table.epsilon, eps_k))
-    rmin_mix = (table.r_min[:, None] + rmin_k[None, :]) / 2.0
-    ratio4 = (rmin_mix / r[None, :]) ** 4
+    eps_mix = np.sqrt(np.outer(table.epsilon, table.epsilon[types]))
+    rmin_mix = (table.r_min[:, None] + table.r_min[types][None, :]) / 2.0
+    ratio4 = (rmin_mix / r[..., None, :]) ** 4
     contrib = eps_mix * (ratio4 * ratio4 - 2.0 * ratio4)
     np.minimum(contrib, LJ_CONTRIBUTION_CAP, out=contrib)
-    return contrib.sum(axis=1)
+    return contrib.sum(axis=-1)
 
 
-def _dha_angle_deg(donor: np.ndarray, hydrogen: np.ndarray, acceptor_point: np.ndarray) -> float:
-    """Donor-H-acceptor angle at the hydrogen vertex, degrees."""
-    to_donor = donor - hydrogen
-    to_acceptor = np.asarray(acceptor_point, dtype=float) - hydrogen
-    nd = np.linalg.norm(to_donor)
-    na = np.linalg.norm(to_acceptor)
-    if nd < 1e-12 or na < 1e-12:
-        return float("nan")
-    cos_phi = float(np.dot(to_donor, to_acceptor) / (nd * na))
-    return math.degrees(math.acos(max(-1.0, min(1.0, cos_phi))))
+def _dha_angle_deg(donor: np.ndarray, hydrogens: np.ndarray, acceptor_points) -> np.ndarray:
+    """Donor-H-acceptor angles at the hydrogen vertices, degrees, (..., n_hydrogens)."""
+    to_donor = donor - hydrogens
+    to_acceptor = np.asarray(acceptor_points, dtype=float)[..., None, :] - hydrogens
+    nd = np.sqrt(_dot(to_donor, to_donor))
+    na = np.sqrt(_dot(to_acceptor, to_acceptor))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_phi = _dot(to_donor, to_acceptor) / (nd * na)
+    phi = np.degrees(np.arccos(np.clip(cos_phi, -1.0, 1.0)))
+    return np.where((nd < 1e-12) | (na < 1e-12), np.nan, phi)
 
 
-def hbond_acceptor_count(grid_point, protein: list[ProteinAtom]) -> int:
-    """How many protein donors could hydrogen-bond to an acceptor at this point."""
-    count = 0
-    for atom in _sorted_by_id(protein):
+def hbond_acceptor_count(points, protein: list[ProteinAtom]):
+    """Protein donors that could hydrogen-bond to an acceptor at one point or an (n, 3) array."""
+    atoms, r = _point_atom_distances(points, protein)
+    count = np.zeros(r.shape[:-1], dtype=int)
+    for k, atom in enumerate(atoms):
         if not atom.hbond_role.is_donor:
             continue
-        if _distance_to(grid_point, atom) >= HBOND_DISTANCE_MAX:
-            continue
+        in_range = r[..., k] < HBOND_DISTANCE_MAX
         if not atom.donor_hydrogens:
-            warnings.warn(
-                f"donor protein atom {atom.id} has no explicit hydrogens; "
-                "it cannot satisfy the angle condition",
-                stacklevel=2,
-            )
+            if in_range.any():
+                warnings.warn(
+                    f"donor protein atom {atom.id} has no explicit hydrogens; "
+                    "it cannot satisfy the angle condition",
+                    stacklevel=2,
+                )
             continue
-        for hydrogen in atom.donor_hydrogens:
-            phi = _dha_angle_deg(atom.position, hydrogen, grid_point)
-            if HBOND_ANGLE_MIN_DEG < phi < HBOND_ANGLE_MAX_DEG:
-                count += 1
-                break
-    return count
+        phi = _dha_angle_deg(atom.position, np.array(atom.donor_hydrogens), points)
+        count += in_range & ((HBOND_ANGLE_MIN_DEG < phi) & (phi < HBOND_ANGLE_MAX_DEG)).any(axis=-1)
+    return count[()]
 
 
-def hbond_donor_count(grid_point, protein: list[ProteinAtom]) -> int:
-    """How many protein acceptors a donor placed at this point could reach.
+def hbond_donor_count(points, protein: list[ProteinAtom]):
+    """Protein acceptors a donor at one point or an (n, 3) array could reach.
 
     The ligand model has no explicit hydrogens, so the hydrogen is free to
     sit anywhere at VIRTUAL_H_BOND_LENGTH from the point. Placing it on the
@@ -149,30 +154,22 @@ def hbond_donor_count(grid_point, protein: list[ProteinAtom]) -> int:
     the angle condition is satisfiable exactly when the acceptor lies
     beyond that radius; only the distance window remains.
     """
-    count = 0
-    for atom in _sorted_by_id(protein):
-        if not atom.hbond_role.is_acceptor:
-            continue
-        r = _distance_to(grid_point, atom)
-        if VIRTUAL_H_BOND_LENGTH < r < HBOND_DISTANCE_MAX:
-            count += 1
-    return count
+    atoms, r = _point_atom_distances(points, protein)
+    acceptor = np.array([a.hbond_role.is_acceptor for a in atoms], dtype=bool)
+    return (acceptor & (VIRTUAL_H_BOND_LENGTH < r) & (r < HBOND_DISTANCE_MAX)).sum(axis=-1)
 
 
-def hydrophobic_count(grid_point, protein: list[ProteinAtom]) -> int:
-    """Hydrophobic protein atoms within HYDROPHOBIC_DISTANCE_MAX of the point."""
-    count = 0
-    for atom in _sorted_by_id(protein):
-        if atom.hydrophobic and _distance_to(grid_point, atom) < HYDROPHOBIC_DISTANCE_MAX:
-            count += 1
-    return count
+def hydrophobic_count(points, protein: list[ProteinAtom]):
+    """Hydrophobic protein atoms within HYDROPHOBIC_DISTANCE_MAX of one point or an (n, 3) array."""
+    atoms, r = _point_atom_distances(points, protein)
+    hydrophobic = np.array([a.hydrophobic for a in atoms], dtype=bool)
+    return (hydrophobic & (r < HYDROPHOBIC_DISTANCE_MAX)).sum(axis=-1)
 
 
 def build_grid_graph(complex_input: ComplexInput) -> GridGraph:
     """Assemble the complete pocket grid graph with all colorings."""
     points = complex_input.grid_points
     protein = complex_input.protein
-    table = complex_input.type_table
     n = len(points)
     positions = np.array([p.position for p in points], dtype=float).reshape(n, 3)
 
@@ -182,23 +179,13 @@ def build_grid_graph(complex_input: ComplexInput) -> GridGraph:
     if off_diagonal.size and off_diagonal.min() < MIN_POINT_SEPARATION:
         raise GraphBuildError("two grid points coincide")
 
-    coulomb = np.array(
-        [coulomb_potential(p.position, protein, complex_input.dielectric) for p in points]
-    )
-    lj = np.array([lj_vector(p.position, protein, table) for p in points]).reshape(
-        n, table.n_types
-    )
-    hb_acceptor = np.array([hbond_acceptor_count(p.position, protein) for p in points], dtype=int)
-    hb_donor = np.array([hbond_donor_count(p.position, protein) for p in points], dtype=int)
-    hydrophobic = np.array([hydrophobic_count(p.position, protein) for p in points], dtype=int)
-
     return GridGraph(
         point_ids=[p.id for p in points],
         positions=positions,
         dist=dist,
-        coulomb=coulomb,
-        lj=lj,
-        hb_acceptor=hb_acceptor,
-        hb_donor=hb_donor,
-        hydrophobic=hydrophobic,
+        coulomb=coulomb_potential(positions, protein, complex_input.dielectric),
+        lj=lj_vector(positions, protein, complex_input.type_table),
+        hb_acceptor=hbond_acceptor_count(positions, protein),
+        hb_donor=hbond_donor_count(positions, protein),
+        hydrophobic=hydrophobic_count(positions, protein),
     )

@@ -13,6 +13,8 @@ kcal/mol for energies.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -67,7 +69,6 @@ class LigandAtom:
 class LigandBond:
     i: int
     j: int
-    rotatable: bool = False
     dihedral_locked: bool = False
 
 
@@ -102,13 +103,31 @@ class ComplexInput:
         return np.array([a.position for a in self.ligand_atoms], dtype=float)
 
 
+def _number(value, where: str, kind=float):
+    """A finite JSON number; with kind=int, one with an integral value."""
+    if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
+        raise ComplexFormatError(f"{where}: expected a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ComplexFormatError(f"{where}: expected an integer, got {value!r}")
+    return kind(value)
+
+
+def _array(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ComplexFormatError(f"{where}: expected a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    return np.array([_number(v, f"{where}[{k}]") for k, v in enumerate(_array(value, where))])
+
+
 def _as_vec3(value, where: str) -> np.ndarray:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ComplexFormatError(f"{where}: expected a 3-vector, got {value!r}")
-    try:
-        return np.array([float(c) for c in value], dtype=float)
-    except (TypeError, ValueError):
+    if not all(isinstance(c, numbers.Real) for c in value):
         raise ComplexFormatError(f"{where}: non-numeric coordinate in {value!r}")
+    return _numbers(value, where)
 
 
 def _as_flag(value, where: str) -> int:
@@ -125,9 +144,8 @@ def _object(value, where: str) -> dict:
 
 def _objects(value, where: str) -> list[tuple[str, dict]]:
     """(path, entry) for each entry of a JSON array of objects."""
-    if not isinstance(value, list):
-        raise ComplexFormatError(f"{where}: expected a JSON array, got {type(value).__name__}")
-    return [(f"{where}[{k}]", _object(entry, f"{where}[{k}]")) for k, entry in enumerate(value)]
+    value = _array(value, where)
+    return [(f"{where}[{k}]", _object(e, f"{where}[{k}]")) for k, e in enumerate(value)]
 
 
 def _required(entry: dict, key: str, where: str):
@@ -136,12 +154,8 @@ def _required(entry: dict, key: str, where: str):
     return entry[key]
 
 
-def _number(entry: dict, key: str, where: str, kind=float):
-    value = _required(entry, key, where)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ComplexFormatError(f"{where}.{key}: expected a number, got {value!r}") from None
+def _field(entry: dict, key: str, where: str, kind=float):
+    return _number(_required(entry, key, where), f"{where}.{key}", kind)
 
 
 def _check_unique_ids(items, kind: str) -> None:
@@ -161,13 +175,13 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
             raise ComplexFormatError(f"missing top-level key '{key}'")
 
     table_doc = _object(doc["type_table"], "type_table")
-    epsilon = np.array(table_doc.get("epsilon", []), dtype=float)
-    r_min = np.array(table_doc.get("r_min", []), dtype=float)
+    epsilon = _numbers(table_doc.get("epsilon", []), "type_table.epsilon")
+    r_min = _numbers(table_doc.get("r_min", []), "type_table.r_min")
     if len(epsilon) == 0 or len(epsilon) != len(r_min):
         raise ComplexFormatError(
             "type_table: epsilon and r_min must be non-empty and equal length"
         )
-    if "n_types" in table_doc and int(table_doc["n_types"]) != len(epsilon):
+    if "n_types" in table_doc and _field(table_doc, "n_types", "type_table", int) != len(epsilon):
         raise ComplexFormatError("type_table: n_types does not match vector length")
     if not np.all(epsilon > 0):
         raise ComplexFormatError("type_table: all epsilon must be > 0")
@@ -175,22 +189,25 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
         raise ComplexFormatError("type_table: all r_min must be > 0")
     table = AtomTypeTable(epsilon=epsilon, r_min=r_min)
 
-    dielectric = float(doc.get("dielectric", 1.0))
+    dielectric = _number(doc.get("dielectric", 1.0), "dielectric")
     if not dielectric > 0:
         raise ComplexFormatError(f"dielectric must be > 0, got {dielectric}")
 
     protein = []
     for where, entry in _objects(doc["protein"], "protein"):
-        role = HBondRole(entry.get("hbond_role", "none"))
+        role = entry.get("hbond_role", "none")
+        if role not in [r.value for r in HBondRole]:
+            raise ComplexFormatError(f"{where}.hbond_role: unknown role {role!r}")
+        hydrogens = _array(entry.get("donor_hydrogens", []), f"{where}.donor_hydrogens")
         hydrogens = tuple(
-            _as_vec3(h, f"{where}.donor_hydrogens") for h in entry.get("donor_hydrogens", [])
+            _as_vec3(h, f"{where}.donor_hydrogens[{k}]") for k, h in enumerate(hydrogens)
         )
         atom = ProteinAtom(
-            id=_number(entry, "id", where, int),
+            id=_field(entry, "id", where, int),
             position=_as_vec3(_required(entry, "position", where), f"{where}.position"),
-            charge=_number(entry, "charge", where),
-            type_index=_number(entry, "type_index", where, int),
-            hbond_role=role,
+            charge=_field(entry, "charge", where),
+            type_index=_field(entry, "type_index", where, int),
+            hbond_role=HBondRole(role),
             hydrophobic=bool(entry.get("hydrophobic", False)),
             donor_hydrogens=hydrogens,
         )
@@ -198,13 +215,13 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
             raise ComplexFormatError(
                 f"{where}: type_index {atom.type_index} outside table of size {table.n_types}"
             )
-        if role.is_donor and not hydrogens:
+        if atom.hbond_role.is_donor and not hydrogens:
             raise ComplexFormatError(
                 f"{where}: donor role requires at least one explicit hydrogen"
             )
-        if not role.is_donor and hydrogens:
+        if not atom.hbond_role.is_donor and hydrogens:
             raise ComplexFormatError(
-                f"{where}: donor_hydrogens given but hbond_role is {role.value}"
+                f"{where}: donor_hydrogens given but hbond_role is {role}"
             )
         protein.append(atom)
     _check_unique_ids(protein, "protein atom")
@@ -215,10 +232,10 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
     ligand_atoms = []
     for where, entry in _objects(ligand_doc["atoms"], "ligand.atoms"):
         atom = LigandAtom(
-            id=_number(entry, "id", where, int),
+            id=_field(entry, "id", where, int),
             position=_as_vec3(_required(entry, "position", where), f"{where}.position"),
-            charge=_number(entry, "charge", where),
-            type_index=_number(entry, "type_index", where, int),
+            charge=_field(entry, "charge", where),
+            type_index=_field(entry, "type_index", where, int),
             hbond_acceptor=_as_flag(entry.get("hbond_acceptor", 0), f"{where}.hbond_acceptor"),
             hbond_donor=_as_flag(entry.get("hbond_donor", 0), f"{where}.hbond_donor"),
             hydrophobic=_as_flag(entry.get("hydrophobic", 0), f"{where}.hydrophobic"),
@@ -238,36 +255,30 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
         pair = entry.get("atoms")
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ComplexFormatError(f"{where}: 'atoms' must be a pair of atom ids")
-        i, j = int(pair[0]), int(pair[1])
+        i, j = (_number(p, f"{where}.atoms[{k}]", int) for k, p in enumerate(pair))
         if i == j:
             raise ComplexFormatError(f"{where}: bond endpoints must be distinct")
         if i not in atom_ids or j not in atom_ids:
             raise ComplexFormatError(f"{where}: bond references unknown atom id")
         ligand_bonds.append(
-            LigandBond(
-                i=i,
-                j=j,
-                rotatable=bool(entry.get("rotatable", False)),
-                dihedral_locked=bool(entry.get("dihedral_locked", False)),
-            )
+            LigandBond(i=i, j=j, dihedral_locked=bool(entry.get("dihedral_locked", False)))
         )
 
     grid_points = []
     for where, entry in _objects(doc["grid_points"], "grid_points"):
         grid_points.append(
             GridPointInput(
-                id=_number(entry, "id", where, int),
+                id=_field(entry, "id", where, int),
                 position=_as_vec3(_required(entry, "position", where), f"{where}.position"),
             )
         )
     _check_unique_ids(grid_points, "grid")
-    for a in range(len(grid_points)):
-        for b in range(a + 1, len(grid_points)):
-            gap = np.linalg.norm(grid_points[a].position - grid_points[b].position)
-            if gap < 1e-6:
-                raise ComplexFormatError(
-                    f"grid points {grid_points[a].id} and {grid_points[b].id} coincide"
-                )
+    positions = np.array([g.position for g in grid_points]).reshape(-1, 3)
+    gaps = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
+    coincident = np.argwhere(np.triu(gaps < 1e-6, k=1))
+    if len(coincident):
+        a, b = (grid_points[k].id for k in coincident[0])
+        raise ComplexFormatError(f"grid points {a} and {b} coincide")
 
     if len(ligand_atoms) > len(grid_points):
         raise InfeasibleComplexError(

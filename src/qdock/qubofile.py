@@ -75,6 +75,6 @@ def import_qubo(path) -> QuboProblem:
         n_mol=1,
         n_grid=n_vars,
         coeffs=coeffs,
-        term_coeffs={"imported": dict(coeffs)},
+        term_coeffs={"imported": coeffs},
         offset=0.0,
     )

@@ -67,8 +67,17 @@ def test_missing_samples_file_reports_path(capsys, tmp_path):
     [
         (lambda doc: doc["protein"][0].pop("id"), "protein[0].id"),
         (lambda doc: doc.__setitem__("type_table", [0.1]), "type_table"),
+        (lambda doc: doc.__setitem__("dielectric", None), "dielectric"),
+        (
+            lambda doc: doc["ligand"]["bonds"][0].__setitem__("atoms", [None, 2]),
+            "ligand.bonds[0].atoms",
+        ),
+        (
+            lambda doc: doc["protein"][0].__setitem__("donor_hydrogens", 5),
+            "protein[0].donor_hydrogens",
+        ),
     ],
-    ids=["missing-id", "type-table-list"],
+    ids=["missing-id", "type-table-list", "dielectric-null", "bond-atom-null", "hydrogens-int"],
 )
 def test_malformed_complex_exits_without_traceback(tmp_path, break_doc, where):
     doc = json.loads(TINY4.read_text())

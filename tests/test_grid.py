@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from qdock import GraphBuildError, build_grid_graph, parse_complex
-from qdock.model import COULOMB_CONSTANT, AtomTypeTable, HBondRole, ProteinAtom
+from qdock.model import (
+    COULOMB_CONSTANT,
+    AtomTypeTable,
+    ComplexInput,
+    GridPointInput,
+    HBondRole,
+    LigandAtom,
+    ProteinAtom,
+)
 from qdock.grid import (
     HBOND_DISTANCE_MAX,
     HYDROPHOBIC_DISTANCE_MAX,
@@ -484,3 +492,77 @@ def test_tiny4_pocket_signs(tiny4):
     assert graph.hb_acceptor.tolist() == [0, 1, 0, 0, 0, 0]
     assert graph.hb_donor.tolist() == [0, 0, 1, 0, 0, 0]
     assert graph.hydrophobic.tolist() == [1, 0, 0, 1, 0, 0]
+
+
+def test_grid_colorings_do_not_depend_on_batch():
+    rng = np.random.default_rng(41)
+    roles = list(HBondRole)
+    protein = []
+    for k in range(240):
+        position = rng.uniform(-6.0, 6.0, 3)
+        role = roles[k % len(roles)]
+        hydrogens = []
+        if role.is_donor:
+            for _ in range(1 + k % 2):
+                direction = rng.normal(size=3)
+                hydrogens.append(position + direction / np.linalg.norm(direction))
+        protein.append(
+            atom(
+                # ids run against list order, so id sorting matters
+                1000 - 3 * k,
+                position,
+                charge=float(rng.normal(0.0, 0.5)),
+                type_index=int(rng.integers(0, 3)),
+                role=role,
+                hydrophobic=bool(rng.integers(0, 2)),
+                hydrogens=hydrogens,
+            )
+        )
+    table = AtomTypeTable(epsilon=np.array([0.15, 0.2, 0.1]), r_min=np.array([3.4, 3.8, 3.2]))
+    points = rng.uniform(-3.0, 3.0, (36, 3))
+    cx = ComplexInput(
+        protein=protein,
+        ligand_atoms=[LigandAtom(id=1, position=np.zeros(3), charge=0.0, type_index=0)],
+        ligand_bonds=[],
+        grid_points=[GridPointInput(id=j, position=p) for j, p in enumerate(points)],
+        type_table=table,
+        dielectric=4.0,
+    )
+    graph = build_grid_graph(cx)
+    batch = {
+        "coulomb": coulomb_potential(points, protein, cx.dielectric),
+        "lj": lj_vector(points, protein, table),
+        "hb_acceptor": hbond_acceptor_count(points, protein),
+        "hb_donor": hbond_donor_count(points, protein),
+        "hydrophobic": hydrophobic_count(points, protein),
+    }
+    for j, point in enumerate(points):
+        single = {
+            "coulomb": coulomb_potential(point, protein, cx.dielectric),
+            "lj": lj_vector(point, protein, table),
+            "hb_acceptor": hbond_acceptor_count(point, protein),
+            "hb_donor": hbond_donor_count(point, protein),
+            "hydrophobic": hydrophobic_count(point, protein),
+        }
+        for name, value in single.items():
+            assert np.array_equal(value, batch[name][j]), name
+            assert np.array_equal(value, getattr(graph, name)[j]), name
+    for name in ("hb_acceptor", "hb_donor", "hydrophobic"):
+        assert 0 < batch[name].sum() < len(protein) * len(points), name
+
+    # Bit-exact reference: a left fold in ascending id order over
+    # np.linalg.norm distances, one point at a time.
+    for j, point in enumerate(points):
+        total = 0.0
+        for a in sorted(protein, key=lambda a: a.id):
+            r = float(np.linalg.norm(point - a.position))
+            total += COULOMB_CONSTANT / cx.dielectric * a.charge / r
+        assert batch["coulomb"][j] == total
+
+    # The same per-point oracle that checks tiny4, over this complex.
+    test_tiny4_colorings_match_composed_oracle(cx)
+
+    bare = atom(1, points[0] + np.array([2.5, 0.0, 0.0]), role=HBondRole.DONOR)
+    with pytest.warns(UserWarning, match="donor protein atom 1 has no explicit hydrogens"):
+        batch_with_bare = hbond_acceptor_count(points, protein + [bare])
+    assert np.array_equal(batch_with_bare, batch["hb_acceptor"])

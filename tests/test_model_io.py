@@ -133,6 +133,25 @@ MALFORMED_ENTRIES = [
     (_replace(None, "grid_points", 0), "grid_points[0]"),
     (_replace("five", "protein", 0, "id"), "protein[0].id"),
     (_replace(float("inf"), "ligand", "atoms", 0, "id"), "ligand.atoms[0].id"),
+    (_replace(None, "dielectric"), "dielectric"),
+    (_replace(float("inf"), "dielectric"), "dielectric"),
+    (_replace([{"atoms": [None, 1]}], "ligand", "bonds"), "ligand.bonds[0].atoms[0]"),
+    (_replace(5, "protein", 0, "donor_hydrogens"), "protein[0].donor_hydrogens"),
+    (
+        lambda doc: doc["protein"][0].update(
+            hbond_role="donor", donor_hydrogens=[[5.0, 5.0, float("nan")]]
+        ),
+        "protein[0].donor_hydrogens[0][2]",
+    ),
+    (_replace([0.0, float("nan"), 0.0], "protein", 0, "position"), "protein[0].position[1]"),
+    (_replace(float("inf"), "ligand", "atoms", 0, "charge"), "ligand.atoms[0].charge"),
+    (_replace(1.7, "protein", 0, "type_index"), "protein[0].type_index"),
+    (_replace(1.5, "grid_points", 0, "id"), "grid_points[0].id"),
+    (_replace("foo", "protein", 0, "hbond_role"), "protein[0].hbond_role"),
+    (_replace("x", "type_table", "epsilon"), "type_table.epsilon"),
+    (_replace([float("inf")], "type_table", "epsilon"), "type_table.epsilon[0]"),
+    (_replace([float("nan")], "type_table", "r_min"), "type_table.r_min[0]"),
+    (_replace("a", "type_table", "n_types"), "type_table.n_types"),
 ]
 
 
