@@ -226,13 +226,22 @@ def _enumerate_valid_assignments(problem: QuboProblem):
 def brute_force(problem: QuboProblem, keep: int = 32) -> SampleSet:
     """Exhaustive search over all 2^n assignments (n capped at 24).
 
-    The scan scores every assignment with vectorized arithmetic, then
-    re-evaluates exactly (fsum) every assignment whose scanned energy lies
-    within a conservative error window of the scanned minimum, so the
-    reported optimum is the true fsum optimum. All constraint-satisfying
-    assignments are evaluated exactly as well, so the set always contains
-    the best valid assignment. The returned listing is truncated to `keep`
-    samples; the search itself is complete.
+    The scan splits the variables into the low n // 2 bits and the high
+    rest (bit k of a state index is variable k), so with U the strict
+    upper couplings E(x) = E_lo(x_lo) + E_hi(x_hi) + x_lo^T U[lo, hi] x_hi.
+    Each half's 2^half bit matrix is enumerated and scored once. One
+    matrix product gives the cross term of every (high, low) pair as a
+    (2^n_hi, 2^n_lo) float array; the half energies are added to it in
+    place, and row s_hi, column s_lo is state s_hi * 2^n_lo + s_lo. That
+    array (128 MB at 24 variables) and the boolean window mask over it
+    are the only 2^n-sized allocations.
+
+    Every assignment whose scanned energy lies within a conservative
+    error window of the scanned minimum is then re-evaluated exactly
+    (fsum), so the reported optimum is the true fsum optimum. All
+    constraint-satisfying assignments are evaluated exactly as well, so
+    the set always contains the best valid assignment. The returned
+    listing is truncated to `keep` samples; the search itself is complete.
     """
     started = time.perf_counter()
     n = problem.n_vars
@@ -251,16 +260,22 @@ def brute_force(problem: QuboProblem, keep: int = 32) -> SampleSet:
     else:
         h, q_sym = problem.dense
         q_upper = np.triu(q_sym, 1)
-
-        total_states = 1 << n
-        scanned = np.empty(total_states)
         shifts = np.arange(n, dtype=np.uint32)
-        chunk = 1 << min(n, 16)
-        for start in range(0, total_states, chunk):
-            idx = np.arange(start, min(start + chunk, total_states), dtype=np.uint32)
-            bits_block = ((idx[:, None] >> shifts) & 1).astype(np.float64)
-            quad = ((bits_block @ q_upper) * bits_block).sum(axis=1)
-            scanned[start : start + len(idx)] = bits_block @ h + quad
+        lo, hi = slice(0, n // 2), slice(n // 2, n)
+
+        def half_scan(part: slice) -> tuple[np.ndarray, np.ndarray]:
+            width = part.stop - part.start
+            idx = np.arange(1 << width, dtype=np.uint32)
+            bits_half = ((idx[:, None] >> shifts[:width]) & 1).astype(np.float64)
+            quad = ((bits_half @ q_upper[part, part]) * bits_half).sum(axis=1)
+            return bits_half, bits_half @ h[part] + quad
+
+        bits_lo, energy_lo = half_scan(lo)
+        bits_hi, energy_hi = half_scan(hi)
+        scanned = bits_hi @ (bits_lo @ q_upper[lo, hi]).T
+        scanned += energy_hi[:, None]
+        scanned += energy_lo[None, :]
+        scanned = scanned.ravel()
 
         scale = math.fsum(abs(v) for v in problem.coeffs.values()) + abs(problem.offset)
         window = scanned.min() + 1e-9 * max(scale, 1.0)

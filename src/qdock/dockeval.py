@@ -15,12 +15,15 @@ import numpy as np
 
 from .anneal import AnnealSchedule, SampleSet, brute_force, simulated_anneal
 from .errors import NoValidSolutionError
+from .grid import GridGraph, build_grid_graph
+from .ligand import LigandGraph, build_ligand_graph
 from .model import ComplexInput
 from .qubo import (
     PHYSCHEM_TERMS,
     Assignment,
     Hyperparameters,
     QuboProblem,
+    assemble,
     build_full,
 )
 
@@ -202,12 +205,14 @@ def dock(
 
     n_threads is accepted for compatibility and has no effect.
     """
-    problem = build_full(complex_input, hp)
-    if exact:
-        sample_set = brute_force(problem)
-    else:
-        sample_set = simulated_anneal(problem, sched)
-    return report_from_samples(problem, sample_set, complex_input.name)
+    return _solve_and_report(build_full(complex_input, hp), sched, exact, complex_input.name)
+
+
+def _solve_and_report(
+    problem: QuboProblem, sched: AnnealSchedule, exact: bool, name: str
+) -> DockingReport:
+    sample_set = brute_force(problem) if exact else simulated_anneal(problem, sched)
+    return report_from_samples(problem, sample_set, name)
 
 
 @dataclass
@@ -227,7 +232,7 @@ class TunerResult:
 
 
 def _mean_adjusted(
-    dataset: list[ComplexInput],
+    dataset: list[tuple[ComplexInput, LigandGraph, GridGraph]],
     lambdas: tuple,
     hp_template: Hyperparameters,
     sched: AnnealSchedule,
@@ -235,9 +240,10 @@ def _mean_adjusted(
 ) -> tuple[float | None, int]:
     """Mean adjusted RMSD of the lowest-energy valid pose per complex.
 
-    Complexes producing no valid pose are excluded from the mean; the
-    exclusion count is returned alongside. None means every complex was
-    excluded.
+    Each dataset entry carries the complex's prebuilt ligand and grid
+    graphs, which do not depend on the lambdas. Complexes producing no
+    valid pose are excluded from the mean; the exclusion count is
+    returned alongside. None means every complex was excluded.
     """
     hp = Hyperparameters(
         lambdas=tuple(lambdas),
@@ -246,9 +252,10 @@ def _mean_adjusted(
     )
     values = []
     excluded = 0
-    for complex_input in dataset:
+    for complex_input, lig, grid in dataset:
+        problem = assemble(lig, grid, hp, complex_input=complex_input)
         try:
-            report = dock(complex_input, hp, sched, exact=exact)
+            report = _solve_and_report(problem, sched, exact, complex_input.name)
         except NoValidSolutionError:
             excluded += 1
             continue
@@ -273,6 +280,8 @@ def greedy_tune(
     adjusted RMSD, and adopts the best pair if it strictly improves the
     current mean. Ties go to the earlier interaction (el, vdw, hba, hbd,
     hydro) and then to the smaller weight, which is the iteration order.
+    Each complex's ligand and grid graphs are built once; every
+    evaluation only assembles and solves its QUBO.
     n_threads is accepted for compatibility and has no effect.
     """
     if not dataset:
@@ -280,6 +289,7 @@ def greedy_tune(
     if hp_template is None:
         hp_template = Hyperparameters()
     weights = tuple(sorted(weights))
+    graphs = [(cx, build_ligand_graph(cx), build_grid_graph(cx)) for cx in dataset]
 
     current = [0.0] * 5
     trace: list[dict] = []
@@ -288,7 +298,7 @@ def greedy_tune(
 
     def evaluate(lambdas, interaction, weight):
         nonlocal any_valid
-        mean, excluded = _mean_adjusted(dataset, tuple(lambdas), hp_template, sched, exact)
+        mean, excluded = _mean_adjusted(graphs, tuple(lambdas), hp_template, sched, exact)
         if mean is not None:
             any_valid = True
         trace.append(

@@ -208,7 +208,7 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
             charge=_field(entry, "charge", where),
             type_index=_field(entry, "type_index", where, int),
             hbond_role=HBondRole(role),
-            hydrophobic=bool(entry.get("hydrophobic", False)),
+            hydrophobic=bool(_as_flag(entry.get("hydrophobic", False), f"{where}.hydrophobic")),
             donor_hydrogens=hydrogens,
         )
         if not 0 <= atom.type_index < table.n_types:
@@ -260,9 +260,8 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
             raise ComplexFormatError(f"{where}: bond endpoints must be distinct")
         if i not in atom_ids or j not in atom_ids:
             raise ComplexFormatError(f"{where}: bond references unknown atom id")
-        ligand_bonds.append(
-            LigandBond(i=i, j=j, dihedral_locked=bool(entry.get("dihedral_locked", False)))
-        )
+        locked = _as_flag(entry.get("dihedral_locked", False), f"{where}.dihedral_locked")
+        ligand_bonds.append(LigandBond(i=i, j=j, dihedral_locked=bool(locked)))
 
     grid_points = []
     for where, entry in _objects(doc["grid_points"], "grid_points"):

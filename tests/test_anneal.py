@@ -147,6 +147,45 @@ def test_brute_force_keep_truncates_listing():
     assert len(brute_force(problem, keep=1)) == 1
 
 
+def state_index(assignment):
+    return sum(int(bit) << k for k, bit in enumerate(assignment.bits))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 13])
+def test_split_scan_finds_every_tied_minimum(n):
+    """n // 2 low bits and the rest high: odd, even and empty low halves.
+
+    Small integer coefficients make tied minima common, so the listing
+    must hold every state that reaches the exhaustive minimum.
+    """
+    rng = np.random.default_rng(500 + n)
+    coeffs = {
+        (a, b): float(rng.integers(-3, 4))
+        for a in range(n)
+        for b in range(a, n)
+        if rng.random() < 0.6
+    }
+    problem = toy(coeffs, n, offset=0.5)
+    totals = [
+        energy(problem, Assignment.from_bits([(s >> k) & 1 for k in range(n)])).total
+        for s in range(1 << n)
+    ]
+    minimum = min(totals)
+    tied = {s for s, total in enumerate(totals) if total == minimum}
+
+    result = brute_force(problem)
+    assert result.best.energy == minimum
+    listed = {state_index(sample.assignment) for sample in result}
+    if len(tied) <= 32:
+        assert tied <= listed
+
+
+def test_split_scan_all_tied_lists_lowest_state_indices():
+    result = brute_force(toy({}, 17))
+    assert [state_index(sample.assignment) for sample in result] == list(range(32))
+    assert all(sample.energy == 0.0 for sample in result)
+
+
 def test_brute_force_lower_bounds_annealer(tiny4):
     problem = build_full(tiny4, Hyperparameters(lambdas=(1.0,) * 5, gamma=25.0))
     exact = brute_force(problem)

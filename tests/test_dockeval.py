@@ -28,6 +28,7 @@ from qdock import (
     rmsd,
     simulated_anneal,
 )
+from qdock import dockeval
 from qdock.dockeval import TUNER_WEIGHTS
 
 from conftest import (
@@ -415,3 +416,40 @@ def test_tuner_counts_excluded_complexes():
     doc = result.to_dict()
     json.dumps(doc)
     assert doc["lambdas"] == list(result.lambdas)
+
+
+@pytest.fixture(scope="module")
+def tuned_pair(planted6):
+    """greedy_tune(exact=True) on planted6 and the matched chain, with
+    build_grid_graph counted where qdock.dockeval looks it up."""
+    colourings = []
+    build_grid_graph = dockeval.build_grid_graph
+
+    def counting(cx):
+        colourings.append(cx)
+        return build_grid_graph(cx)
+
+    dataset = [planted6, matched_chain()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dockeval, "build_grid_graph", counting)
+        result = greedy_tune(
+            dataset, AnnealSchedule(), hp_template=Hyperparameters(gamma=5.0), exact=True
+        )
+    return dataset, result, colourings
+
+
+def test_tuner_colours_each_complex_once(tuned_pair):
+    dataset, result, colourings = tuned_pair
+    assert len(result.trace) > len(dataset)
+    assert len(colourings) == len(dataset)
+    assert all(coloured is cx for coloured, cx in zip(colourings, dataset))
+
+
+def test_tuner_trace_matches_docking_each_complex(tuned_pair):
+    dataset, result, _ = tuned_pair
+    sched = AnnealSchedule()
+    for entry in result.trace:
+        hp = Hyperparameters(lambdas=tuple(entry["lambdas"]), gamma=5.0)
+        values = [dock(cx, hp, sched, exact=True).adjusted_rmsd for cx in dataset]
+        assert entry["excluded"] == 0
+        assert entry["mean_adjusted_rmsd"] == sum(values) / len(values)

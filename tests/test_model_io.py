@@ -152,6 +152,15 @@ MALFORMED_ENTRIES = [
     (_replace([float("inf")], "type_table", "epsilon"), "type_table.epsilon[0]"),
     (_replace([float("nan")], "type_table", "r_min"), "type_table.r_min[0]"),
     (_replace("a", "type_table", "n_types"), "type_table.n_types"),
+    (_replace("false", "protein", 0, "hydrophobic"), "protein[0].hydrophobic"),
+    (
+        lambda doc: doc["ligand"].update(
+            atoms=doc["ligand"]["atoms"]
+            + [{"id": 2, "position": [1.0, 0.0, 0.0], "charge": 0.0, "type_index": 0}],
+            bonds=[{"atoms": [1, 2], "dihedral_locked": "no"}],
+        ),
+        "ligand.bonds[0].dihedral_locked",
+    ),
 ]
 
 
