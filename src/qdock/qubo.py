@@ -21,12 +21,14 @@ compare like with like.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .errors import GraphBuildError
 from .grid import GridGraph, build_grid_graph
 from .ligand import LigandGraph, build_ligand_graph
 from .model import ComplexInput
@@ -265,6 +267,30 @@ def build_full(complex_input: ComplexInput, hp: Hyperparameters) -> QuboProblem:
     return assemble(lig, grid, hp, complex_input=complex_input)
 
 
+def _reject_non_finite(coeffs: CoeffMap, term_coeffs: dict[str, CoeffMap], offset: float) -> None:
+    """Raise GraphBuildError naming the first non-finite coefficient and
+    the first term (in TERM_NAMES order) that is non-finite there.
+
+    A non-finite term entry always leaves its summed entry non-finite,
+    so one pass over the summed map finds every case.
+    """
+    values = np.fromiter(coeffs.values(), dtype=np.float64, count=len(coeffs))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        key = next(itertools.islice(coeffs, int(bad[0]), None))
+        for name in TERM_NAMES:
+            value = term_coeffs[name].get(key, 0.0)
+            if not math.isfinite(value):
+                raise GraphBuildError(
+                    f"non-finite QUBO coefficient in term {name!r}: entry {key} = {value!r}"
+                )
+        raise GraphBuildError(
+            f"non-finite QUBO coefficient: the terms at entry {key} sum to {coeffs[key]!r}"
+        )
+    if not math.isfinite(offset):
+        raise GraphBuildError(f"non-finite QUBO penalty offset {offset!r}")
+
+
 def assemble(
     lig: LigandGraph,
     grid: GridGraph,
@@ -283,6 +309,7 @@ def assemble(
     for name in TERM_NAMES:
         for key, value in term_coeffs[name].items():
             _accumulate(coeffs, key, value)
+    _reject_non_finite(coeffs, term_coeffs, offset)
 
     problem = QuboProblem(
         n_mol=lig.n_atoms,
@@ -311,15 +338,26 @@ def energy(problem: QuboProblem, assignment: Assignment) -> EnergyBreakdown:
     Per-term sums use math.fsum, so the result depends only on which
     coefficients are active, not on iteration order; in particular the
     penalty term of a constraint-satisfying assignment is exactly zero.
+    A term map with more entries than there are active pairs (a <= b) is
+    read by looking those pairs up; a smaller one is scanned whole.
     """
     bits = assignment.bits
     if len(bits) != problem.n_vars:
         raise ValueError(
             f"assignment has {len(bits)} bits, problem has {problem.n_vars} variables"
         )
+    flags = bits.tolist()
+    on = [var for var, flag in enumerate(flags) if flag]
+    n_pairs = len(on) * (len(on) + 1) // 2
+    pairs = None
     terms: dict[str, float] = {}
     for name, cmap in problem.term_coeffs.items():
-        active = [value for (a, b), value in cmap.items() if bits[a] and bits[b]]
+        if n_pairs < len(cmap):
+            if pairs is None:
+                pairs = [(a, b) for k, a in enumerate(on) for b in on[k:]]
+            active = [value for value in map(cmap.get, pairs) if value is not None]
+        else:
+            active = [value for (a, b), value in cmap.items() if flags[a] and flags[b]]
         term_energy = math.fsum(active)
         if name == "penalty":
             term_energy += problem.offset

@@ -214,6 +214,16 @@ def test_thread_count_does_not_change_samples(planted6):
     assert lone.to_dict() == multi.to_dict()
 
 
+def test_reads_do_not_depend_on_batch_size(planted6):
+    built = build_full(planted6, Hyperparameters(lambdas=(0, 0, 0, 0, 0.05), gamma=5.0))
+    for problem in (built, random_problem(np.random.default_rng(17), 15)):
+        small = simulated_anneal(problem, AnnealSchedule(n_reads=3, n_sweeps=40, seed=21))
+        large = simulated_anneal(problem, AnnealSchedule(n_reads=9, n_sweeps=40, seed=21))
+        by_read = {sample.read: sample.to_dict() for sample in large}
+        assert sorted(sample.read for sample in small) == [0, 1, 2]
+        assert all(sample.to_dict() == by_read[sample.read] for sample in small)
+
+
 def test_seed_changes_exploration(planted6):
     problem = build_full(planted6, Hyperparameters(gamma=5.0))
     a = simulated_anneal(problem, AnnealSchedule(n_reads=3, n_sweeps=5, seed=0))

@@ -95,6 +95,25 @@ def test_malformed_complex_exits_without_traceback(tmp_path, break_doc, where):
     assert len(lines) == 1 and lines[0].startswith("error: ") and where in lines[0]
 
 
+@pytest.mark.parametrize("command", ["build", "dock"])
+def test_non_finite_coefficients_exit_without_traceback(tmp_path, command):
+    doc = json.loads(TINY4.read_text())
+    doc["grid_points"][0]["position"] = [1e200, 0.0, 0.0]
+    bad = tmp_path / "far.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "far.out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdock.cli", command, "--complex", str(bad), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "'geom'" in errors[0]
+    assert not out.exists()
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qdock.cli", "--help"],

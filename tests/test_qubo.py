@@ -1,5 +1,6 @@
 """Hamiltonian assembly: coefficients, scaling, penalty, and evaluation."""
 
+import copy
 import itertools
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from qdock import (
     Assignment,
+    GraphBuildError,
     Hyperparameters,
     build_full,
     build_grid_graph,
@@ -259,6 +261,63 @@ def test_energy_decomposition_random_assignments(tiny4):
         scale = max(1.0, abs(direct))
         assert abs(breakdown.total - direct) <= 1e-9 * scale
         assert abs(breakdown.total - math.fsum(breakdown.terms.values())) <= 1e-12 * scale
+
+
+def full_scan_energy(problem, bits):
+    """Every coefficient of every term map tested against the bits."""
+    terms = {}
+    for name, cmap in problem.term_coeffs.items():
+        terms[name] = math.fsum(v for (a, b), v in cmap.items() if bits[a] and bits[b])
+        if name == "penalty":
+            terms[name] += problem.offset
+    if "penalty" not in terms and problem.offset != 0.0:
+        terms["offset"] = problem.offset
+    return terms, math.fsum(terms.values())
+
+
+def test_energy_matches_full_scan_bit_for_bit(tiny4, tmp_path):
+    rng = np.random.default_rng(73)
+    built = build_full(tiny4, UNIT_HP)
+    export_qubo(built, tmp_path / "tiny4.qubo")
+    problems = [built, import_qubo(tmp_path / "tiny4.qubo")]
+    for n in (1, 5, 12, 30):
+        keys = [(a, b) for a in range(n) for b in range(a, n) if rng.random() < 0.6]
+        coeffs = {key: float(rng.normal(scale=3.0)) for key in keys}
+        problems.append(
+            QuboProblem(
+                n_mol=1,
+                n_grid=n,
+                coeffs=coeffs,
+                term_coeffs={"imported": coeffs},
+                offset=float(rng.normal()),
+            )
+        )
+    one_hot = one_hot_assignment(built, index_mapping(built, TINY4_PLANTED)).bits
+    for problem in problems:
+        n = problem.n_vars
+        single = np.zeros(n, dtype=np.uint8)
+        single[n // 2] = 1
+        bitstrings = [
+            one_hot if n == built.n_vars else single,
+            (rng.random(n) < 0.1).astype(np.uint8),
+            (rng.random(n) < 0.8).astype(np.uint8),
+            np.ones(n, dtype=np.uint8),
+            np.zeros(n, dtype=np.uint8),
+        ]
+        for bits in bitstrings:
+            breakdown = energy(problem, Assignment(bits))
+            terms, total = full_scan_energy(problem, bits)
+            assert {k: v.hex() for k, v in breakdown.terms.items()} == {
+                k: v.hex() for k, v in terms.items()
+            }
+            assert breakdown.total.hex() == total.hex()
+
+
+def test_non_finite_coefficient_names_its_term(tiny4_doc):
+    doc = copy.deepcopy(tiny4_doc)
+    doc["grid_points"][0]["position"] = [1e200, 0.0, 0.0]
+    with pytest.warns(RuntimeWarning), pytest.raises(GraphBuildError, match="'geom'.*inf"):
+        build_full(parse_complex(doc), Hyperparameters())
 
 
 def test_valid_pose_energy_matches_pose_formula(tiny4):
