@@ -115,13 +115,14 @@ class SampleSet:
 
 
 def resolve_temperatures(problem: QuboProblem, sched: AnnealSchedule) -> tuple[float, float]:
-    magnitudes = [abs(v) for v in problem.coeffs.values() if v != 0.0]
+    h, q_sym = problem.dense
+    magnitudes = np.abs(np.concatenate([h[h != 0.0], q_sym[q_sym != 0.0]]))
     t_initial = sched.t_initial
     if t_initial is None:
-        t_initial = max(magnitudes) if magnitudes else 1.0
+        t_initial = magnitudes.max() if magnitudes.size else 1.0
     t_final = sched.t_final
     if t_final is None:
-        t_final = max(1e-3 * min(magnitudes), TEMPERATURE_FLOOR) if magnitudes else TEMPERATURE_FLOOR
+        t_final = max(1e-3 * magnitudes.min(), TEMPERATURE_FLOOR) if magnitudes.size else TEMPERATURE_FLOOR
     t_final = min(t_final, t_initial)
     return float(t_initial), float(t_final)
 
@@ -296,7 +297,7 @@ def brute_force(problem: QuboProblem, keep: int = 32) -> SampleSet:
         scanned += energy_lo[None, :]
         scanned = scanned.ravel()
 
-        scale = math.fsum(abs(v) for v in problem.coeffs.values()) + abs(problem.offset)
+        scale = math.fsum(np.abs(np.append(h, q_upper))) + abs(problem.offset)
         window = scanned.min() + 1e-9 * max(scale, 1.0)
         hits = np.flatnonzero(scanned <= window)
         if len(hits) > 65536:

@@ -17,18 +17,22 @@ seven term maps kept separate for energy decomposition:
 Scales default to normalizing each physicochemical term's largest raw
 coefficient to the largest geometric coefficient, so the lambda weights
 compare like with like.
+
+Each term is computed as arrays over the ligand edges, the grid distance
+matrix and the grid color vectors, and becomes its term map once, zero
+entries dropped. The maps stay the public model: the coordinate file,
+`energy` and callers outside the package read and construct them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import GraphBuildError
+from .errors import GraphBuildError, QdockError
 from .grid import GridGraph, build_grid_graph
 from .ligand import LigandGraph, build_ligand_graph
 from .model import ComplexInput
@@ -136,16 +140,20 @@ class QuboProblem:
 
         Built once from `coeffs`, which must not change afterwards. Keys
         are unique, so index assignment places each coefficient exactly
-        once.
+        once. Raises QdockError when the n x n matrix cannot be allocated.
         """
         n = self.n_vars
         keys = np.array(list(self.coeffs), dtype=np.intp).reshape(-1, 2)
         values = np.fromiter(self.coeffs.values(), dtype=np.float64, count=len(self.coeffs))
         a, b = keys[:, 0], keys[:, 1]
         linear = a == b
-        h = np.zeros(n)
+        try:
+            h = np.zeros(n)
+            q_sym = np.zeros((n, n))
+        except MemoryError:
+            raise QdockError(f"cannot allocate the {n} x {n} coupling matrix "
+                             f"({8 * n * n} bytes) of a QUBO with {n} variables") from None
         h[a[linear]] = values[linear]
-        q_sym = np.zeros((n, n))
         pair = ~linear
         q_sym[a[pair], b[pair]] = values[pair]
         q_sym[b[pair], a[pair]] = values[pair]
@@ -158,78 +166,68 @@ class EnergyBreakdown:
     total: float
 
 
-def _accumulate(target: CoeffMap, key: tuple[int, int], value: float) -> None:
-    value = float(value)  # keep maps free of numpy scalars (repr, JSON)
-    if value != 0.0:
-        target[key] = target.get(key, 0.0) + value
+def _coeff_map(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> CoeffMap:
+    """The nonzero entries of parallel (a, b, value) arrays as a term map,
+    with Python int keys and float values (repr, JSON)."""
+    keep = values != 0.0
+    return dict(zip(zip(a[keep].tolist(), b[keep].tolist()), values[keep].tolist()))
 
 
-def build_distortion(lig: LigandGraph, grid: GridGraph) -> CoeffMap:
-    """Geometric distortion term map.
-
-    The sum runs over ligand edges and ordered pairs of distinct grid
-    points; edge endpoints satisfy i < i', so every coefficient lands in
-    the upper triangle directly.
-    """
+def build_distortion(lig: LigandGraph, grid: GridGraph) -> tuple[np.ndarray, ...]:
+    """Geometric distortion (a, b, value) arrays, zeros included: edge i < i'
+    gives (i n_grid + j, i' n_grid + j') the value (d - dist[j, j'])^2 for
+    each pair j != j', edge by edge and row-major, all in the upper triangle."""
     n_grid = grid.n_points
-    geom: CoeffMap = {}
-    for edge in lig.edges:
-        base_i = edge.i * n_grid
-        base_j = edge.j * n_grid
-        for j in range(n_grid):
-            for jp in range(n_grid):
-                if j == jp:
-                    continue
-                mismatch = edge.dist - grid.dist[j, jp]
-                _accumulate(geom, (base_i + j, base_j + jp), mismatch * mismatch)
-    return geom
+    j, jp = np.nonzero(~np.eye(n_grid, dtype=bool))
+    ends = np.array([(edge.i, edge.j) for edge in lig.edges], dtype=np.intp).reshape(-1, 2)
+    mismatch = np.array([edge.dist for edge in lig.edges])[:, None] - grid.dist[j, jp]
+    a = ends[:, :1] * n_grid + j
+    b = ends[:, 1:] * n_grid + jp
+    return a.ravel(), b.ravel(), (mismatch * mismatch).ravel()
+
+
+def _penalty_entries(n_mol: int, n_grid: int, gamma: float) -> tuple[np.ndarray, ...]:
+    """Penalty entries as (a, b, value) arrays: each atom's diagonal
+    (-gamma) and then its row couplings j < j' (2 gamma), then each point's
+    column couplings i < i' (2 gamma). The diagonal is in variable order."""
+    points = np.arange(n_grid)
+    j, jp = np.triu_indices(n_grid, 1)
+    i, ip = np.triu_indices(n_mol, 1)
+    rows = np.arange(n_mol)[:, None] * n_grid
+    a = np.append(rows + np.append(points, j), i * n_grid + points[:, None])
+    b = np.append(rows + np.append(points, jp), ip * n_grid + points[:, None])
+    return a, b, np.where(a == b, -gamma, 2.0 * gamma)
 
 
 def build_penalty(n_mol: int, n_grid: int, gamma: float) -> tuple[CoeffMap, float]:
     """Constraint-penalty term map and its constant offset."""
-    penalty: CoeffMap = {}
-    for i in range(n_mol):
-        row = i * n_grid
-        for j in range(n_grid):
-            _accumulate(penalty, (row + j, row + j), -gamma)
-        for j in range(n_grid):
-            for jp in range(j + 1, n_grid):
-                _accumulate(penalty, (row + j, row + jp), 2.0 * gamma)
-    for j in range(n_grid):
-        for i in range(n_mol):
-            for ip in range(i + 1, n_mol):
-                _accumulate(penalty, (i * n_grid + j, ip * n_grid + j), 2.0 * gamma)
-    offset = gamma * n_mol
-    return penalty, offset
+    return _coeff_map(*_penalty_entries(n_mol, n_grid, gamma)), gamma * n_mol
 
 
-def build_physchem_raw(lig: LigandGraph, grid: GridGraph) -> dict[str, CoeffMap]:
-    """Unscaled diagonal physicochemical maps (lambda- and scale-free)."""
-    n_grid = grid.n_points
-    raw: dict[str, CoeffMap] = {name: {} for name in PHYSCHEM_TERMS}
-    for i, atom in enumerate(lig.atoms):
-        for j in range(n_grid):
-            key = (i * n_grid + j, i * n_grid + j)
-            _accumulate(raw["el"], key, atom.charge * float(grid.coulomb[j]))
-            _accumulate(raw["vdw"], key, float(grid.lj[j, atom.type_index]))
-            _accumulate(raw["hba"], key, -float(atom.hbond_acceptor * grid.hb_acceptor[j]))
-            _accumulate(raw["hbd"], key, -float(atom.hbond_donor * grid.hb_donor[j]))
-            _accumulate(raw["hydro"], key, -float(atom.hydrophobic * grid.hydrophobic[j]))
-    return raw
+def build_physchem_raw(lig: LigandGraph, grid: GridGraph) -> dict[str, np.ndarray]:
+    """Unscaled physicochemical tables (lambda- and scale-free), each
+    (n_mol, n_grid): entry (i, j) belongs to variable i n_grid + j."""
+    atoms = lig.atoms
+    charge = np.array([atom.charge for atom in atoms], dtype=float)[:, None]
+    types = [atom.type_index for atom in atoms]
+    flags = np.array([(a.hbond_acceptor, a.hbond_donor, a.hydrophobic) for a in atoms]).T
+    return {
+        "el": charge * grid.coulomb,
+        "vdw": grid.lj[:, types].T,
+        "hba": -(flags[0, :, None] * grid.hb_acceptor).astype(float),
+        "hbd": -(flags[1, :, None] * grid.hb_donor).astype(float),
+        "hydro": -(flags[2, :, None] * grid.hydrophobic).astype(float),
+    }
 
 
-def _max_abs(coeffs: CoeffMap) -> float:
-    return max((abs(v) for v in coeffs.values()), default=0.0)
-
-
-def resolve_scales(hp: Hyperparameters, geom: CoeffMap, raw: dict[str, CoeffMap]) -> tuple:
+def resolve_scales(hp: Hyperparameters, geom: np.ndarray, raw: dict[str, np.ndarray]) -> tuple:
     """Component scales: explicit values, or geometric/raw magnitude ratio."""
     if hp.component_scales is not None:
         return tuple(float(s) for s in hp.component_scales)
-    geom_magnitude = _max_abs(geom)
+    geom_magnitude = float(np.abs(geom).max(initial=0.0))
     scales = []
     for name in PHYSCHEM_TERMS:
-        raw_magnitude = _max_abs(raw[name])
+        raw_magnitude = float(np.abs(raw[name]).max(initial=0.0))
         if geom_magnitude > 0.0 and raw_magnitude > 0.0:
             scales.append(float(geom_magnitude / raw_magnitude))
         else:
@@ -237,27 +235,12 @@ def resolve_scales(hp: Hyperparameters, geom: CoeffMap, raw: dict[str, CoeffMap]
     return tuple(scales)
 
 
-def resolve_gamma(hp: Hyperparameters, geom: CoeffMap) -> float:
+def resolve_gamma(hp: Hyperparameters, geom: np.ndarray) -> float:
     """Explicit gamma, or ten times the largest geometric coefficient."""
     if hp.gamma is not None:
         return float(hp.gamma)
-    geom_magnitude = _max_abs(geom)
+    geom_magnitude = float(np.abs(geom).max(initial=0.0))
     return float(10.0 * geom_magnitude) if geom_magnitude > 0.0 else 1.0
-
-
-def build_physchem(
-    lig: LigandGraph, grid: GridGraph, hp: Hyperparameters, geom: CoeffMap
-) -> tuple[dict[str, CoeffMap], tuple]:
-    """Scaled physicochemical term maps (value = raw * scale * lambda)."""
-    raw = build_physchem_raw(lig, grid)
-    scales = resolve_scales(hp, geom, raw)
-    scaled: dict[str, CoeffMap] = {}
-    for name, scale, lam in zip(PHYSCHEM_TERMS, scales, hp.lambdas):
-        factor = scale * lam
-        scaled[name] = {
-            key: value * factor for key, value in raw[name].items() if value * factor != 0.0
-        }
-    return scaled, scales
 
 
 def build_full(complex_input: ComplexInput, hp: Hyperparameters) -> QuboProblem:
@@ -267,28 +250,22 @@ def build_full(complex_input: ComplexInput, hp: Hyperparameters) -> QuboProblem:
     return assemble(lig, grid, hp, complex_input=complex_input)
 
 
-def _reject_non_finite(coeffs: CoeffMap, term_coeffs: dict[str, CoeffMap], offset: float) -> None:
-    """Raise GraphBuildError naming the first non-finite coefficient and
-    the first term (in TERM_NAMES order) that is non-finite there.
-
-    A non-finite term entry always leaves its summed entry non-finite,
-    so one pass over the summed map finds every case.
-    """
-    values = np.fromiter(coeffs.values(), dtype=np.float64, count=len(coeffs))
+def _reject_non_finite(a, b, values: np.ndarray, term_coeffs: dict[str, CoeffMap]) -> None:
+    """Raise GraphBuildError naming the first non-finite value and the
+    first term (in TERM_NAMES order) that is non-finite at its entry."""
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
-        key = next(itertools.islice(coeffs, int(bad[0]), None))
+        key = (int(a[bad[0]]), int(b[bad[0]]))
         for name in TERM_NAMES:
             value = term_coeffs[name].get(key, 0.0)
             if not math.isfinite(value):
                 raise GraphBuildError(
                     f"non-finite QUBO coefficient in term {name!r}: entry {key} = {value!r}"
                 )
+        total = float(values[bad[0]])
         raise GraphBuildError(
-            f"non-finite QUBO coefficient: the terms at entry {key} sum to {coeffs[key]!r}"
+            f"non-finite QUBO coefficient: the terms at entry {key} sum to {total!r}"
         )
-    if not math.isfinite(offset):
-        raise GraphBuildError(f"non-finite QUBO penalty offset {offset!r}")
 
 
 def assemble(
@@ -297,23 +274,39 @@ def assemble(
     hp: Hyperparameters,
     complex_input: ComplexInput | None = None,
 ) -> QuboProblem:
-    """Combine term maps into a QuboProblem from prebuilt graphs."""
-    geom = build_distortion(lig, grid)
-    gamma = resolve_gamma(hp, geom)
-    penalty, offset = build_penalty(lig.n_atoms, grid.n_points, gamma)
-    physchem, scales = build_physchem(lig, grid, hp, geom)
-
-    term_coeffs: dict[str, CoeffMap] = {"geom": geom, "penalty": penalty}
-    term_coeffs.update(physchem)
-    coeffs: CoeffMap = {}
-    for name in TERM_NAMES:
-        for key, value in term_coeffs[name].items():
-            _accumulate(coeffs, key, value)
-    _reject_non_finite(coeffs, term_coeffs, offset)
+    """Combine the term arrays into a QuboProblem from prebuilt graphs. No
+    other term shares a geom key, and the penalty holds every other key,
+    whose diagonal adds the scaled physicochemical tables in order."""
+    n_mol, n_grid = lig.n_atoms, grid.n_points
+    geom_a, geom_b, geom_values = build_distortion(lig, grid)
+    gamma = resolve_gamma(hp, geom_values)
+    a, b, penalty_values = _penalty_entries(n_mol, n_grid, gamma)
+    keys = list(zip(a.tolist(), b.tolist()))
+    term_coeffs: dict[str, CoeffMap] = {
+        "geom": _coeff_map(geom_a, geom_b, geom_values),
+        "penalty": dict(zip(keys, penalty_values.tolist())),
+    }
+    variables = np.arange(n_mol * n_grid)
+    summed = penalty_values.copy()
+    # Extreme inputs can overflow here; the finite checks below name the entry.
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = build_physchem_raw(lig, grid)
+        scales = resolve_scales(hp, geom_values, raw)
+        for name, scale, lam in zip(PHYSCHEM_TERMS, scales, hp.lambdas):
+            table = np.where(raw[name] != 0.0, raw[name] * (scale * lam), 0.0).ravel()
+            term_coeffs[name] = _coeff_map(variables, variables, table)
+            summed[a == b] += table
+    _reject_non_finite(geom_a, geom_b, geom_values, term_coeffs)
+    _reject_non_finite(a, b, summed, term_coeffs)
+    offset = gamma * n_mol
+    if not math.isfinite(offset):
+        raise GraphBuildError(f"non-finite QUBO penalty offset {offset!r}")
+    coeffs = dict(term_coeffs["geom"])
+    coeffs.update(zip(keys, summed.tolist()))
 
     problem = QuboProblem(
-        n_mol=lig.n_atoms,
-        n_grid=grid.n_points,
+        n_mol=n_mol,
+        n_grid=n_grid,
         coeffs=coeffs,
         term_coeffs=term_coeffs,
         offset=offset,

@@ -114,6 +114,20 @@ def test_non_finite_coefficients_exit_without_traceback(tmp_path, command):
     assert not out.exists()
 
 
+def test_unallocatable_qubo_exits_without_traceback(tmp_path):
+    huge = tmp_path / "huge.qubo"
+    huge.write_text("p qubo 100000000 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdock.cli", "solve", "--qubo", str(huge)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "100000000" in lines[0]
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qdock.cli", "--help"],

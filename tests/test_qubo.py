@@ -1,11 +1,15 @@
 """Hamiltonian assembly: coefficients, scaling, penalty, and evaluation."""
 
+import contextlib
 import copy
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdock import (
     Assignment,
@@ -209,6 +213,189 @@ def test_coefficients_match_dense_oracle(fixture_name, request):
         assert a <= b
 
 
+def per_entry_reference(cx, hp):
+    """Every term map, the summed map, offset, gamma and scales, one entry
+    at a time from the module-docstring formulas, with Python floats."""
+    lig = build_ligand_graph(cx)
+    grid = build_grid_graph(cx)
+    n_mol, n_grid = lig.n_atoms, grid.n_points
+    terms = {name: {} for name in TERM_NAMES}
+    for edge in lig.edges:
+        for j in range(n_grid):
+            for jp in range(n_grid):
+                mismatch = edge.dist - float(grid.dist[j, jp])
+                if j != jp and mismatch * mismatch != 0.0:
+                    terms["geom"][(edge.i * n_grid + j, edge.j * n_grid + jp)] = mismatch * mismatch
+    geom_max = max((abs(v) for v in terms["geom"].values()), default=0.0)
+    if hp.gamma is not None:
+        gamma = float(hp.gamma)
+    else:
+        gamma = 10.0 * geom_max if geom_max > 0.0 else 1.0
+    for i in range(n_mol):
+        for j in range(n_grid):
+            v = i * n_grid + j
+            terms["penalty"][(v, v)] = -gamma
+            for jp in range(j + 1, n_grid):
+                terms["penalty"][(v, i * n_grid + jp)] = 2.0 * gamma
+            for ip in range(i + 1, n_mol):
+                terms["penalty"][(v, ip * n_grid + j)] = 2.0 * gamma
+    raw = {name: {} for name in PHYSCHEM_TERMS}
+    for i, atom in enumerate(lig.atoms):
+        for j in range(n_grid):
+            entry = {
+                "el": atom.charge * float(grid.coulomb[j]),
+                "vdw": float(grid.lj[j, atom.type_index]),
+                "hba": -float(atom.hbond_acceptor * int(grid.hb_acceptor[j])),
+                "hbd": -float(atom.hbond_donor * int(grid.hb_donor[j])),
+                "hydro": -float(atom.hydrophobic * int(grid.hydrophobic[j])),
+            }
+            for name, value in entry.items():
+                if value != 0.0:
+                    raw[name][(i * n_grid + j, i * n_grid + j)] = value
+    if hp.component_scales is not None:
+        scales = tuple(float(s) for s in hp.component_scales)
+    else:
+        scales = []
+        for name in PHYSCHEM_TERMS:
+            raw_max = max((abs(v) for v in raw[name].values()), default=0.0)
+            scales.append(geom_max / raw_max if geom_max > 0.0 and raw_max > 0.0 else 1.0)
+        scales = tuple(scales)
+    for name, scale, lam in zip(PHYSCHEM_TERMS, scales, hp.lambdas):
+        factor = scale * lam
+        terms[name] = {k: v * factor for k, v in raw[name].items() if v * factor != 0.0}
+    summed = {}
+    for name in TERM_NAMES:
+        for key, value in terms[name].items():
+            summed[key] = summed.get(key, 0.0) + value
+    return terms, summed, gamma * n_mol, gamma, scales
+
+
+def hex_map(cmap):
+    """A term map as {key: float.hex}, after checking it holds only Python
+    ints and floats (repr and JSON depend on it)."""
+    assert all(type(a) is int and type(b) is int and type(v) is float for (a, b), v in cmap.items())
+    return {key: value.hex() for key, value in cmap.items()}
+
+
+def assert_matches_per_entry_reference(cx, hp):
+    terms, summed, offset, gamma, scales = per_entry_reference(cx, hp)
+    if not all(math.isfinite(v) for v in summed.values()):
+        with pytest.raises(GraphBuildError, match="non-finite"):
+            build_full(cx, hp)
+        return
+    problem = build_full(cx, hp)
+    assert list(problem.term_coeffs) == list(TERM_NAMES)
+    for name in TERM_NAMES:
+        assert hex_map(problem.term_coeffs[name]) == hex_map(terms[name]), name
+    assert hex_map(problem.coeffs) == hex_map(summed)
+    assert problem.offset.hex() == offset.hex()
+    assert problem.gamma.hex() == gamma.hex()
+    assert [s.hex() for s in problem.scales] == [s.hex() for s in scales]
+
+
+REFERENCE_HPS = [
+    Hyperparameters(lambdas=(1.0, 0.5, 2.0, 1.0, 3.0)),
+    Hyperparameters(lambdas=(1.0, 0.5, 2.0, 1.0, 3.0), gamma=25.0),
+    Hyperparameters(lambdas=(0.01,) * 5, component_scales=(0.3, 2.0, 1.5, 0.7, 4.0)),
+    Hyperparameters(lambdas=(1.0, 0.0, 1.0, 1.0, 0.0), gamma=7.0,
+                    component_scales=(3.0, 1.0, 0.1, 1.0, 1e-3)),
+]
+
+
+@pytest.mark.parametrize("hp", REFERENCE_HPS, ids=["auto", "gamma", "scales", "gamma-scales"])
+@pytest.mark.parametrize("fixture_name", ["tiny4", "planted6"])
+def test_assembly_matches_per_entry_reference(fixture_name, hp, request):
+    assert_matches_per_entry_reference(request.getfixturevalue(fixture_name), hp)
+
+
+@st.composite
+def complex_docs(draw):
+    """Small valid complexes: a jittered chain ligand, grid points on a
+    1.5 A lattice and protein atoms in every H-bond role between them."""
+    small = st.floats(-0.4, 0.4, allow_nan=False)
+    charge = st.floats(-1.0, 1.0, allow_nan=False)
+    flag = st.integers(0, 1)
+    n_types = draw(st.integers(1, 3))
+    n_atoms = draw(st.integers(1, 4))
+    cells = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=n_atoms, max_size=7, unique=True)
+    )
+    protein = []
+    for k in range(draw(st.integers(0, 5))):
+        position = [1.5 * c + 0.75 for c in draw(st.tuples(*[st.integers(-3, 2)] * 3))]
+        role = draw(st.sampled_from(["none", "donor", "acceptor", "donor_acceptor"]))
+        protein.append({
+            "id": k + 1,
+            "position": position,
+            "charge": draw(charge),
+            "type_index": draw(st.integers(0, n_types - 1)),
+            "hbond_role": role,
+            "hydrophobic": draw(st.booleans()),
+            "donor_hydrogens": [[position[0] - 0.95, position[1], position[2]]]
+            if "donor" in role else [],
+        })
+    atoms = [
+        {
+            "id": 50 + k,
+            "position": [1.3 * k + draw(small), draw(small), draw(small)],
+            "charge": draw(charge),
+            "type_index": draw(st.integers(0, n_types - 1)),
+            "hbond_acceptor": draw(flag),
+            "hbond_donor": draw(flag),
+            "hydrophobic": draw(flag),
+        }
+        for k in range(n_atoms)
+    ]
+    bonds = [
+        {"atoms": [50 + k, 51 + k], "dihedral_locked": draw(st.booleans())}
+        for k in range(n_atoms - 1)
+    ]
+    return {
+        "protein": protein,
+        "ligand": {"atoms": atoms, "bonds": bonds},
+        "grid_points": [
+            {"id": 100 + k, "position": [1.5 * c for c in cell]} for k, cell in enumerate(cells)
+        ],
+        "type_table": {
+            "epsilon": draw(st.lists(st.floats(0.05, 0.5), min_size=n_types, max_size=n_types)),
+            "r_min": draw(st.lists(st.floats(1.0, 2.5), min_size=n_types, max_size=n_types)),
+        },
+        "dielectric": draw(st.floats(1.0, 10.0)),
+    }
+
+
+hyperparameters = st.builds(
+    Hyperparameters,
+    lambdas=st.tuples(*[st.sampled_from([0.0, 0.01, 1.0, 2.5])] * 5),
+    gamma=st.one_of(st.none(), st.floats(0.1, 100.0)),
+    component_scales=st.one_of(st.none(), st.tuples(*[st.floats(1e-3, 1e3)] * 5)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(doc=complex_docs(), hp=hyperparameters)
+def test_generated_assembly_matches_per_entry_reference(doc, hp):
+    assert_matches_per_entry_reference(parse_complex(doc), hp)
+
+
+# SHA-256 of `export_qubo` bytes, recorded before the term maps were built
+# from arrays; the coordinate file must not change by a byte.
+EXPORT_DIGESTS = {
+    ("tiny4", "default"): "53527534dd32d2cec32d8d96bafaf97e5157f1dc84ed01a2cd4876d48d610cd9",
+    ("tiny4", "unit"): "eee2b0c157576782ffde36f14e639dfa5eb214b006399048e84a35f3e0664591",
+    ("planted6", "default"): "e1d3cacf51f6cf4ceb551705a83c8b80207935d06ba937366dbde230518b9904",
+    ("planted6", "unit"): "eb91784ca531d3956fed06823157695997561a35ea62dcd35561f15499d0e9ca",
+}
+
+
+@pytest.mark.parametrize("fixture_name, hp_name", sorted(EXPORT_DIGESTS))
+def test_export_bytes_match_recorded_digest(fixture_name, hp_name, request, tmp_path):
+    hp = {"default": Hyperparameters(), "unit": UNIT_HP}[hp_name]
+    export_qubo(build_full(request.getfixturevalue(fixture_name), hp), tmp_path / "out.qubo")
+    digest = hashlib.sha256((tmp_path / "out.qubo").read_bytes()).hexdigest()
+    assert digest == EXPORT_DIGESTS[(fixture_name, hp_name)]
+
+
 def test_term_maps_sum_to_combined_coefficients(tiny4):
     problem = build_full(tiny4, UNIT_HP)
     resummed = {}
@@ -318,6 +505,36 @@ def test_non_finite_coefficient_names_its_term(tiny4_doc):
     doc["grid_points"][0]["position"] = [1e200, 0.0, 0.0]
     with pytest.warns(RuntimeWarning), pytest.raises(GraphBuildError, match="'geom'.*inf"):
         build_full(parse_complex(doc), Hyperparameters())
+
+
+def far_first_point(doc):
+    doc["grid_points"][0]["position"] = [1e200, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "edit_doc, hp, message, warns",
+    [
+        (far_first_point, Hyperparameters(), "in term 'geom': entry (0, 7) = inf", True),
+        (None, Hyperparameters(gamma=1e308), "in term 'penalty': entry (0, 1) = inf", False),
+        (
+            None,
+            Hyperparameters(lambdas=(5.0,) * 5, component_scales=(1e308,) * 5),
+            "in term 'el': entry (0, 0) = -inf",
+            False,
+        ),
+    ],
+    ids=["far-point", "huge-gamma", "huge-scales"],
+)
+def test_non_finite_message_names_first_entry(tiny4_doc, edit_doc, hp, message, warns):
+    doc = copy.deepcopy(tiny4_doc)
+    if edit_doc is not None:
+        edit_doc(doc)
+    # Only the far point overflows in numpy (the grid colouring); the
+    # builders report every overflow through the finite check alone.
+    expect = pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext()
+    with expect, pytest.raises(GraphBuildError) as excinfo:
+        build_full(parse_complex(doc), hp)
+    assert str(excinfo.value) == "non-finite QUBO coefficient " + message
 
 
 def test_valid_pose_energy_matches_pose_formula(tiny4):
