@@ -26,6 +26,7 @@ entries dropped. The maps stay the public model: the coordinate file,
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,6 +42,13 @@ TERM_NAMES = ("geom", "penalty", "el", "vdw", "hba", "hbd", "hydro")
 PHYSCHEM_TERMS = ("el", "vdw", "hba", "hbd", "hydro")
 
 CoeffMap = dict[tuple[int, int], float]
+
+
+def coeff_arrays(coeffs: CoeffMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A coefficient map as parallel (a, b, value) arrays in insertion order."""
+    n = len(coeffs)
+    keys = np.fromiter(itertools.chain.from_iterable(coeffs), np.intp, 2 * n).reshape(n, 2)
+    return keys[:, 0], keys[:, 1], np.fromiter(coeffs.values(), np.float64, n)
 
 
 @dataclass(frozen=True)
@@ -143,9 +151,7 @@ class QuboProblem:
         once. Raises QdockError when the n x n matrix cannot be allocated.
         """
         n = self.n_vars
-        keys = np.array(list(self.coeffs), dtype=np.intp).reshape(-1, 2)
-        values = np.fromiter(self.coeffs.values(), dtype=np.float64, count=len(self.coeffs))
-        a, b = keys[:, 0], keys[:, 1]
+        a, b, values = coeff_arrays(self.coeffs)
         linear = a == b
         try:
             h = np.zeros(n)
