@@ -16,9 +16,12 @@ and only an accepted flip touches the fields: f += (1 - 2 x_v) Q_sym[v]
 for that read. A step thus costs O(reads) plus O(accepted flips x n)
 instead of O(reads x n), as in dwave-neal's sampler.
 
-Energies attached to returned samples are always recomputed from the
-bitstring with per-term fsum, never taken from the incremental tracking,
-so stored values match `qubo.energy` exactly.
+All three solvers turn bit rows into a SampleSet through `_sample_set`:
+SA's best state per read, brute force's candidate listing (see
+`brute_force`) and external bitstrings in file order. Each row is scored
+once by `qubo.energy` (per-term fsum), never from the incremental tracking
+or the scan, and becomes a Sample with `read` = its row index; samples are
+stable-sorted by energy, so ties keep row order.
 """
 
 from __future__ import annotations
@@ -190,6 +193,24 @@ def _anneal_reads(
     return best_state
 
 
+def _sample_set(problem: QuboProblem, rows, metadata: dict, keep: int | None = None) -> SampleSet:
+    """Score each bit row once; samples sorted by energy, ties in row order."""
+    samples = []
+    for read, bits in enumerate(rows):
+        assignment = Assignment(bits)
+        breakdown = energy(problem, assignment)
+        samples.append(
+            Sample(
+                assignment=assignment,
+                energy=breakdown.total,
+                term_energies=breakdown.terms,
+                read=read,
+            )
+        )
+    samples.sort(key=lambda s: s.energy)
+    return SampleSet(samples=samples[:keep], metadata=metadata)
+
+
 def simulated_anneal(
     problem: QuboProblem, sched: AnnealSchedule, n_threads: int = 1
 ) -> SampleSet:
@@ -202,23 +223,10 @@ def simulated_anneal(
     t_initial, t_final = resolve_temperatures(problem, sched)
     temps = _temperature_ladder(t_initial, t_final, sched.n_sweeps)
     best_states = _anneal_reads(problem, sched.seed, sched.n_reads, temps)
-
-    samples = []
-    for read, bits in enumerate(best_states):
-        assignment = Assignment(bits)
-        breakdown = energy(problem, assignment)
-        samples.append(
-            Sample(
-                assignment=assignment,
-                energy=breakdown.total,
-                term_energies=breakdown.terms,
-                read=read,
-            )
-        )
-    samples.sort(key=lambda s: s.energy)
-    return SampleSet(
-        samples=samples,
-        metadata={
+    result = _sample_set(
+        problem,
+        best_states,
+        {
             "solver": "sa",
             "seed": sched.seed,
             "n_reads": sched.n_reads,
@@ -226,21 +234,9 @@ def simulated_anneal(
             "t_initial": t_initial,
             "t_final": t_final,
         },
-        wall_time=time.perf_counter() - started,
     )
-
-
-def _enumerate_valid_assignments(problem: QuboProblem):
-    """All constraint-satisfying bitstrings (one point per atom, injective).
-
-    With n_mol * n_grid <= 24 the permutation count is at most a few
-    hundred, so direct enumeration is cheap.
-    """
-    for placement in itertools.permutations(range(problem.n_grid), problem.n_mol):
-        bits = np.zeros(problem.n_vars, dtype=np.uint8)
-        for atom, point in enumerate(placement):
-            bits[atom * problem.n_grid + point] = 1
-        yield bits
+    result.wall_time = time.perf_counter() - started
+    return result
 
 
 def brute_force(problem: QuboProblem, keep: int = 32) -> SampleSet:
@@ -256,12 +252,16 @@ def brute_force(problem: QuboProblem, keep: int = 32) -> SampleSet:
     array (128 MB at 24 variables) and the boolean window mask over it
     are the only 2^n-sized allocations.
 
-    Every assignment whose scanned energy lies within a conservative
-    error window of the scanned minimum is then re-evaluated exactly
-    (fsum), so the reported optimum is the true fsum optimum. All
-    constraint-satisfying assignments are evaluated exactly as well, so
-    the set always contains the best valid assignment. The returned
-    listing is truncated to `keep` samples; the search itself is complete.
+    The candidates are listed as state indices: first every state whose
+    scanned energy lies within a conservative error window of the scanned
+    minimum (the window hits), ascending; beyond 65,536 hits the lowest
+    scanned energies are kept. Then every constraint-satisfying state
+    (one point per atom, injective) that is not already a hit, in
+    `itertools.permutations` order of the placements. Each candidate is
+    re-scored exactly (fsum) with `read` = its listing rank, so the
+    reported optimum is the true fsum optimum and the set always contains
+    the best valid assignment. The returned listing is truncated to
+    `keep` samples; the search itself is complete.
     """
     started = time.perf_counter()
     n = problem.n_vars
@@ -270,61 +270,45 @@ def brute_force(problem: QuboProblem, keep: int = 32) -> SampleSet:
             f"brute_force supports at most {BRUTE_FORCE_MAX_VARS} variables, problem has {n}"
         )
 
-    def exact(bits: np.ndarray) -> tuple[float, dict]:
-        breakdown = energy(problem, Assignment(bits))
-        return breakdown.total, breakdown.terms
+    h, q_sym = problem.dense
+    q_upper = np.triu(q_sym, 1)
+    shifts = np.arange(n, dtype=np.uint32)
+    lo, hi = slice(0, n // 2), slice(n // 2, n)
 
-    candidates: dict[tuple, None] = {}
-    if n == 0:
-        candidates[()] = None
-    else:
-        h, q_sym = problem.dense
-        q_upper = np.triu(q_sym, 1)
-        shifts = np.arange(n, dtype=np.uint32)
-        lo, hi = slice(0, n // 2), slice(n // 2, n)
+    def half_scan(part: slice) -> tuple[np.ndarray, np.ndarray]:
+        width = part.stop - part.start
+        idx = np.arange(1 << width, dtype=np.uint32)
+        bits_half = ((idx[:, None] >> shifts[:width]) & 1).astype(np.float64)
+        quad = ((bits_half @ q_upper[part, part]) * bits_half).sum(axis=1)
+        return bits_half, bits_half @ h[part] + quad
 
-        def half_scan(part: slice) -> tuple[np.ndarray, np.ndarray]:
-            width = part.stop - part.start
-            idx = np.arange(1 << width, dtype=np.uint32)
-            bits_half = ((idx[:, None] >> shifts[:width]) & 1).astype(np.float64)
-            quad = ((bits_half @ q_upper[part, part]) * bits_half).sum(axis=1)
-            return bits_half, bits_half @ h[part] + quad
+    bits_lo, energy_lo = half_scan(lo)
+    bits_hi, energy_hi = half_scan(hi)
+    scanned = bits_hi @ (bits_lo @ q_upper[lo, hi]).T
+    scanned += energy_hi[:, None]
+    scanned += energy_lo[None, :]
+    scanned = scanned.ravel()
 
-        bits_lo, energy_lo = half_scan(lo)
-        bits_hi, energy_hi = half_scan(hi)
-        scanned = bits_hi @ (bits_lo @ q_upper[lo, hi]).T
-        scanned += energy_hi[:, None]
-        scanned += energy_lo[None, :]
-        scanned = scanned.ravel()
-
-        scale = math.fsum(np.abs(np.append(h, q_upper))) + abs(problem.offset)
-        window = scanned.min() + 1e-9 * max(scale, 1.0)
-        hits = np.flatnonzero(scanned <= window)
-        if len(hits) > 65536:
-            hits = hits[np.argsort(scanned[hits], kind="stable")[:65536]]
-        for state_index in sorted(int(i) for i in hits):
-            bits = ((state_index >> shifts) & 1).astype(np.uint8)
-            candidates[tuple(bits)] = None
-
-    for bits in _enumerate_valid_assignments(problem):
-        candidates.setdefault(tuple(bits), None)
-
-    scored = []
-    for rank, bits_tuple in enumerate(candidates):
-        bits = np.array(bits_tuple, dtype=np.uint8)
-        total, terms = exact(bits)
-        scored.append((total, rank, bits, terms))
-    scored.sort(key=lambda item: (item[0], item[1]))
-
-    samples = [
-        Sample(assignment=Assignment(bits), energy=total, term_energies=terms, read=rank)
-        for total, rank, bits, terms in scored[: max(keep, 1)]
-    ]
-    return SampleSet(
-        samples=samples,
-        metadata={"solver": "brute_force", "n_vars": n},
-        wall_time=time.perf_counter() - started,
+    scale = math.fsum(np.abs(np.append(h, q_upper))) + abs(problem.offset)
+    window = scanned.min() + 1e-9 * max(scale, 1.0)
+    hits = np.flatnonzero(scanned <= window)
+    if len(hits) > 65536:
+        hits = np.sort(hits[np.argsort(scanned[hits], kind="stable")[:65536]])
+    valid = np.fromiter(
+        (
+            sum(1 << (atom * problem.n_grid + point) for atom, point in enumerate(placement))
+            for placement in itertools.permutations(range(problem.n_grid), problem.n_mol)
+        ),
+        dtype=np.int64,
     )
+    states = np.concatenate([hits, valid[~np.isin(valid, hits)]])
+    rows = ((states[:, None] >> shifts) & 1).astype(np.uint8)
+
+    result = _sample_set(
+        problem, rows, {"solver": "brute_force", "n_vars": n}, keep=max(keep, 1)
+    )
+    result.wall_time = time.perf_counter() - started
+    return result
 
 
 def incremental_delta(problem: QuboProblem, assignment: Assignment, flip: int) -> float:
@@ -353,7 +337,6 @@ def import_samples(problem: QuboProblem, path) -> SampleSet:
     if not isinstance(document, list):
         raise SampleFormatError(f"{path}: expected a JSON array of bitstrings")
 
-    samples = []
     for position, entry in enumerate(document):
         if not isinstance(entry, str) or any(c not in "01" for c in entry):
             raise SampleFormatError(f"{path}: entry {position} is not a bitstring: {entry!r}")
@@ -361,17 +344,11 @@ def import_samples(problem: QuboProblem, path) -> SampleSet:
             raise SampleFormatError(
                 f"{path}: entry {position} has {len(entry)} bits, problem has {problem.n_vars}"
             )
-        assignment = Assignment.from_string(entry)
-        breakdown = energy(problem, assignment)
-        samples.append(
-            Sample(
-                assignment=assignment,
-                energy=breakdown.total,
-                term_energies=breakdown.terms,
-                read=position,
-            )
-        )
-    if not samples:
+    if not document:
         raise SampleFormatError(f"{path}: no samples")
-    samples.sort(key=lambda s: s.energy)
-    return SampleSet(samples=samples, metadata={"solver": "external", "source": str(path)})
+    rows = np.frombuffer("".join(document).encode("ascii"), dtype=np.uint8) - ord("0")
+    return _sample_set(
+        problem,
+        rows.reshape(len(document), problem.n_vars),
+        {"solver": "external", "source": str(path)},
+    )

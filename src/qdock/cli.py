@@ -319,6 +319,21 @@ def _dock_one(complex_input, args, config):
     )
 
 
+def _write_report(make_report, out) -> int:
+    """Write make_report()'s report and return 0; when no pose is valid,
+    write the failure's report if it carries one, print one error line and
+    return 1."""
+    try:
+        report = make_report()
+    except NoValidSolutionError as exc:
+        if exc.report is not None:
+            _write_json(exc.report.to_dict(), out)
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    _write_json(report.to_dict(), out)
+    return 0
+
+
 def _cmd_dock(args, config, parser) -> int:
     complex_path = _setting(args, config, "complex")
     dataset_dir = _setting(args, config, "dataset")
@@ -326,15 +341,10 @@ def _cmd_dock(args, config, parser) -> int:
         parser.error("dock needs exactly one of --complex or --dataset")
 
     if complex_path:
-        try:
-            report = _dock_one(load_complex(complex_path), args, config)
-        except NoValidSolutionError as exc:
-            if exc.report is not None:
-                _write_json(exc.report.to_dict(), _setting(args, config, "out"))
-            sys.stderr.write(f"error: {exc}\n")
-            return 1
-        _write_json(report.to_dict(), _setting(args, config, "out"))
-        return 0
+        return _write_report(
+            lambda: _dock_one(load_complex(complex_path), args, config),
+            _setting(args, config, "out"),
+        )
 
     out_dir = Path(_require(args, config, parser, "out", "--out"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -402,15 +412,10 @@ def _cmd_report(args, config, parser) -> int:
     complex_input = load_complex(complex_path)
     problem = build_full(complex_input, _hyperparameters(args, config))
     sample_set = import_samples(problem, samples_path)
-    try:
-        report = report_from_samples(problem, sample_set, complex_input.name)
-    except NoValidSolutionError as exc:
-        if exc.report is not None:
-            _write_json(exc.report.to_dict(), _setting(args, config, "out"))
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    _write_json(report.to_dict(), _setting(args, config, "out"))
-    return 0
+    return _write_report(
+        lambda: report_from_samples(problem, sample_set, complex_input.name),
+        _setting(args, config, "out"),
+    )
 
 
 _HANDLERS = {

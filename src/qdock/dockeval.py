@@ -9,7 +9,7 @@ carried by the problem, matched by atom id with no realignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -245,11 +245,7 @@ def _mean_adjusted(
     valid pose are excluded from the mean; the exclusion count is
     returned alongside. None means every complex was excluded.
     """
-    hp = Hyperparameters(
-        lambdas=tuple(lambdas),
-        gamma=hp_template.gamma,
-        component_scales=hp_template.component_scales,
-    )
+    hp = replace(hp_template, lambdas=tuple(lambdas))
     values = []
     excluded = 0
     for complex_input, lig, grid in dataset:
