@@ -18,10 +18,11 @@ instead of O(reads x n), as in dwave-neal's sampler.
 
 All three solvers turn bit rows into a SampleSet through `_sample_set`:
 SA's best state per read, brute force's candidate listing (see
-`brute_force`) and external bitstrings in file order. Each row is scored
-once by `qubo.energy` (per-term fsum), never from the incremental tracking
-or the scan, and becomes a Sample with `read` = its row index; samples are
-stable-sorted by energy, so ties keep row order.
+`brute_force`) and external bitstrings in file order. The rows are scored
+together by `qubo.energies`, one array pass per term and one fsum per row
+and term, never from the incremental tracking or the scan, so each energy
+is the row's `qubo.energy`. Each row becomes a Sample with `read` = its
+row index; samples are stable-sorted by energy, so ties keep row order.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SampleFormatError
-from .qubo import Assignment, QuboProblem, energy
+from .qubo import Assignment, QuboProblem, energies
 
 BRUTE_FORCE_MAX_VARS = 24
 TEMPERATURE_FLOOR = 1e-6
@@ -194,19 +195,16 @@ def _anneal_reads(
 
 
 def _sample_set(problem: QuboProblem, rows, metadata: dict, keep: int | None = None) -> SampleSet:
-    """Score each bit row once; samples sorted by energy, ties in row order."""
-    samples = []
-    for read, bits in enumerate(rows):
-        assignment = Assignment(bits)
-        breakdown = energy(problem, assignment)
-        samples.append(
-            Sample(
-                assignment=assignment,
-                energy=breakdown.total,
-                term_energies=breakdown.terms,
-                read=read,
-            )
+    """Score the bit rows; samples sorted by energy, ties in row order."""
+    samples = [
+        Sample(
+            assignment=Assignment(bits),
+            energy=breakdown.total,
+            term_energies=breakdown.terms,
+            read=read,
         )
+        for read, (bits, breakdown) in enumerate(zip(rows, energies(problem, rows)))
+    ]
     samples.sort(key=lambda s: s.energy)
     return SampleSet(samples=samples[:keep], metadata=metadata)
 

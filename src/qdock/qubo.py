@@ -19,15 +19,19 @@ coefficient to the largest geometric coefficient, so the lambda weights
 compare like with like.
 
 Each term is computed as arrays over the ligand edges, the grid distance
-matrix and the grid color vectors, and becomes its term map once, zero
-entries dropped. The maps stay the public model: the coordinate file,
-`energy` and callers outside the package read and construct them.
+matrix and the grid color vectors, and kept as (a, b, value) arrays with
+zero entries dropped. Those arrays and the summed map's are the model:
+`QuboProblem.dense`, `energy`, the solvers' scoring and the coordinate
+file read them directly. Each coefficient map is a read-only `CoeffMap`
+view over its arrays, which builds a dict keyed by (a, b) only when a
+caller looks an entry up or iterates it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,14 +45,85 @@ from .model import ComplexInput
 TERM_NAMES = ("geom", "penalty", "el", "vdw", "hba", "hbd", "hydro")
 PHYSCHEM_TERMS = ("el", "vdw", "hba", "hbd", "hydro")
 
-CoeffMap = dict[tuple[int, int], float]
 
+class CoeffMap(Mapping):
+    """Read-only (a, b) -> value map over parallel arrays.
 
-def coeff_arrays(coeffs: CoeffMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A coefficient map as parallel (a, b, value) arrays in insertion order."""
-    n = len(coeffs)
-    keys = np.fromiter(itertools.chain.from_iterable(coeffs), np.intp, 2 * n).reshape(n, 2)
-    return keys[:, 0], keys[:, 1], np.fromiter(coeffs.values(), np.float64, n)
+    `arrays` holds the int64 ids a <= b and the float64 values, one entry
+    per key, in the map's order. The dict of Python ints and floats is
+    built on the first lookup or iteration (`[]`, `in`, `iter`, `.get`,
+    `.items()`, ...) and kept. `len` reads the arrays, and so does `==`
+    between two views: equal key sets, and values equal as floats. A view
+    and another mapping compare as dicts. The arrays and a wrapped dict
+    must not change afterwards.
+    """
+
+    __slots__ = ("arrays", "_map")
+
+    def __init__(self, a, b, values, mapping: dict | None = None):
+        self.arrays = (
+            np.ascontiguousarray(a, dtype=np.intp),
+            np.ascontiguousarray(b, dtype=np.intp),
+            np.ascontiguousarray(values, dtype=np.float64),
+        )
+        self._map = mapping
+
+    @classmethod
+    def nonzero(cls, a: np.ndarray, b: np.ndarray, values: np.ndarray) -> "CoeffMap":
+        """The entries of (a, b, value) arrays whose value is not zero."""
+        keep = values != 0.0
+        return cls(a[keep], b[keep], values[keep])
+
+    @classmethod
+    def wrap(cls, mapping: Mapping) -> "CoeffMap":
+        """A view of a plain {(a, b): value} map, which becomes its dict."""
+        if isinstance(mapping, CoeffMap):
+            return mapping
+        n = len(mapping)
+        keys = np.fromiter(itertools.chain.from_iterable(mapping), np.intp, 2 * n).reshape(n, 2)
+        return cls(keys[:, 0], keys[:, 1], np.fromiter(mapping.values(), np.float64, n), mapping)
+
+    def _dict(self) -> dict:
+        if self._map is None:
+            a, b, values = self.arrays
+            self._map = dict(zip(zip(a.tolist(), b.tolist()), values.tolist()))
+        return self._map
+
+    def __getitem__(self, key):
+        return self._dict()[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self.arrays[2])
+
+    def keys(self):
+        return self._dict().keys()
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._dict().values()
+
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a, b, values = self.arrays
+        order = np.lexsort((b, a))
+        return a[order], b[order], values[order]
+
+    def __eq__(self, other):
+        if isinstance(other, CoeffMap):
+            if len(self) != len(other):
+                return False
+            (a, b, values), (c, d, others) = self._sorted(), other._sorted()
+            return bool(np.array_equal(a, c) and np.array_equal(b, d) and (values == others).all())
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return self._dict() == (other if isinstance(other, dict) else dict(other.items()))
+
+    def __repr__(self) -> str:
+        return f"CoeffMap({len(self)} entries)"
 
 
 @dataclass(frozen=True)
@@ -106,10 +181,13 @@ class QuboProblem:
     """Sparse upper-triangular QUBO with per-term bookkeeping.
 
     Coefficient keys are (a, b) with a <= b; a == b entries are linear.
-    `coeffs` is always the entrywise sum of `term_coeffs`. Problems built
-    from a complex carry the decode context (atom/grid ids, grid positions,
-    experimental coordinates); problems imported from a coordinate file
-    only carry coefficients.
+    `coeffs` is always the entrywise sum of `term_coeffs`. Each map is a
+    `CoeffMap`: its (a, b, value) arrays are the model, and the dict
+    behind it is a read-only view derived on demand. A plain dict given
+    for `coeffs` or a term is wrapped once and kept as that view's dict.
+    Problems built from a complex carry the decode context (atom/grid ids,
+    grid positions, experimental coordinates); problems imported from a
+    coordinate file only carry coefficients.
     """
 
     n_mol: int
@@ -124,6 +202,10 @@ class QuboProblem:
     grid_ids: list[int] | None = None
     grid_positions: np.ndarray | None = None
     experimental_coords: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.coeffs = CoeffMap.wrap(self.coeffs)
+        self.term_coeffs = {name: CoeffMap.wrap(cmap) for name, cmap in self.term_coeffs.items()}
 
     @property
     def n_vars(self) -> int:
@@ -146,12 +228,12 @@ class QuboProblem:
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """Linear vector h and symmetric zero-diagonal coupling matrix.
 
-        Built once from `coeffs`, which must not change afterwards. Keys
-        are unique, so index assignment places each coefficient exactly
-        once. Raises QdockError when the n x n matrix cannot be allocated.
+        Built once from the arrays of `coeffs`. Keys are unique, so index
+        assignment places each coefficient exactly once. Raises QdockError
+        when the n x n matrix cannot be allocated.
         """
         n = self.n_vars
-        a, b, values = coeff_arrays(self.coeffs)
+        a, b, values = self.coeffs.arrays
         linear = a == b
         try:
             h = np.zeros(n)
@@ -170,13 +252,6 @@ class QuboProblem:
 class EnergyBreakdown:
     terms: dict[str, float]
     total: float
-
-
-def _coeff_map(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> CoeffMap:
-    """The nonzero entries of parallel (a, b, value) arrays as a term map,
-    with Python int keys and float values (repr, JSON)."""
-    keep = values != 0.0
-    return dict(zip(zip(a[keep].tolist(), b[keep].tolist()), values[keep].tolist()))
 
 
 def build_distortion(lig: LigandGraph, grid: GridGraph) -> tuple[np.ndarray, ...]:
@@ -207,7 +282,7 @@ def _penalty_entries(n_mol: int, n_grid: int, gamma: float) -> tuple[np.ndarray,
 
 def build_penalty(n_mol: int, n_grid: int, gamma: float) -> tuple[CoeffMap, float]:
     """Constraint-penalty term map and its constant offset."""
-    return _coeff_map(*_penalty_entries(n_mol, n_grid, gamma)), gamma * n_mol
+    return CoeffMap.nonzero(*_penalty_entries(n_mol, n_grid, gamma)), gamma * n_mol
 
 
 def build_physchem_raw(lig: LigandGraph, grid: GridGraph) -> dict[str, np.ndarray]:
@@ -282,15 +357,15 @@ def assemble(
 ) -> QuboProblem:
     """Combine the term arrays into a QuboProblem from prebuilt graphs. No
     other term shares a geom key, and the penalty holds every other key,
-    whose diagonal adds the scaled physicochemical tables in order."""
+    whose diagonal adds the scaled physicochemical tables in order. The
+    summed map is the nonzero geom entries, then every penalty key."""
     n_mol, n_grid = lig.n_atoms, grid.n_points
     geom_a, geom_b, geom_values = build_distortion(lig, grid)
     gamma = resolve_gamma(hp, geom_values)
     a, b, penalty_values = _penalty_entries(n_mol, n_grid, gamma)
-    keys = list(zip(a.tolist(), b.tolist()))
     term_coeffs: dict[str, CoeffMap] = {
-        "geom": _coeff_map(geom_a, geom_b, geom_values),
-        "penalty": dict(zip(keys, penalty_values.tolist())),
+        "geom": CoeffMap.nonzero(geom_a, geom_b, geom_values),
+        "penalty": CoeffMap(a, b, penalty_values),
     }
     variables = np.arange(n_mol * n_grid)
     summed = penalty_values.copy()
@@ -300,15 +375,15 @@ def assemble(
         scales = resolve_scales(hp, geom_values, raw)
         for name, scale, lam in zip(PHYSCHEM_TERMS, scales, hp.lambdas):
             table = np.where(raw[name] != 0.0, raw[name] * (scale * lam), 0.0).ravel()
-            term_coeffs[name] = _coeff_map(variables, variables, table)
+            term_coeffs[name] = CoeffMap.nonzero(variables, variables, table)
             summed[a == b] += table
     _reject_non_finite(geom_a, geom_b, geom_values, term_coeffs)
     _reject_non_finite(a, b, summed, term_coeffs)
     offset = gamma * n_mol
     if not math.isfinite(offset):
         raise GraphBuildError(f"non-finite QUBO penalty offset {offset!r}")
-    coeffs = dict(term_coeffs["geom"])
-    coeffs.update(zip(keys, summed.tolist()))
+    geom = term_coeffs["geom"].arrays
+    coeffs = CoeffMap(*(np.concatenate(pair) for pair in zip(geom, (a, b, summed))))
 
     problem = QuboProblem(
         n_mol=n_mol,
@@ -334,36 +409,56 @@ def assemble(
 def energy(problem: QuboProblem, assignment: Assignment) -> EnergyBreakdown:
     """Evaluate every term map at a bitstring.
 
-    Per-term sums use math.fsum, so the result depends only on which
-    coefficients are active, not on iteration order; in particular the
-    penalty term of a constraint-satisfying assignment is exactly zero.
-    A term map with more entries than there are active pairs (a <= b) is
-    read by looking those pairs up; a smaller one is scanned whole.
+    Per-term sums use math.fsum over the values whose two bits are both
+    set (nonzero), so the result depends only on which coefficients are
+    active, not on their order; in particular the penalty term of a
+    constraint-satisfying assignment is exactly zero.
     """
     bits = assignment.bits
     if len(bits) != problem.n_vars:
         raise ValueError(
             f"assignment has {len(bits)} bits, problem has {problem.n_vars} variables"
         )
-    flags = bits.tolist()
-    on = [var for var, flag in enumerate(flags) if flag]
-    n_pairs = len(on) * (len(on) + 1) // 2
-    pairs = None
-    terms: dict[str, float] = {}
+    return energies(problem, np.asarray(bits).reshape(1, -1))[0]
+
+
+# Rows x entries per scoring block: bounds each boolean mask to a few MB.
+_SCORE_CELLS = 1 << 22
+
+
+def energies(problem: QuboProblem, rows: np.ndarray) -> list[EnergyBreakdown]:
+    """`energy` of each row of a 2-D bit array, one array pass per term.
+
+    For a block of rows, a term gathers on[:, a] & on[:, b] (on = bits != 0)
+    over the entries whose variables are both set somewhere in the block,
+    and lists the active values row by row, in the term's order; each row's
+    list is fsummed, so every breakdown is its row's `energy`.
+    """
+    on = np.asarray(rows) != 0
+    sums: dict[str, list[float]] = {}
     for name, cmap in problem.term_coeffs.items():
-        if n_pairs < len(cmap):
-            if pairs is None:
-                pairs = [(a, b) for k, a in enumerate(on) for b in on[k:]]
-            active = [value for value in map(cmap.get, pairs) if value is not None]
-        else:
-            active = [value for (a, b), value in cmap.items() if flags[a] and flags[b]]
-        term_energy = math.fsum(active)
-        if name == "penalty":
-            term_energy += problem.offset
-        terms[name] = term_energy
-    if "penalty" not in terms and problem.offset != 0.0:
-        terms["offset"] = problem.offset
-    return EnergyBreakdown(terms=terms, total=math.fsum(terms.values()))
+        a, b, values = cmap.arrays
+        step = max(1, _SCORE_CELLS // max(len(values), 1))
+        column = sums[name] = []
+        for start in range(0, len(on), step):
+            block = on[start : start + step]
+            # Only entries whose two variables are set in some row can be active.
+            seen = block.any(axis=0)
+            live = np.flatnonzero(seen.take(a) & seen.take(b))
+            flat = np.flatnonzero(block.take(a[live], axis=1) & block.take(b[live], axis=1))
+            row, entry = np.divmod(flat, len(live))
+            active = values[live[entry]].tolist()
+            ends = np.cumsum(np.bincount(row, minlength=len(block))).tolist()
+            column.extend(math.fsum(active[s:e]) for s, e in zip([0, *ends], ends))
+    breakdowns = []
+    for k in range(len(on)):
+        terms = {name: column[k] for name, column in sums.items()}
+        if "penalty" in terms:
+            terms["penalty"] += problem.offset
+        elif problem.offset != 0.0:
+            terms["offset"] = problem.offset
+        breakdowns.append(EnergyBreakdown(terms=terms, total=math.fsum(terms.values())))
+    return breakdowns
 
 
 def one_hot_assignment(problem: QuboProblem, mapping: dict[int, int]) -> Assignment:

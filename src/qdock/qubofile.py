@@ -16,12 +16,14 @@ control characters) is a `malformed entry` at its line number. The header
 may announce at most n_vars (n_vars + 1) / 2 entries, the number of
 upper-triangle slots.
 
-Both directions work on arrays. Export sorts the map's flattened keys
-once, formats each distinct index and each distinct value (by bit pattern)
-once, and writes fixed-size row blocks. Import parses the body in one
-`np.loadtxt` pass and checks it with array masks; when numpy or a mask
-rejects the body, a line-by-line scan finds the first bad line and raises
-its error, so every accepted file goes through the same array path.
+Both directions work on the coefficient map's (a, b, value) arrays.
+Export sorts the keys once, formats each distinct index and each distinct
+value (by bit pattern) once, and writes fixed-size row blocks. Import
+parses the body in one `np.loadtxt` pass, checks it with array masks and
+keeps the parsed columns, in file order, as the problem's map; when numpy
+or a mask rejects the body, a line-by-line scan finds the first bad line
+and raises its error, so every accepted file goes through the same array
+path.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import QuboFormatError
-from .qubo import QuboProblem, coeff_arrays
+from .qubo import CoeffMap, QuboProblem
 
-# Rows per formatted or converted block: bounds the transient Python strings
-# and objects to a fixed size, whatever the size of the problem.
+# Rows per formatted block: bounds the transient Python strings to a fixed
+# size, whatever the size of the problem.
 _BLOCK_ROWS = 1 << 16
 _ROW = np.dtype([("a", np.int64), ("b", np.int64), ("value", np.float64)])
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -51,7 +53,7 @@ _INDEX = re.compile(r"[+-]?[0-9]+")
 
 def export_qubo(problem: QuboProblem, path) -> None:
     """Write the coefficient map in ascending (i, j) order."""
-    a, b, values = coeff_arrays(problem.coeffs)
+    a, b, values = problem.coeffs.arrays
     n = len(values)
     order = np.lexsort((b, a))
     ids, id_of = np.unique(np.concatenate([a[order], b[order]]), return_inverse=True)
@@ -92,10 +94,7 @@ def import_qubo(path) -> QuboProblem:
         _raise_first_error(path, body, n_vars, n_entries)
     del body
 
-    coeffs: dict[tuple[int, int], float] = {}
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        coeffs.update(zip(block[["a", "b"]].tolist(), block["value"].tolist()))
+    coeffs = CoeffMap(rows["a"], rows["b"], rows["value"])
     return QuboProblem(
         n_mol=1,
         n_grid=n_vars,

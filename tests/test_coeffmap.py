@@ -1,0 +1,112 @@
+"""Coefficient maps as read-only views over (a, b, value) arrays."""
+
+import numpy as np
+
+from qdock import (
+    AnnealSchedule,
+    Assignment,
+    Hyperparameters,
+    QuboProblem,
+    brute_force,
+    build_full,
+    energy,
+    export_qubo,
+    import_qubo,
+    one_hot_assignment,
+    simulated_anneal,
+)
+from qdock.qubo import CoeffMap
+
+from conftest import PLANTED6_PLANTED, TINY4_PLANTED, index_mapping
+
+UNIT_HP = Hyperparameters(lambdas=(1.0, 1.0, 1.0, 1.0, 1.0), gamma=25.0)
+
+
+def views(problem):
+    return [problem.coeffs, *problem.term_coeffs.values()]
+
+
+def built_dicts(problems):
+    return [view for problem in problems for view in views(problem) if view._map is not None]
+
+
+def test_pipeline_builds_no_coefficient_dict(tiny4, planted6, tmp_path):
+    built = build_full(tiny4, UNIT_HP)
+    export_qubo(built, tmp_path / "tiny4.qubo")
+    imported = import_qubo(tmp_path / "tiny4.qubo")
+    assignment = one_hot_assignment(built, index_mapping(built, TINY4_PLANTED))
+    energy(built, assignment)
+    energy(imported, assignment)
+    brute_force(built)
+    planted = build_full(planted6, UNIT_HP)
+    simulated_anneal(planted, AnnealSchedule(n_reads=4, n_sweeps=10, seed=3))
+    energy(planted, one_hot_assignment(planted, index_mapping(planted, PLANTED6_PLANTED)))
+    problems = [built, imported, planted]
+    assert len(built.coeffs) == len(imported.coeffs) == 296
+    assert [len(view) for view in views(planted)] == [165, 84, 81, 0, 18, 0, 0, 9]
+    assert imported.coeffs == built.coeffs
+    assert built_dicts(problems) == []
+
+
+def test_views_compare_equal_to_plain_dicts_in_both_orders(tiny4):
+    problem = build_full(tiny4, UNIT_HP)
+    plain = {key: value for key, value in build_full(tiny4, UNIT_HP).coeffs.items()}
+    assert problem.coeffs == plain and plain == problem.coeffs
+    assert not (problem.coeffs != plain or plain != problem.coeffs)
+    changed = dict(plain)
+    changed[next(iter(changed))] += 1.0
+    assert problem.coeffs != changed and changed != problem.coeffs
+    assert problem.coeffs != {**plain, (0, 23): 1.0}
+    inert = build_full(tiny4, Hyperparameters()).term_coeffs["el"]
+    assert inert == {} and {} == inert
+    assert problem.coeffs != list(plain.items())
+
+
+def test_views_compare_like_dicts_between_views():
+    def view(mapping):
+        return CoeffMap.wrap(mapping)
+
+    assert view({(0, 1): 2.0, (0, 0): -0.0}) == view({(0, 0): 0.0, (0, 1): 2.0})
+    assert view({(0, 1): 2.0}) != view({(0, 1): 3.0})
+    assert view({(0, 1): 2.0}) != view({(1, 1): 2.0})
+    assert view({(0, 1): 2.0}) != view({(0, 1): 2.0, (1, 1): 2.0})
+
+
+def test_assembled_views_keep_insertion_order_and_python_types(tiny4):
+    problem = build_full(tiny4, UNIT_HP)
+    geom, penalty = problem.term_coeffs["geom"], problem.term_coeffs["penalty"]
+    assert list(problem.coeffs) == list(geom) + list(penalty)
+    a, b, values = geom.arrays
+    assert list(geom.items()) == list(zip(zip(a.tolist(), b.tolist()), values.tolist()))
+    for view in views(problem):
+        assert all(type(x) is int and type(y) is int and type(v) is float for (x, y), v in view.items())
+
+
+def test_imported_views_keep_file_order_and_python_types(tmp_path):
+    path = tmp_path / "order.qubo"
+    path.write_text("p qubo 3 3\n1 2 0.5\n0 0 -1\n0 2 3e0\n", encoding="utf-8")
+    problem = import_qubo(path)
+    assert problem.term_coeffs["imported"] is problem.coeffs
+    assert list(problem.coeffs.items()) == [((1, 2), 0.5), ((0, 0), -1.0), ((0, 2), 3.0)]
+    assert all(type(x) is int and type(y) is int and type(v) is float for (x, y), v in problem.coeffs.items())
+
+
+def test_plain_dicts_are_wrapped_once_and_kept():
+    coeffs = {(0, 0): 1, (0, 1): -2.5}
+    problem = QuboProblem(n_mol=1, n_grid=2, coeffs=coeffs, term_coeffs={"imported": coeffs})
+    assert isinstance(problem.coeffs, CoeffMap) and problem.coeffs._map is coeffs
+    assert problem.term_coeffs["imported"]._map is coeffs
+    a, b, values = problem.coeffs.arrays
+    assert a.tolist() == [0, 0] and b.tolist() == [0, 1] and values.tolist() == [1.0, -2.5]
+    assert problem.coeffs[(0, 0)] == 1 and problem.coeffs.get((1, 1)) is None
+    assert (0, 1) in problem.coeffs and len(problem.coeffs) == 2
+    h, q_sym = problem.dense
+    assert h.tolist() == [1.0, 0.0] and q_sym.tolist() == [[0.0, -2.5], [-2.5, 0.0]]
+    assert energy(problem, one_hot_assignment(problem, {0: 1})).total == 0.0
+    assert QuboProblem(n_mol=1, n_grid=2, coeffs=problem.coeffs, term_coeffs={}).coeffs is problem.coeffs
+
+
+def test_energy_counts_any_nonzero_bit_as_set():
+    coeffs = {(0, 1): 4.0, (1, 1): 1.0}
+    problem = QuboProblem(n_mol=1, n_grid=2, coeffs=coeffs, term_coeffs={"imported": coeffs})
+    assert energy(problem, Assignment(np.array([2, 255], dtype=np.uint8))).total == 5.0

@@ -1,6 +1,7 @@
 """Property tests over generated inputs."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,12 +10,19 @@ from hypothesis import strategies as st
 from qdock import (
     AnnealSchedule,
     Assignment,
+    Pose,
     QuboProblem,
     brute_force,
+    build_full,
+    decode,
     energy,
+    parse_complex,
     simulated_anneal,
 )
-from qdock.anneal import resolve_temperatures
+from qdock import qubo
+from qdock.anneal import _sample_set, resolve_temperatures
+
+from test_qubo import complex_docs, hyperparameters
 
 coefficient = st.one_of(
     st.integers(-3, 3).map(float),  # small integers make tied minima common
@@ -108,3 +116,78 @@ def test_annealer_matches_row_rescoring_reference(problem, seed, n_reads, n_swee
         {"bits": Assignment(bits).to_string(), "energy": total, "terms": terms, "read": read}
         for total, read, bits, terms in samples
     ]
+
+
+@st.composite
+def complexes_with_rows(draw, max_rows=12):
+    """A built problem from a generated complex and bit rows over it: random
+    rows, and one-hot rows for a few drawn placements (valid when the
+    points are distinct)."""
+    problem = build_full(parse_complex(draw(complex_docs())), draw(hyperparameters))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = list(rng.integers(0, 2, size=(draw(st.integers(0, max_rows)), problem.n_vars), dtype=np.uint8))
+    for _ in range(draw(st.integers(1, 3))):
+        points = rng.choice(problem.n_grid, size=problem.n_mol, replace=draw(st.booleans()))
+        row = np.zeros((problem.n_mol, problem.n_grid), dtype=np.uint8)
+        row[np.arange(problem.n_mol), points] = 1
+        rows.append(row.ravel())
+    return problem, np.array(rows, dtype=np.uint8)
+
+
+def active_fsum(cmap, bits):
+    """A term from its dict, one entry at a time."""
+    return math.fsum(value for (a, b), value in cmap.items() if bits[a] and bits[b])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=complexes_with_rows())
+def test_generated_energy_decomposes_into_its_terms(case):
+    problem, rows = case
+    for bits in rows:
+        breakdown = energy(problem, Assignment(bits))
+        assert breakdown.total == math.fsum(breakdown.terms.values())
+        assert list(breakdown.terms) == list(problem.term_coeffs)
+        for name, cmap in problem.term_coeffs.items():
+            expected = active_fsum(cmap, bits) + (problem.offset if name == "penalty" else 0.0)
+            assert breakdown.terms[name].hex() == expected.hex(), name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=complexes_with_rows(max_rows=30), cells=st.integers(1, 400))
+def test_batched_scoring_matches_per_row_energy(case, cells):
+    problem, rows = case
+    # Small blocks split the rows at every boundary the scorer can meet.
+    with mock.patch.object(qubo, "_SCORE_CELLS", cells):
+        samples = sorted(_sample_set(problem, rows, {}), key=lambda s: s.read)
+    assert [s.read for s in samples] == list(range(len(rows)))
+    for sample, bits in zip(samples, rows):
+        breakdown = energy(problem, Assignment(bits))
+        assert sample.energy.hex() == breakdown.total.hex()
+        assert {k: v.hex() for k, v in sample.term_energies.items()} == {
+            k: v.hex() for k, v in breakdown.terms.items()
+        }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=complexes_with_rows())
+def test_penalty_is_zero_exactly_for_decodable_poses(case):
+    problem, rows = case
+    for bits in rows:
+        assignment = Assignment(bits)
+        penalty = energy(problem, assignment).terms["penalty"]
+        assert (penalty == 0.0) == isinstance(decode(assignment, problem), Pose)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    doc=complex_docs(),
+    hp=hyperparameters,
+    seed=st.integers(0, 2**16),
+    n_reads=st.integers(1, 4),
+    n_sweeps=st.integers(1, 8),
+)
+def test_generated_samples_do_not_depend_on_thread_count(doc, hp, seed, n_reads, n_sweeps):
+    problem = build_full(parse_complex(doc), hp)
+    sched = AnnealSchedule(n_reads=n_reads, n_sweeps=n_sweeps, seed=seed)
+    lone = simulated_anneal(problem, sched, n_threads=1).to_dict()
+    assert simulated_anneal(problem, sched, n_threads=2).to_dict() == lone
