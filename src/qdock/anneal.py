@@ -16,6 +16,14 @@ and only an accepted flip touches the fields: f += (1 - 2 x_v) Q_sym[v]
 for that read. A step thus costs O(reads) plus O(accepted flips x n)
 instead of O(reads x n), as in dwave-neal's sampler.
 
+Once a sweep's permutations and uniforms are drawn, one array pass prices
+every (step, read) proposal from the sweep-start state, O(reads x n).
+Before the first step at which some read accepts, no sign, field or
+energy changes, so those decisions are final: a sweep in which nothing is
+accepted ends there, and otherwise the lockstep steps run from that first
+accepted proposal on. The late, cold sweeps, where almost every proposal
+is rejected, thus cost one array pass each and no Python loop.
+
 All three solvers turn bit rows into a SampleSet through `_sample_set`:
 SA's best state per read, brute force's candidate listing (see
 `brute_force`) and external bitstrings in file order. The rows are scored
@@ -175,7 +183,16 @@ def _anneal_reads(
         # Step-major copies: row `step` holds every read's proposal.
         flat_steps = np.ascontiguousarray((perms + read_base).T)
         unif_steps = np.ascontiguousarray(unifs.T)
-        for flat, unif in zip(flat_steps, unif_steps):
+        # Every decision priced from the sweep-start state is final up to
+        # the first step at which some read accepts; the lockstep loop
+        # starts there.
+        deltas = signs_flat[flat_steps] * fields_flat[flat_steps]
+        accepts = unif_steps < np.exp(np.minimum(0.0, -deltas / temperature))
+        busy = np.flatnonzero(accepts.any(axis=1))
+        if not busy.size:
+            continue
+        first = busy[0]
+        for flat, unif in zip(flat_steps[first:], unif_steps[first:]):
             sign = signs_flat[flat]
             delta = sign * fields_flat[flat]
             accept = unif < np.exp(np.minimum(0.0, -delta / temperature))

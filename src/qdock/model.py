@@ -27,6 +27,11 @@ from .errors import ComplexFormatError, InfeasibleComplexError
 # relative dielectric to get the working constant.
 COULOMB_CONSTANT = 332.0636
 
+# Largest accepted |coordinate|, in Angstrom. Far beyond any molecular
+# scale, yet small enough that every squared distance (at most 12e200),
+# the geometric coefficients and the penalty sized from them stay finite.
+COORDINATE_LIMIT = 1e100
+
 
 class HBondRole(Enum):
     NONE = "none"
@@ -127,7 +132,13 @@ def _as_vec3(value, where: str) -> np.ndarray:
         raise ComplexFormatError(f"{where}: expected a 3-vector, got {value!r}")
     if not all(isinstance(c, numbers.Real) for c in value):
         raise ComplexFormatError(f"{where}: non-numeric coordinate in {value!r}")
-    return _numbers(value, where)
+    vec = _numbers(value, where)
+    for k, c in enumerate(value):
+        if abs(c) > COORDINATE_LIMIT:
+            raise ComplexFormatError(
+                f"{where}[{k}]: coordinate {c!r} exceeds {COORDINATE_LIMIT:g} A in magnitude"
+            )
+    return vec
 
 
 def _as_flag(value, where: str) -> int:

@@ -16,7 +16,8 @@ seven term maps kept separate for energy decomposition:
 
 Scales default to normalizing each physicochemical term's largest raw
 coefficient to the largest geometric coefficient, so the lambda weights
-compare like with like.
+compare like with like; where either magnitude is zero, or the ratio is
+not finite, the scale is 1.0.
 
 Each term is computed as arrays over the ligand edges, the grid distance
 matrix and the grid color vectors, and kept as (a, b, value) arrays with
@@ -302,17 +303,20 @@ def build_physchem_raw(lig: LigandGraph, grid: GridGraph) -> dict[str, np.ndarra
 
 
 def resolve_scales(hp: Hyperparameters, geom: np.ndarray, raw: dict[str, np.ndarray]) -> tuple:
-    """Component scales: explicit values, or geometric/raw magnitude ratio."""
+    """Component scales: explicit values, or geometric/raw magnitude ratio.
+
+    An automatic scale falls back to 1.0 when either magnitude is zero or
+    the ratio is not finite (a subnormal raw magnitude overflows it)."""
     if hp.component_scales is not None:
         return tuple(float(s) for s in hp.component_scales)
     geom_magnitude = float(np.abs(geom).max(initial=0.0))
     scales = []
     for name in PHYSCHEM_TERMS:
         raw_magnitude = float(np.abs(raw[name]).max(initial=0.0))
+        ratio = 1.0
         if geom_magnitude > 0.0 and raw_magnitude > 0.0:
-            scales.append(float(geom_magnitude / raw_magnitude))
-        else:
-            scales.append(1.0)
+            ratio = geom_magnitude / raw_magnitude
+        scales.append(ratio if math.isfinite(ratio) else 1.0)
     return tuple(scales)
 
 

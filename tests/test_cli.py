@@ -97,20 +97,36 @@ def test_malformed_complex_exits_without_traceback(tmp_path, break_doc, where):
 
 @pytest.mark.parametrize("command", ["build", "dock"])
 def test_non_finite_coefficients_exit_without_traceback(tmp_path, command):
-    doc = json.loads(TINY4.read_text())
-    doc["grid_points"][0]["position"] = [1e200, 0.0, 0.0]
-    bad = tmp_path / "far.json"
-    bad.write_text(json.dumps(doc))
-    out = tmp_path / "far.out"
+    out = tmp_path / "huge.out"
     proc = subprocess.run(
-        [sys.executable, "-m", "qdock.cli", command, "--complex", str(bad), "--out", str(out)],
+        [sys.executable, "-m", "qdock.cli", command, "--complex", str(TINY4),
+         "--gamma", "1e308", "--out", str(out)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and "'geom'" in errors[0]
+    assert len(errors) == 1 and "'penalty'" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "dock"])
+def test_far_coordinate_exits_without_traceback(tmp_path, command):
+    doc = json.loads(TINY4.read_text())
+    doc["grid_points"][0]["position"] = [1e200, 0.0, 0.0]
+    bad = tmp_path / "far.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "far.out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qdock.cli", command,
+         "--complex", str(bad), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: grid_points[0].position[0]: ")
     assert not out.exists()
 
 

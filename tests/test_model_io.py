@@ -2,13 +2,17 @@
 
 import copy
 import json
+import math
 import re
 
+import numpy as np
 import pytest
 
 from qdock import (
     ComplexFormatError,
+    Hyperparameters,
     InfeasibleComplexError,
+    build_full,
     load_complex,
     parse_complex,
 )
@@ -161,6 +165,9 @@ MALFORMED_ENTRIES = [
         ),
         "ligand.bonds[0].dihedral_locked",
     ),
+    (_replace([1e200, 0.0, 0.0], "grid_points", 0, "position"), "grid_points[0].position[0]"),
+    (_replace([0.0, 0.0, -1e101], "ligand", "atoms", 0, "position"), "ligand.atoms[0].position[2]"),
+    (_replace([0.0, 2e100, 0.0], "protein", 0, "position"), "protein[0].position[1]"),
 ]
 
 
@@ -337,6 +344,17 @@ def test_bad_position_vector_rejected():
     doc["grid_points"][0]["position"] = [0.0, "x", 0.0]
     with pytest.raises(ComplexFormatError, match="non-numeric coordinate"):
         parse_complex(doc)
+
+
+def test_coordinates_at_the_limit_build_finite_coefficients(tiny4_doc):
+    # Opposite corners of the accepted cube: the largest squared distance
+    # (12e200) and the penalty sized from it stay finite, with no overflow
+    # warning (RuntimeWarning is an error in this suite).
+    doc = copy.deepcopy(tiny4_doc)
+    doc["grid_points"][0]["position"] = [1e100, 1e100, 1e100]
+    doc["grid_points"][1]["position"] = [-1e100, -1e100, -1e100]
+    problem = build_full(parse_complex(doc), Hyperparameters(lambdas=(1.0,) * 5))
+    assert np.isfinite(problem.coeffs.arrays[2]).all() and math.isfinite(problem.offset)
 
 
 def test_load_complex_missing_file(tmp_path):

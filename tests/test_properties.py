@@ -4,6 +4,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from qdock import (
     build_full,
     decode,
     energy,
+    incremental_delta,
     parse_complex,
     simulated_anneal,
 )
@@ -59,20 +61,19 @@ def test_brute_force_is_exhaustive_minimum_and_bounds_annealer(problem, seed):
     assert all(best <= sample.energy for sample in sa)
 
 
+def reference_temperatures(problem, sched):
+    """The geometric ladder from t_initial to t_final, one per sweep."""
+    t_initial, t_final = resolve_temperatures(problem, sched)
+    steps = max(sched.n_sweeps - 1, 1)
+    return [t_initial * (t_final / t_initial) ** (k / steps) for k in range(sched.n_sweeps)]
+
+
 def reference_anneal(problem, sched):
     """Read-by-read Metropolis annealing that rescores every proposal from
     the variable's full row, consuming each read's RNG stream in the same
     order as `simulated_anneal`; returns each read's best bits."""
     n = problem.n_vars
     h, q_sym = problem.dense
-    t_initial, t_final = resolve_temperatures(problem, sched)
-    if sched.n_sweeps == 1:
-        temps = [t_initial]
-    else:
-        temps = [
-            t_initial * (t_final / t_initial) ** (k / (sched.n_sweeps - 1))
-            for k in range(sched.n_sweeps)
-        ]
     bests = []
     for read in range(sched.n_reads):
         rng = np.random.default_rng([sched.seed, read])
@@ -81,7 +82,7 @@ def reference_anneal(problem, sched):
             value for (a, b), value in problem.coeffs.items() if bits[a] and bits[b]
         )
         best, best_bits = current, bits.copy()
-        for temperature in temps:
+        for temperature in reference_temperatures(problem, sched):
             order = rng.permutation(n)
             uniforms = rng.random(n)
             for var, u in zip(order, uniforms):
@@ -95,6 +96,31 @@ def reference_anneal(problem, sched):
     return bests
 
 
+def reference_document(problem, sched, rows):
+    """The `simulated_anneal` document of these best rows, each scored with
+    `energy` and listed by energy, ties in read order."""
+    t_initial, t_final = resolve_temperatures(problem, sched)
+    samples = []
+    for read, bits in enumerate(rows):
+        breakdown = energy(problem, Assignment(bits))
+        samples.append((breakdown.total, read, bits, breakdown.terms))
+    samples.sort(key=lambda item: item[0])
+    return {
+        "metadata": {
+            "solver": "sa",
+            "seed": sched.seed,
+            "n_reads": sched.n_reads,
+            "n_sweeps": sched.n_sweeps,
+            "t_initial": t_initial,
+            "t_final": t_final,
+        },
+        "samples": [
+            {"bits": Assignment(bits).to_string(), "energy": total, "terms": terms, "read": read}
+            for total, read, bits, terms in samples
+        ],
+    }
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
     problem=qubos(coefficient=st.integers(-6, 6).map(float)),
@@ -106,16 +132,8 @@ def test_annealer_matches_row_rescoring_reference(problem, seed, n_reads, n_swee
     # Integer coefficients keep every field, delta and running energy exact,
     # so the incremental local fields must reproduce the reference exactly.
     sched = AnnealSchedule(n_reads=n_reads, n_sweeps=n_sweeps, seed=seed)
-    samples = []
-    for read, bits in enumerate(reference_anneal(problem, sched)):
-        breakdown = energy(problem, Assignment(bits))
-        samples.append((breakdown.total, read, bits, breakdown.terms))
-    samples.sort(key=lambda item: item[0])
-    result = simulated_anneal(problem, sched).to_dict()
-    assert result["samples"] == [
-        {"bits": Assignment(bits).to_string(), "energy": total, "terms": terms, "read": read}
-        for total, read, bits, terms in samples
-    ]
+    expected = reference_document(problem, sched, reference_anneal(problem, sched))
+    assert simulated_anneal(problem, sched).to_dict() == expected
 
 
 @st.composite
@@ -191,3 +209,83 @@ def test_generated_samples_do_not_depend_on_thread_count(doc, hp, seed, n_reads,
     sched = AnnealSchedule(n_reads=n_reads, n_sweeps=n_sweeps, seed=seed)
     lone = simulated_anneal(problem, sched, n_threads=1).to_dict()
     assert simulated_anneal(problem, sched, n_threads=2).to_dict() == lone
+
+
+def local_field_reference(problem, sched):
+    """One read at a time and one proposal at a time: each read draws the
+    RNG stream of `simulated_anneal` in the same order and prices a flip of
+    v as (1 - 2 x_v) f_v from its local fields f, which only an accepted
+    flip updates, f += (1 - 2 x_v) Q_sym[v]. Returns each read's best bits."""
+    n = problem.n_vars
+    h, q_sym = problem.dense
+    bests = []
+    for read in range(sched.n_reads):
+        rng = np.random.default_rng([sched.seed, read])
+        bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+        current = math.fsum(
+            value for (a, b), value in problem.coeffs.items() if bits[a] and bits[b]
+        )
+        fields = h + q_sym[np.flatnonzero(bits)].sum(axis=0)
+        best, best_bits = current, bits.copy()
+        for temperature in reference_temperatures(problem, sched):
+            order = rng.permutation(n)
+            uniforms = rng.random(n)
+            for var, u in zip(order, uniforms):
+                sign = 1.0 - 2.0 * bits[var]
+                delta = sign * fields[var]
+                if u < np.exp(min(0.0, -delta / temperature)):
+                    bits[var] ^= 1
+                    fields = fields + sign * q_sym[var]
+                    current += delta
+                    if current < best:
+                        best, best_bits = current, bits.copy()
+        bests.append(best_bits)
+    return bests
+
+
+def schedule(problem, kind, seed):
+    """The auto ladder, a fixed hot or cold temperature, one sweep or one read."""
+    hot, cold = resolve_temperatures(problem, AnnealSchedule())
+    temperature = {"hot": 10.0 * hot, "cold": cold}.get(kind)
+    return AnnealSchedule(
+        n_reads=1 if kind == "one-read" else 4,
+        n_sweeps=1 if kind == "one-sweep" else 10,
+        t_initial=temperature,
+        t_final=temperature,
+        seed=seed,
+    )
+
+
+def generated_problem(source):
+    if source == "qubo":
+        return qubos()
+    return st.builds(lambda doc, hp: build_full(parse_complex(doc), hp), complex_docs(), hyperparameters)
+
+
+@pytest.mark.parametrize("kind", ["auto", "hot", "cold", "one-sweep", "one-read"])
+@pytest.mark.parametrize("source", ["qubo", "complex"])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_annealer_matches_local_field_reference(source, kind, data, seed):
+    problem = data.draw(generated_problem(source))
+    sched = schedule(problem, kind, seed)
+    expected = reference_document(problem, sched, local_field_reference(problem, sched))
+    assert simulated_anneal(problem, sched).to_dict() == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=complexes_with_rows())
+def test_generated_incremental_delta_matches_energy_difference(case):
+    problem, rows = case
+    for bits in rows:
+        before = energy(problem, Assignment(bits))
+        for flip in range(problem.n_vars):
+            flipped = bits.copy()
+            flipped[flip] ^= 1
+            after = energy(problem, Assignment(flipped))
+            delta = incremental_delta(problem, Assignment(bits), flip)
+            # Each total is a rounded fsum of rounded term fsums, so the
+            # difference carries a few roundings of the terms' magnitudes.
+            magnitude = sum(abs(t) for t in [*before.terms.values(), *after.terms.values()])
+            assert abs(delta - (after.total - before.total)) <= 2.0**-50 * (magnitude + abs(delta))
+            assert incremental_delta(problem, Assignment(flipped), flip) == -delta

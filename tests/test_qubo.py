@@ -2,8 +2,10 @@
 
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -15,12 +17,14 @@ from qdock import (
     Assignment,
     GraphBuildError,
     Hyperparameters,
+    brute_force,
     build_full,
     build_grid_graph,
     build_ligand_graph,
     energy,
     one_hot_assignment,
     parse_complex,
+    report_from_samples,
 )
 from qdock.qubo import PHYSCHEM_TERMS, TERM_NAMES, QuboProblem
 from qdock.qubofile import export_qubo, import_qubo
@@ -258,7 +262,8 @@ def per_entry_reference(cx, hp):
         scales = []
         for name in PHYSCHEM_TERMS:
             raw_max = max((abs(v) for v in raw[name].values()), default=0.0)
-            scales.append(geom_max / raw_max if geom_max > 0.0 and raw_max > 0.0 else 1.0)
+            ratio = geom_max / raw_max if geom_max > 0.0 and raw_max > 0.0 else 1.0
+            scales.append(ratio if math.isfinite(ratio) else 1.0)
         scales = tuple(scales)
     for name, scale, lam in zip(PHYSCHEM_TERMS, scales, hp.lambdas):
         factor = scale * lam
@@ -500,19 +505,22 @@ def test_energy_matches_full_scan_bit_for_bit(tiny4, tmp_path):
             assert breakdown.total.hex() == total.hex()
 
 
+def far_first_point(complex_input):
+    """The complex with its first grid point at 1e200 A, which `parse_complex`
+    rejects; built directly, its squared distances overflow."""
+    first, *rest = complex_input.grid_points
+    far = dataclasses.replace(first, position=np.array([1e200, 0.0, 0.0]))
+    return dataclasses.replace(complex_input, grid_points=[far, *rest])
+
+
 def test_non_finite_coefficient_names_its_term(tiny4_doc):
-    doc = copy.deepcopy(tiny4_doc)
-    doc["grid_points"][0]["position"] = [1e200, 0.0, 0.0]
+    complex_input = far_first_point(parse_complex(copy.deepcopy(tiny4_doc)))
     with pytest.warns(RuntimeWarning), pytest.raises(GraphBuildError, match="'geom'.*inf"):
-        build_full(parse_complex(doc), Hyperparameters())
-
-
-def far_first_point(doc):
-    doc["grid_points"][0]["position"] = [1e200, 0.0, 0.0]
+        build_full(complex_input, Hyperparameters())
 
 
 @pytest.mark.parametrize(
-    "edit_doc, hp, message, warns",
+    "edit_input, hp, message, warns",
     [
         (far_first_point, Hyperparameters(), "in term 'geom': entry (0, 7) = inf", True),
         (None, Hyperparameters(gamma=1e308), "in term 'penalty': entry (0, 1) = inf", False),
@@ -525,16 +533,30 @@ def far_first_point(doc):
     ],
     ids=["far-point", "huge-gamma", "huge-scales"],
 )
-def test_non_finite_message_names_first_entry(tiny4_doc, edit_doc, hp, message, warns):
-    doc = copy.deepcopy(tiny4_doc)
-    if edit_doc is not None:
-        edit_doc(doc)
+def test_non_finite_message_names_first_entry(tiny4_doc, edit_input, hp, message, warns):
+    complex_input = parse_complex(copy.deepcopy(tiny4_doc))
+    if edit_input is not None:
+        complex_input = edit_input(complex_input)
     # Only the far point overflows in numpy (the grid colouring); the
     # builders report every overflow through the finite check alone.
     expect = pytest.warns(RuntimeWarning) if warns else contextlib.nullcontext()
     with expect, pytest.raises(GraphBuildError) as excinfo:
-        build_full(parse_complex(doc), hp)
+        build_full(complex_input, hp)
     assert str(excinfo.value) == "non-finite QUBO coefficient " + message
+
+
+def test_subnormal_raw_magnitude_falls_back_to_unit_scale(tiny4_doc):
+    # The largest |el| raw coefficient is subnormal, so geom/raw overflows;
+    # at lambda 0 an infinite scale would make the el entries inf * 0 = NaN.
+    doc = copy.deepcopy(tiny4_doc)
+    for atom in doc["protein"]:
+        if atom["charge"]:
+            atom["charge"] = 2.2e-311
+    problem = build_full(parse_complex(doc), Hyperparameters())
+    assert problem.scales[0] == 1.0
+    report = report_from_samples(problem, brute_force(problem), "tiny4")
+    scales = json.loads(json.dumps(report.to_dict(), allow_nan=False))["metadata"]["scales"]
+    assert len(scales) == 5 and all(math.isfinite(s) for s in scales)
 
 
 def test_valid_pose_energy_matches_pose_formula(tiny4):
