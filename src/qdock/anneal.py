@@ -9,11 +9,12 @@ acceptance min(1, exp(-dE/T)) on a geometric temperature ladder. The
 n_threads argument is kept for compatibility; it changes neither the
 results nor how they are computed.
 
-Each read keeps a vector of local fields f = h + x Q_sym (Q_sym is the
-symmetric, zero-diagonal coupling matrix), set from the read's own active
-rows. Proposing a flip of v then costs one gather, dE = (1 - 2 x_v) f_v,
-and only an accepted flip touches the fields: f += (1 - 2 x_v) Q_sym[v]
-for that read. A step thus costs O(reads) plus O(accepted flips x n)
+Each read's start energy comes from `qubo.active_sums`, the kernel that
+scores every sample, and its local fields f = h + x Q_sym (Q_sym is the
+symmetric, zero-diagonal coupling matrix) from its own active rows.
+Proposing a flip of v then costs one gather, dE = (1 - 2 x_v) f_v, and
+only an accepted flip touches the fields: f += (1 - 2 x_v) Q_sym[v] for
+that read. A step thus costs O(reads) plus O(accepted flips x n)
 instead of O(reads x n), as in dwave-neal's sampler.
 
 Once a sweep's permutations and uniforms are drawn, one array pass prices
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SampleFormatError
-from .qubo import Assignment, QuboProblem, energies
+from .qubo import Assignment, QuboProblem, active_sums, energies
 
 BRUTE_FORCE_MAX_VARS = 24
 TEMPERATURE_FLOOR = 1e-6
@@ -127,8 +128,8 @@ class SampleSet:
 
 
 def resolve_temperatures(problem: QuboProblem, sched: AnnealSchedule) -> tuple[float, float]:
-    h, q_sym = problem.dense
-    magnitudes = np.abs(np.concatenate([h[h != 0.0], q_sym[q_sym != 0.0]]))
+    values = problem.coeffs.arrays[2]
+    magnitudes = np.abs(values[values != 0.0])
     t_initial = sched.t_initial
     if t_initial is None:
         t_initial = magnitudes.max() if magnitudes.size else 1.0
@@ -157,13 +158,11 @@ def _anneal_reads(
     for k, rng in enumerate(rngs):
         bits[k] = rng.integers(0, 2, size=n, dtype=np.uint8)
 
-    running = np.empty(n_reads)
+    # One read per kernel call bounds the list of active values it makes.
+    running = np.array([active_sums(problem.coeffs.arrays, row[None] != 0)[0] for row in bits])
     fields = np.empty((n_reads, n))
     for k in range(n_reads):
-        active = np.flatnonzero(bits[k])
-        couplings = np.triu(q_sym[np.ix_(active, active)], 1)
-        running[k] = math.fsum(np.concatenate([h[active], couplings[couplings != 0.0]]))
-        fields[k] = h + q_sym[active].sum(axis=0)
+        fields[k] = h + q_sym[bits[k] != 0].sum(axis=0)
     best_energy = running.copy()
     best_state = bits.copy()
 
@@ -304,7 +303,7 @@ def brute_force(problem: QuboProblem, keep: int = 32) -> SampleSet:
     scanned += energy_lo[None, :]
     scanned = scanned.ravel()
 
-    scale = math.fsum(np.abs(np.append(h, q_upper))) + abs(problem.offset)
+    scale = math.fsum(np.abs(problem.coeffs.arrays[2])) + abs(problem.offset)
     window = scanned.min() + 1e-9 * max(scale, 1.0)
     hits = np.flatnonzero(scanned <= window)
     if len(hits) > 65536:

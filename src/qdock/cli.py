@@ -27,7 +27,7 @@ from .errors import NoValidSolutionError, QdockError
 from .ligand import build_ligand_graph
 from .grid import build_grid_graph
 from .model import load_complex
-from .qubo import Hyperparameters, build_full
+from .qubo import TERM_NAMES, Hyperparameters, build_full
 from .qubofile import export_qubo, import_qubo
 
 REPORT_CSV_COLUMNS = [
@@ -35,17 +35,30 @@ REPORT_CSV_COLUMNS = [
     "valid",
     "total_energy",
     "lowest_energy",
-    "geom",
-    "penalty",
-    "el",
-    "vdw",
-    "hba",
-    "hbd",
-    "hydro",
+    *TERM_NAMES,
     "rmsd",
     "adjusted_rmsd",
     "valid_solution_rate",
 ]
+
+# JSON type of each config key the CLI reads; null means "not set".
+_CONFIG_TYPES = {
+    **dict.fromkeys(("complex", "dataset", "qubo", "samples", "out"), str),
+    "exact": bool, "gamma": float, "lambdas": list, "reads": int, "sweeps": int, "seed": int,
+}
+_TYPE_NAMES = {str: "a string", bool: "true or false", float: "a finite number",
+               int: "an integer", list: "a list of 5 numbers"}
+
+
+def _json_is(value, kind) -> bool:
+    """Whether a JSON value has the kind; true and false are not numbers,
+    and a float kind is finite (an integer literal may not fit a float)."""
+    if kind is float:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return number and abs(value) <= sys.float_info.max
+    if kind is list:
+        return isinstance(value, list) and len(value) == 5 and all(_json_is(v, float) for v in value)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _parse_lambdas(text: str):
@@ -145,11 +158,12 @@ def _load_config(args) -> dict:
         raise QdockError(f"{path}: invalid JSON ({exc})")
     if not isinstance(doc, dict):
         raise QdockError(f"{path}: config must be a JSON object")
-    if "lambdas" in doc and doc["lambdas"] is not None:
-        values = doc["lambdas"]
-        if not (isinstance(values, list) and len(values) == 5):
-            raise QdockError(f"{path}: config lambdas must be a list of 5 numbers")
-        doc["lambdas"] = tuple(float(v) for v in values)
+    for key, value in doc.items():
+        if key in _CONFIG_TYPES and value is not None and not _json_is(value, _CONFIG_TYPES[key]):
+            kind = _TYPE_NAMES[_CONFIG_TYPES[key]]
+            raise QdockError(f"{path}: config {key} must be {kind}, got {value!r}")
+    if doc.get("lambdas") is not None:
+        doc["lambdas"] = tuple(float(v) for v in doc["lambdas"])
     return doc
 
 
@@ -193,19 +207,12 @@ def _write_json(doc, out_path) -> None:
 
 
 def _report_csv_row(report: DockingReport) -> dict:
-    terms = report.term_energies
     return {
         "name": report.name,
         "valid": report.valid,
         "total_energy": repr(report.total_energy),
         "lowest_energy": repr(report.lowest_energy),
-        "geom": repr(terms.get("geom", 0.0)),
-        "penalty": repr(terms.get("penalty", 0.0)),
-        "el": repr(terms.get("el", 0.0)),
-        "vdw": repr(terms.get("vdw", 0.0)),
-        "hba": repr(terms.get("hba", 0.0)),
-        "hbd": repr(terms.get("hbd", 0.0)),
-        "hydro": repr(terms.get("hydro", 0.0)),
+        **{name: repr(report.term_energies.get(name, 0.0)) for name in TERM_NAMES},
         "rmsd": "" if report.rmsd is None else repr(report.rmsd),
         "adjusted_rmsd": "" if report.adjusted_rmsd is None else repr(report.adjusted_rmsd),
         "valid_solution_rate": repr(report.valid_solution_rate),

@@ -249,7 +249,7 @@ def _mean_adjusted(
     values = []
     excluded = 0
     for complex_input, lig, grid in dataset:
-        problem = assemble(lig, grid, hp, complex_input=complex_input)
+        problem = assemble(lig, grid, hp)
         try:
             report = _solve_and_report(problem, sched, exact, complex_input.name)
         except NoValidSolutionError:

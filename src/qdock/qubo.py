@@ -22,10 +22,10 @@ not finite, the scale is 1.0.
 Each term is computed as arrays over the ligand edges, the grid distance
 matrix and the grid color vectors, and kept as (a, b, value) arrays with
 zero entries dropped. Those arrays and the summed map's are the model:
-`QuboProblem.dense`, `energy`, the solvers' scoring and the coordinate
-file read them directly. Each coefficient map is a read-only `CoeffMap`
-view over its arrays, which builds a dict keyed by (a, b) only when a
-caller looks an entry up or iterates it.
+`QuboProblem.dense`, the coordinate file and `active_sums` (behind every
+energy, SA's start energies too) read them directly. Each coefficient map
+is a read-only `CoeffMap` view over its arrays, which builds a dict keyed
+by (a, b) only when a caller looks an entry up or iterates it.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def build_full(complex_input: ComplexInput, hp: Hyperparameters) -> QuboProblem:
     """Assemble the complete Hamiltonian for a complex."""
     lig = build_ligand_graph(complex_input)
     grid = build_grid_graph(complex_input)
-    return assemble(lig, grid, hp, complex_input=complex_input)
+    return assemble(lig, grid, hp)
 
 
 def _reject_non_finite(a, b, values: np.ndarray, term_coeffs: dict[str, CoeffMap]) -> None:
@@ -342,7 +342,8 @@ def _reject_non_finite(a, b, values: np.ndarray, term_coeffs: dict[str, CoeffMap
     if len(bad):
         key = (int(a[bad[0]]), int(b[bad[0]]))
         for name in TERM_NAMES:
-            value = term_coeffs[name].get(key, 0.0)
+            term_a, term_b, term_values = term_coeffs[name].arrays
+            value = float(term_values[(term_a == key[0]) & (term_b == key[1])].sum())
             if not math.isfinite(value):
                 raise GraphBuildError(
                     f"non-finite QUBO coefficient in term {name!r}: entry {key} = {value!r}"
@@ -353,12 +354,7 @@ def _reject_non_finite(a, b, values: np.ndarray, term_coeffs: dict[str, CoeffMap
         )
 
 
-def assemble(
-    lig: LigandGraph,
-    grid: GridGraph,
-    hp: Hyperparameters,
-    complex_input: ComplexInput | None = None,
-) -> QuboProblem:
+def assemble(lig: LigandGraph, grid: GridGraph, hp: Hyperparameters) -> QuboProblem:
     """Combine the term arrays into a QuboProblem from prebuilt graphs. No
     other term shares a geom key, and the penalty holds every other key,
     whose diagonal adds the scaled physicochemical tables in order. The
@@ -381,15 +377,14 @@ def assemble(
             table = np.where(raw[name] != 0.0, raw[name] * (scale * lam), 0.0).ravel()
             term_coeffs[name] = CoeffMap.nonzero(variables, variables, table)
             summed[a == b] += table
-    _reject_non_finite(geom_a, geom_b, geom_values, term_coeffs)
-    _reject_non_finite(a, b, summed, term_coeffs)
+    geom = term_coeffs["geom"].arrays
+    coeffs = CoeffMap(*(np.concatenate(pair) for pair in zip(geom, (a, b, summed))))
+    _reject_non_finite(*coeffs.arrays, term_coeffs)
     offset = gamma * n_mol
     if not math.isfinite(offset):
         raise GraphBuildError(f"non-finite QUBO penalty offset {offset!r}")
-    geom = term_coeffs["geom"].arrays
-    coeffs = CoeffMap(*(np.concatenate(pair) for pair in zip(geom, (a, b, summed))))
 
-    problem = QuboProblem(
+    return QuboProblem(
         n_mol=n_mol,
         n_grid=n_grid,
         coeffs=coeffs,
@@ -398,16 +393,11 @@ def assemble(
         gamma=gamma,
         lambdas=tuple(hp.lambdas),
         scales=scales,
+        atom_ids=[atom.id for atom in lig.atoms],
         grid_ids=list(grid.point_ids),
         grid_positions=grid.positions,
+        experimental_coords=np.array([atom.position for atom in lig.atoms], dtype=float),
     )
-    if complex_input is not None:
-        problem.atom_ids = [a.id for a in complex_input.ligand_atoms]
-        problem.experimental_coords = complex_input.ligand_coordinates()
-    else:
-        problem.atom_ids = [a.id for a in lig.atoms]
-        problem.experimental_coords = np.array([a.position for a in lig.atoms], dtype=float)
-    return problem
 
 
 def energy(problem: QuboProblem, assignment: Assignment) -> EnergyBreakdown:
@@ -430,30 +420,31 @@ def energy(problem: QuboProblem, assignment: Assignment) -> EnergyBreakdown:
 _SCORE_CELLS = 1 << 22
 
 
-def energies(problem: QuboProblem, rows: np.ndarray) -> list[EnergyBreakdown]:
-    """`energy` of each row of a 2-D bit array, one array pass per term.
+def active_sums(arrays: tuple[np.ndarray, ...], on: np.ndarray) -> list[float]:
+    """Per row of the boolean array `on`, the fsum of the (a, b, value)
+    arrays' values whose two variables are both set in that row. A block of
+    rows gathers on[:, a] & on[:, b] and lists its active values row by row."""
+    a, b, values = arrays
+    step = max(1, _SCORE_CELLS // max(len(values), 1))
+    sums: list[float] = []
+    for start in range(0, len(on), step):
+        block = on[start : start + step]
+        # Only entries whose two variables are set in some row can be active.
+        seen = block.any(axis=0)
+        live = np.flatnonzero(seen.take(a) & seen.take(b))
+        flat = np.flatnonzero(block.take(a[live], axis=1) & block.take(b[live], axis=1))
+        row, entry = np.divmod(flat, len(live))
+        active = values[live[entry]].tolist()
+        ends = np.cumsum(np.bincount(row, minlength=len(block))).tolist()
+        sums.extend(math.fsum(active[s:e]) for s, e in zip([0, *ends], ends))
+    return sums
 
-    For a block of rows, a term gathers on[:, a] & on[:, b] (on = bits != 0)
-    over the entries whose variables are both set somewhere in the block,
-    and lists the active values row by row, in the term's order; each row's
-    list is fsummed, so every breakdown is its row's `energy`.
-    """
+
+def energies(problem: QuboProblem, rows: np.ndarray) -> list[EnergyBreakdown]:
+    """`energy` of each row of a 2-D bit array: `active_sums` of each term,
+    so every breakdown is its row's `energy`."""
     on = np.asarray(rows) != 0
-    sums: dict[str, list[float]] = {}
-    for name, cmap in problem.term_coeffs.items():
-        a, b, values = cmap.arrays
-        step = max(1, _SCORE_CELLS // max(len(values), 1))
-        column = sums[name] = []
-        for start in range(0, len(on), step):
-            block = on[start : start + step]
-            # Only entries whose two variables are set in some row can be active.
-            seen = block.any(axis=0)
-            live = np.flatnonzero(seen.take(a) & seen.take(b))
-            flat = np.flatnonzero(block.take(a[live], axis=1) & block.take(b[live], axis=1))
-            row, entry = np.divmod(flat, len(live))
-            active = values[live[entry]].tolist()
-            ends = np.cumsum(np.bincount(row, minlength=len(block))).tolist()
-            column.extend(math.fsum(active[s:e]) for s, e in zip([0, *ends], ends))
+    sums = {name: active_sums(cmap.arrays, on) for name, cmap in problem.term_coeffs.items()}
     breakdowns = []
     for k in range(len(on)):
         terms = {name: column[k] for name, column in sums.items()}

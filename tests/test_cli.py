@@ -533,3 +533,10 @@ def test_config_errors(capsys, tmp_path):
     bad.write_text(json.dumps({"lambdas": [1, 2]}))
     code, _, err = run(capsys, ["graph", "--complex", str(TINY4), "--config", str(bad)])
     assert code == 1 and "lambdas" in err
+
+    # A value of the wrong JSON type is named, not a TypeError traceback.
+    for key, value in [("gamma", "auto"), ("reads", "5"), ("seed", 1.5), ("gamma", 10**400)]:
+        bad.write_text(json.dumps({key: value}))
+        code, _, err = run(capsys, ["dock", "--complex", str(PLANTED6), "--config", str(bad)])
+        assert code == 1 and f"config {key} must be" in err
+        assert err.startswith("error:") and "Traceback" not in err

@@ -26,7 +26,7 @@ from qdock import (
     parse_complex,
     report_from_samples,
 )
-from qdock.qubo import PHYSCHEM_TERMS, TERM_NAMES, QuboProblem
+from qdock.qubo import PHYSCHEM_TERMS, TERM_NAMES, CoeffMap, QuboProblem
 from qdock.qubofile import export_qubo, import_qubo
 
 from conftest import PLANTED6_DECOY, PLANTED6_PLANTED, TINY4_PLANTED, index_mapping
@@ -533,7 +533,11 @@ def test_non_finite_coefficient_names_its_term(tiny4_doc):
     ],
     ids=["far-point", "huge-gamma", "huge-scales"],
 )
-def test_non_finite_message_names_first_entry(tiny4_doc, edit_input, hp, message, warns):
+def test_non_finite_message_names_first_entry(
+    tiny4_doc, monkeypatch, edit_input, hp, message, warns
+):
+    # The diagnosis reads the terms' arrays; no coefficient dict is built.
+    monkeypatch.setattr(CoeffMap, "_dict", lambda self: pytest.fail("built a coefficient dict"))
     complex_input = parse_complex(copy.deepcopy(tiny4_doc))
     if edit_input is not None:
         complex_input = edit_input(complex_input)
