@@ -48,6 +48,7 @@ from .errors import SampleFormatError
 from .qubo import Assignment, QuboProblem, active_sums, energies
 
 BRUTE_FORCE_MAX_VARS = 24
+BRUTE_FORCE_KEEP = 32
 TEMPERATURE_FLOOR = 1e-6
 
 
@@ -253,73 +254,123 @@ def simulated_anneal(
     return result
 
 
-def brute_force(problem: QuboProblem, keep: int = 32) -> SampleSet:
-    """Exhaustive search over all 2^n assignments (n capped at 24).
+@dataclass(frozen=True, eq=False)
+class ExhaustiveScan:
+    """The part of `brute_force` that does not read the linear vector h.
 
     The scan splits the variables into the low n // 2 bits and the high
     rest (bit k of a state index is variable k), so with U the strict
     upper couplings E(x) = E_lo(x_lo) + E_hi(x_hi) + x_lo^T U[lo, hi] x_hi.
-    Each half's 2^half bit matrix is enumerated and scored once. One
-    matrix product gives the cross term of every (high, low) pair as a
-    (2^n_hi, 2^n_lo) float array; the half energies are added to it in
-    place, and row s_hi, column s_lo is state s_hi * 2^n_lo + s_lo. That
-    array (128 MB at 24 variables) and the boolean window mask over it
-    are the only 2^n-sized allocations.
+    `of` enumerates each half's 2^half bit matrix with its quadratic
+    energies, the (2^n_lo, n_hi) factor bits_lo @ U[lo, hi], and, for a
+    problem with decode context, every constraint-satisfying state (one
+    point per atom, injective) in `itertools.permutations` order of the
+    placements. An imported problem has no placements. Nothing here is
+    2^n-sized; at 24 variables the halves hold 4096 rows each.
 
-    The candidates are listed as state indices: first every state whose
-    scanned energy lies within a conservative error window of the scanned
-    minimum (the window hits), ascending; beyond 65,536 hits the lowest
-    scanned energies are kept. Then every constraint-satisfying state
-    (one point per atom, injective) that is not already a hit, in
-    `itertools.permutations` order of the placements. Each candidate is
-    re-scored exactly (fsum) with `read` = its listing rank, so the
-    reported optimum is the true fsum optimum and the set always contains
-    the best valid assignment. The returned listing is truncated to
-    `keep` samples; the search itself is complete.
+    `candidates(h, scale)` finishes the scan for one linear vector; a
+    caller whose coefficients change only on the diagonal (the tuner's
+    lambdas) builds the scan once and calls it per diagonal.
+    """
+
+    bits_lo: np.ndarray
+    bits_hi: np.ndarray
+    quad_lo: np.ndarray
+    quad_hi: np.ndarray
+    cross: np.ndarray
+    placements: np.ndarray
+
+    @classmethod
+    def of(cls, problem: QuboProblem) -> "ExhaustiveScan":
+        n = problem.n_vars
+        if n > BRUTE_FORCE_MAX_VARS:
+            raise ValueError(
+                f"brute_force supports at most {BRUTE_FORCE_MAX_VARS} variables, problem has {n}"
+            )
+        q_upper = np.triu(problem.dense[1], 1)
+        shifts = np.arange(n, dtype=np.uint32)
+        lo, hi = slice(0, n // 2), slice(n // 2, n)
+
+        def half(part: slice) -> tuple[np.ndarray, np.ndarray]:
+            width = part.stop - part.start
+            idx = np.arange(1 << width, dtype=np.uint32)
+            bits_half = ((idx[:, None] >> shifts[:width]) & 1).astype(np.float64)
+            return bits_half, ((bits_half @ q_upper[part, part]) * bits_half).sum(axis=1)
+
+        bits_lo, quad_lo = half(lo)
+        bits_hi, quad_hi = half(hi)
+        placements = np.zeros(0, dtype=np.int64)
+        if problem.has_decode_context():
+            n_grid = problem.n_grid
+            placements = np.fromiter(
+                (
+                    sum(1 << (atom * n_grid + point) for atom, point in enumerate(placement))
+                    for placement in itertools.permutations(range(n_grid), problem.n_mol)
+                ),
+                dtype=np.int64,
+            )
+        return cls(bits_lo, bits_hi, quad_lo, quad_hi, bits_lo @ q_upper[lo, hi], placements)
+
+    def candidates(self, h: np.ndarray, scale: float) -> np.ndarray:
+        """State indices to re-score for linear vector h.
+
+        One matrix product gives the cross term of every (high, low) pair
+        as a (2^n_hi, 2^n_lo) float array; the half energies are added to
+        it in place, and row s_hi, column s_lo is state s_hi * 2^n_lo +
+        s_lo. That array (128 MB at 24 variables) and the boolean window
+        mask over it are the only 2^n-sized allocations, and neither
+        outlives the call. First come the states whose scanned energy lies
+        within 1e-9 x max(`scale`, 1) of the scanned minimum (the window
+        hits), ascending; beyond 65,536 hits the lowest scanned energies
+        are kept. Then the placements that are not hits, in order.
+        """
+        n_lo = self.bits_lo.shape[1]
+        energy_lo = self.bits_lo @ h[:n_lo] + self.quad_lo
+        energy_hi = self.bits_hi @ h[n_lo:] + self.quad_hi
+        scanned = self.bits_hi @ self.cross.T
+        scanned += energy_hi[:, None]
+        scanned += energy_lo[None, :]
+        scanned = scanned.ravel()
+
+        window = scanned.min() + 1e-9 * max(scale, 1.0)
+        hits = np.flatnonzero(scanned <= window)
+        if len(hits) > 65536:
+            hits = np.sort(hits[np.argsort(scanned[hits], kind="stable")[:65536]])
+        return np.concatenate([hits, self.placements[~np.isin(self.placements, hits)]])
+
+
+def window_scale(values: np.ndarray, offset: float) -> float:
+    """Error-window scale of a problem: fsum of its |coefficients| plus |offset|."""
+    return math.fsum(np.abs(values)) + abs(offset)
+
+
+def state_rows(states: np.ndarray, n: int) -> np.ndarray:
+    """Bit rows of state indices: bit k of a state is variable k."""
+    return ((states[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+
+def brute_force(problem: QuboProblem, keep: int = BRUTE_FORCE_KEEP) -> SampleSet:
+    """Exhaustive search over all 2^n assignments (n capped at 24).
+
+    `ExhaustiveScan.of(problem)` enumerates the halves of the split scan,
+    and its `candidates` lists, as state indices, the states within
+    rounding of the scanned minimum, then every valid placement that is
+    not among them. Placements are listed only for a problem with decode
+    context; an imported file gets the window hits alone. Each candidate
+    is re-scored exactly (fsum) with `read` = its listing rank, so the
+    reported optimum is the true fsum optimum and, with decode context,
+    the set always contains the best valid assignment. The returned
+    listing is truncated to `keep` samples; the search itself is complete.
     """
     started = time.perf_counter()
-    n = problem.n_vars
-    if n > BRUTE_FORCE_MAX_VARS:
-        raise ValueError(
-            f"brute_force supports at most {BRUTE_FORCE_MAX_VARS} variables, problem has {n}"
-        )
-
-    h, q_sym = problem.dense
-    q_upper = np.triu(q_sym, 1)
-    shifts = np.arange(n, dtype=np.uint32)
-    lo, hi = slice(0, n // 2), slice(n // 2, n)
-
-    def half_scan(part: slice) -> tuple[np.ndarray, np.ndarray]:
-        width = part.stop - part.start
-        idx = np.arange(1 << width, dtype=np.uint32)
-        bits_half = ((idx[:, None] >> shifts[:width]) & 1).astype(np.float64)
-        quad = ((bits_half @ q_upper[part, part]) * bits_half).sum(axis=1)
-        return bits_half, bits_half @ h[part] + quad
-
-    bits_lo, energy_lo = half_scan(lo)
-    bits_hi, energy_hi = half_scan(hi)
-    scanned = bits_hi @ (bits_lo @ q_upper[lo, hi]).T
-    scanned += energy_hi[:, None]
-    scanned += energy_lo[None, :]
-    scanned = scanned.ravel()
-
-    scale = math.fsum(np.abs(problem.coeffs.arrays[2])) + abs(problem.offset)
-    window = scanned.min() + 1e-9 * max(scale, 1.0)
-    hits = np.flatnonzero(scanned <= window)
-    if len(hits) > 65536:
-        hits = np.sort(hits[np.argsort(scanned[hits], kind="stable")[:65536]])
-    valid = np.fromiter(
-        (
-            sum(1 << (atom * problem.n_grid + point) for atom, point in enumerate(placement))
-            for placement in itertools.permutations(range(problem.n_grid), problem.n_mol)
-        ),
-        dtype=np.int64,
-    )
-    states = np.concatenate([hits, valid[~np.isin(valid, hits)]])
-    rows = ((states[:, None] >> shifts) & 1).astype(np.uint8)
-
+    scan = ExhaustiveScan.of(problem)
+    scale = window_scale(problem.coeffs.arrays[2], problem.offset)
+    states = scan.candidates(problem.dense[0], scale)
     result = _sample_set(
-        problem, rows, {"solver": "brute_force", "n_vars": n}, keep=max(keep, 1)
+        problem,
+        state_rows(states, problem.n_vars),
+        {"solver": "brute_force", "n_vars": problem.n_vars},
+        keep=max(keep, 1),
     )
     result.wall_time = time.perf_counter() - started
     return result

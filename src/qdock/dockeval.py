@@ -4,6 +4,14 @@ A pose is the decoded form of a constraint-satisfying assignment: a total,
 injective map from ligand atom ids to grid point ids plus the implied
 coordinates. Scoring is always against the experimental ligand coordinates
 carried by the problem, matched by atom id with no realignment.
+
+The greedy tuner scores each candidate set of lambdas by docking every
+complex. With exact=True it does not call `dock`: the lambda-free parts
+(the zero-lambda problem, the exhaustive scan's half tables and the
+valid placements with their geom and penalty terms) are built once per
+complex, and each evaluation redoes only the physicochemical diagonal,
+the scan and the listing. It reports what `dock(exact=True)` would, down
+to the tie order (see `_EnumeratedComplex`).
 """
 
 from __future__ import annotations
@@ -13,7 +21,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .anneal import AnnealSchedule, SampleSet, brute_force, simulated_anneal
+from .anneal import (
+    BRUTE_FORCE_KEEP,
+    AnnealSchedule,
+    ExhaustiveScan,
+    SampleSet,
+    brute_force,
+    simulated_anneal,
+    state_rows,
+    window_scale,
+)
 from .errors import NoValidSolutionError
 from .grid import GridGraph, build_grid_graph
 from .ligand import LigandGraph, build_ligand_graph
@@ -23,8 +40,12 @@ from .qubo import (
     Assignment,
     Hyperparameters,
     QuboProblem,
+    active_sums,
     assemble,
     build_full,
+    build_physchem_raw,
+    energies,
+    physchem_diagonal,
 )
 
 TUNER_WEIGHTS = (0.2, 0.5, 1.0, 2.0, 5.0)
@@ -231,34 +252,87 @@ class TunerResult:
         }
 
 
-def _mean_adjusted(
-    dataset: list[tuple[ComplexInput, LigandGraph, GridGraph]],
-    lambdas: tuple,
-    hp_template: Hyperparameters,
-    sched: AnnealSchedule,
-    exact: bool,
-) -> tuple[float | None, int]:
-    """Mean adjusted RMSD of the lowest-energy valid pose per complex.
+class _EnumeratedComplex:
+    """One complex's `dock(exact=True)` as a function of the lambdas.
 
-    Each dataset entry carries the complex's prebuilt ligand and grid
-    graphs, which do not depend on the lambdas. Complexes producing no
-    valid pose are excluded from the mean; the exclusion count is
-    returned alongside. None means every complex was excluded.
+    Geometry, the penalty, gamma, the scales and the decode context do not
+    depend on the lambdas, and a valid pose's penalty is exactly 0. So one
+    `assemble` at zero lambdas, the raw physicochemical tables, the
+    `ExhaustiveScan` (half tables, cross factor and valid placements) and
+    each placement's geom and penalty terms are built once per complex.
+    An evaluation redoes only the lambda-dependent diagonal:
+    `physchem_diagonal` gives the linear vector and the five term maps,
+    `ExhaustiveScan.candidates` lists the states brute force would list,
+    and each placement's total is the fsum of its fixed terms and its
+    `active_sums` of the five maps, the values `energies` would give.
+    Invalid window hits, which lead the listing at high lambdas, are
+    scored by `energies` on the assembled problem. The first valid state
+    among the `BRUTE_FORCE_KEEP` lowest (stable order, so ties keep the
+    listing order) is the pose `dock` reports; its adjusted RMSD is
+    computed once per placement.
     """
-    hp = replace(hp_template, lambdas=tuple(lambdas))
-    values = []
-    excluded = 0
-    for complex_input, lig, grid in dataset:
-        problem = assemble(lig, grid, hp)
-        try:
-            report = _solve_and_report(problem, sched, exact, complex_input.name)
-        except NoValidSolutionError:
-            excluded += 1
-            continue
-        values.append(report.adjusted_rmsd)
-    if not values:
-        return None, excluded
-    return sum(values) / len(values), excluded
+
+    def __init__(self, lig: LigandGraph, grid: GridGraph, hp: Hyperparameters):
+        self.lig, self.grid, self.hp = lig, grid, hp
+        self.base = assemble(lig, grid, replace(hp, lambdas=(0.0,) * 5))
+        self.scan = ExhaustiveScan.of(self.base)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.raw = build_physchem_raw(lig, grid)
+        a, b, values = self.base.coeffs.arrays
+        self.couplings = values[a != b]
+        a, b, values = self.base.term_coeffs["penalty"].arrays
+        self.penalty_diagonal = values[a == b]
+        placements = self.scan.placements
+        self.rows = state_rows(placements, self.base.n_vars)
+        self.on = self.rows != 0
+        fixed = energies(self.base, self.rows)
+        self.geom = [e.terms["geom"] for e in fixed]
+        self.penalty = [e.terms["penalty"] for e in fixed]
+        self.index = {state: k for k, state in enumerate(placements.tolist())}
+        self.adjusted: dict[int, float] = {}
+
+    def adjusted_rmsd(self, lambdas: tuple) -> float | None:
+        """The adjusted RMSD `dock(exact=True)` reports at `lambdas`, or
+        None where it raises NoValidSolutionError."""
+        base = self.base
+        physchem, diagonal = physchem_diagonal(
+            self.raw, base.scales, lambdas, self.penalty_diagonal
+        )
+        if not np.isfinite(diagonal).all():
+            # assemble raises the GraphBuildError that names the entry.
+            assemble(self.lig, self.grid, replace(self.hp, lambdas=lambdas))
+        scale = window_scale(np.concatenate([self.couplings, diagonal]), base.offset)
+        states = self.scan.candidates(diagonal, scale)
+
+        placement = np.array([self.index.get(state, -1) for state in states.tolist()], dtype=int)
+        sums = [active_sums(physchem[name].arrays, self.on) for name in PHYSCHEM_TERMS]
+        totals = np.array([math.fsum(terms) for terms in zip(self.geom, self.penalty, *sums)])
+        energy = np.empty(len(states))
+        valid = placement >= 0
+        energy[valid] = totals[placement[valid]]
+        if not valid.all():
+            problem = assemble(self.lig, self.grid, replace(self.hp, lambdas=lambdas))
+            invalid = state_rows(states[~valid], base.n_vars)
+            energy[~valid] = [e.total for e in energies(problem, invalid)]
+
+        ranked = placement[np.argsort(energy, kind="stable")[:BRUTE_FORCE_KEEP]]
+        ranked = ranked[ranked >= 0]
+        if not len(ranked):
+            return None
+        best = int(ranked[0])
+        if best not in self.adjusted:
+            pose = decode(Assignment(self.rows[best]), base)
+            self.adjusted[best] = adjusted_rmsd(pose, base.experimental_coords, base.grid_positions)
+        return self.adjusted[best]
+
+
+def _mean(values: list[float | None]) -> tuple[float | None, int]:
+    """Mean of the non-None values and how many were None; the mean is
+    None when every value is."""
+    kept = [v for v in values if v is not None]
+    if not kept:
+        return None, len(values)
+    return sum(kept) / len(kept), len(values) - len(kept)
 
 
 def greedy_tune(
@@ -276,8 +350,17 @@ def greedy_tune(
     adjusted RMSD, and adopts the best pair if it strictly improves the
     current mean. Ties go to the earlier interaction (el, vdw, hba, hbd,
     hydro) and then to the smaller weight, which is the iteration order.
-    Each complex's ligand and grid graphs are built once; every
-    evaluation only assembles and solves its QUBO.
+    Each complex's ligand and grid graphs are built once. A complex that
+    gives no valid pose is left out of a mean and counted in the trace
+    entry's `excluded`; the mean is None when every complex is.
+
+    Each evaluation's mean is what docking each complex at its lambdas
+    gives. With SA, every evaluation assembles and anneals each complex.
+    With exact=True, each complex's lambda-free parts (its zero-lambda
+    problem, the exhaustive scan's half tables, and its valid placements
+    with their geom and penalty terms) are built once, and an evaluation
+    redoes only the physicochemical diagonal, the scan and the listing
+    (see `_EnumeratedComplex`).
     n_threads is accepted for compatibility and has no effect.
     """
     if not dataset:
@@ -286,6 +369,22 @@ def greedy_tune(
         hp_template = Hyperparameters()
     weights = tuple(sorted(weights))
     graphs = [(cx, build_ligand_graph(cx), build_grid_graph(cx)) for cx in dataset]
+    if exact:
+        enumerated = [_EnumeratedComplex(lig, grid, hp_template) for _, lig, grid in graphs]
+
+    def adjusted_rmsds(lambdas: tuple) -> list[float | None]:
+        if exact:
+            return [c.adjusted_rmsd(lambdas) for c in enumerated]
+        hp = replace(hp_template, lambdas=lambdas)
+        values = []
+        for cx, lig, grid in graphs:
+            try:
+                report = _solve_and_report(assemble(lig, grid, hp), sched, False, cx.name)
+            except NoValidSolutionError:
+                values.append(None)
+            else:
+                values.append(report.adjusted_rmsd)
+        return values
 
     current = [0.0] * 5
     trace: list[dict] = []
@@ -294,7 +393,7 @@ def greedy_tune(
 
     def evaluate(lambdas, interaction, weight):
         nonlocal any_valid
-        mean, excluded = _mean_adjusted(graphs, tuple(lambdas), hp_template, sched, exact)
+        mean, excluded = _mean(adjusted_rmsds(tuple(lambdas)))
         if mean is not None:
             any_valid = True
         trace.append(

@@ -328,6 +328,26 @@ def resolve_gamma(hp: Hyperparameters, geom: np.ndarray) -> float:
     return float(10.0 * geom_magnitude) if geom_magnitude > 0.0 else 1.0
 
 
+def physchem_diagonal(
+    raw: dict[str, np.ndarray], scales: tuple, lambdas: tuple, diagonal: np.ndarray
+) -> tuple[dict[str, CoeffMap], np.ndarray]:
+    """The physicochemical term maps at `lambdas`, and `diagonal` with them
+    added. Each term's table is raw * (scale * lambda) where raw is nonzero
+    and 0.0 elsewhere, in variable order; its map drops the zero products
+    (-0.0 at lambda 0 too). The tables are added to a copy of `diagonal`
+    one by one in PHYSCHEM_TERMS order, which fixes the rounding of every
+    linear coefficient. Overflow is left to the caller's finite checks."""
+    variables = np.arange(len(diagonal))
+    summed = diagonal.copy()
+    terms = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, scale, lam in zip(PHYSCHEM_TERMS, scales, lambdas):
+            table = np.where(raw[name] != 0.0, raw[name] * (scale * lam), 0.0).ravel()
+            terms[name] = CoeffMap.nonzero(variables, variables, table)
+            summed += table
+    return terms, summed
+
+
 def build_full(complex_input: ComplexInput, hp: Hyperparameters) -> QuboProblem:
     """Assemble the complete Hamiltonian for a complex."""
     lig = build_ligand_graph(complex_input)
@@ -367,16 +387,15 @@ def assemble(lig: LigandGraph, grid: GridGraph, hp: Hyperparameters) -> QuboProb
         "geom": CoeffMap.nonzero(geom_a, geom_b, geom_values),
         "penalty": CoeffMap(a, b, penalty_values),
     }
-    variables = np.arange(n_mol * n_grid)
     summed = penalty_values.copy()
+    linear = a == b
     # Extreme inputs can overflow here; the finite checks below name the entry.
     with np.errstate(over="ignore", invalid="ignore"):
         raw = build_physchem_raw(lig, grid)
         scales = resolve_scales(hp, geom_values, raw)
-        for name, scale, lam in zip(PHYSCHEM_TERMS, scales, hp.lambdas):
-            table = np.where(raw[name] != 0.0, raw[name] * (scale * lam), 0.0).ravel()
-            term_coeffs[name] = CoeffMap.nonzero(variables, variables, table)
-            summed[a == b] += table
+    physchem, diagonal = physchem_diagonal(raw, scales, hp.lambdas, penalty_values[linear])
+    term_coeffs.update(physchem)
+    summed[linear] = diagonal
     geom = term_coeffs["geom"].arrays
     coeffs = CoeffMap(*(np.concatenate(pair) for pair in zip(geom, (a, b, summed))))
     _reject_non_finite(*coeffs.arrays, term_coeffs)
@@ -429,9 +448,14 @@ def active_sums(arrays: tuple[np.ndarray, ...], on: np.ndarray) -> list[float]:
     sums: list[float] = []
     for start in range(0, len(on), step):
         block = on[start : start + step]
-        # Only entries whose two variables are set in some row can be active.
+        # Only entries whose two variables are set in some row can be active:
+        # in a one-row block those are the row's active entries, and with
+        # none, every row sums to 0.0.
         seen = block.any(axis=0)
         live = np.flatnonzero(seen.take(a) & seen.take(b))
+        if len(block) == 1 or not len(live):
+            sums.extend([math.fsum(values[live].tolist())] * len(block))
+            continue
         flat = np.flatnonzero(block.take(a[live], axis=1) & block.take(b[live], axis=1))
         row, entry = np.divmod(flat, len(live))
         active = values[live[entry]].tolist()

@@ -143,11 +143,23 @@ def test_brute_force_matches_exhaustive_oracle():
             assert sample.energy == energy(problem, sample.assignment).total
 
 
-def test_brute_force_keep_truncates_listing():
-    rng = np.random.default_rng(71)
-    problem = random_problem(rng, 8, density=0.8)
+def test_brute_force_keep_truncates_listing(planted6):
+    # Built from a complex, the listing holds every valid placement (120).
+    problem = build_full(planted6, Hyperparameters(gamma=5.0))
+    assert len(brute_force(problem, keep=200)) > 5
     assert len(brute_force(problem, keep=5)) == 5
     assert len(brute_force(problem, keep=1)) == 1
+
+
+def test_brute_force_lists_placements_only_with_decode_context(planted6, tmp_path):
+    built = build_full(planted6, Hyperparameters(gamma=5.0))
+    export_qubo(built, tmp_path / "planted6.qubo")
+    imported = import_qubo(tmp_path / "planted6.qubo")
+    # 6 * 5 * 4 placements from the complex; the file's single minimum alone.
+    assert len(brute_force(built, keep=1000)) == 120
+    listed = brute_force(imported, keep=1000)
+    assert len(listed) == 1
+    assert listed.best.energy == pytest.approx(brute_force(built).best.energy - built.offset)
 
 
 def state_index(assignment):
@@ -370,6 +382,10 @@ SOLVER_HP = {
 # solvers shared one scorer. The digests pin every `read` rank and the
 # listing order of brute-force candidates: at "weak" the built fixtures'
 # best state is invalid, so the valid placements follow the window hits.
+# An imported file has no decode context, so its exact listing is the
+# window hits alone: the round-trip cases' exact, keep-5 and external
+# digests were re-recorded when brute force stopped listing its
+# single-bit states as placements; their SA digests did not move.
 SOLVER_DIGESTS = {
     ("planted6", "gamma5"): (
         "438d7dfa5bda3cb6081892d45fc0064334f96a6255c4c0d830c7c8b14b7e387f",
@@ -384,16 +400,16 @@ SOLVER_DIGESTS = {
         "66296526ac7f9726a6485941434c9c30432bfe9219a3a5c9c35964e9c7a4bd37",
     ),
     ("planted6-round-trip", "gamma5"): (
-        "f5f013c3c949d7b6188b11fe26fcc3009f42934f2089a445fd70e6933416c585",
-        "d897009cc743e185e702810f5c3520c9ec09288ea2e5f546b8b61ac7d039b9f2",
+        "186e2f976779c7269170b096f053f1fc3b83d2ee5214725d5d3a18795b210e39",
+        "186e2f976779c7269170b096f053f1fc3b83d2ee5214725d5d3a18795b210e39",
         "fe1c68a264c07b74359474daf119922b764033db4943fef0646cecb28bb40acc",
-        "b0c15a235b8b98264875c73addbece83abc393080c9b77b089e2f69e0d13dceb",
+        "f445c27d77417c97e75ae509c39b65696e3fc393917e7f96810473d74b47461c",
     ),
     ("planted6-round-trip", "weak"): (
-        "ff2ca5b74f272e6e86596328f0273744e9ceebdcae2e89e2325c7151243553ab",
-        "4e989630caf764bde23f18500b29a8fff5acd5dd2b9fe0d8ec5f222138f7538e",
+        "fb091b9b01afa727a696b4dbc7ff0eab58479aa123c1dad48fd923a8df2ecf62",
+        "fb091b9b01afa727a696b4dbc7ff0eab58479aa123c1dad48fd923a8df2ecf62",
         "cc824fa660c01a4c759b060578cb6a95a1e94a0a4a847a46355e4441d965a8d3",
-        "dcd00c6e3109658dfe8b7959636e4baaea436483ebc55901bce5aa90e84684bd",
+        "70dde29cbdd440c478e6b252352bb22eefa2d0fff067d5cf673b97dba51597a0",
     ),
     ("tiny4", "gamma5"): (
         "6e22870b58e8c92ed23d0856e5f05846262a94a46aa34e5c37287914890858aa",

@@ -1,0 +1,160 @@
+"""The exact tuner scores every evaluation from one pose enumeration per
+complex; its documents must equal those of docking each complex exactly."""
+
+import hashlib
+import json
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from qdock import (
+    AnnealSchedule,
+    GraphBuildError,
+    Hyperparameters,
+    NoValidSolutionError,
+    dock,
+    greedy_tune,
+    parse_complex,
+)
+
+from test_dockeval import matched_chain, mismatched_complex
+from test_qubo import complex_docs
+
+
+def inert_chain():
+    """A symmetric 3-atom chain with one atom type and no charge or flags,
+    over a line of grid points near a few protein atoms: every pose ties
+    exactly with its reverse under any lambdas."""
+    doc = {
+        "protein": [
+            {"id": 1, "position": [1.0, 2.5, 0.0], "charge": 0.3, "type_index": 0,
+             "hbond_role": "none", "hydrophobic": True, "donor_hydrogens": []},
+            {"id": 2, "position": [3.5, -2.0, 1.0], "charge": -0.2, "type_index": 0,
+             "hbond_role": "none", "hydrophobic": False, "donor_hydrogens": []},
+        ],
+        "ligand": {
+            "atoms": [
+                {"id": k + 1, "position": [1.5 * k, 0.0, 0.0], "charge": 0.0, "type_index": 0}
+                for k in range(3)
+            ],
+            "bonds": [{"atoms": [1, 2]}, {"atoms": [2, 3]}],
+        },
+        "grid_points": [
+            {"id": 100 + k, "position": position}
+            for k, position in enumerate(
+                [[0.1, 0.2, 0.0], [1.6, 0.2, 0.0], [3.1, 0.2, 0.0], [4.6, 0.2, 0.0],
+                 [1.6, 1.7, 0.0], [0.1, -1.3, 0.5]]
+            )
+        ],
+        "type_table": {"epsilon": [0.2], "r_min": [1.5]},
+    }
+    return parse_complex(doc)
+
+
+def tuner_documents(dataset, gamma):
+    """`greedy_tune(exact=True)` and an exact re-dock of every complex at the
+    tuned lambdas, as `qdock tune --exact --out` writes them."""
+    sched = AnnealSchedule()
+    result = greedy_tune(dataset, sched, hp_template=Hyperparameters(gamma=gamma), exact=True)
+    tuned = Hyperparameters(lambdas=result.lambdas, gamma=gamma)
+    documents = [result.to_dict()]
+    for cx in dataset:
+        try:
+            report = dock(cx, tuned, sched, exact=True)
+        except NoValidSolutionError as exc:
+            report = exc.report
+        documents.append(report.to_dict())
+    return documents
+
+
+# SHA-256 of the sorted-key JSON of the tuner result and its re-dock
+# reports, recorded while every evaluation still assembled and
+# brute-forced each complex.
+TUNER_CASES = {
+    # The matched chain never moves; planted6 adopts hydro at 0.2.
+    "planted6-matched": (
+        lambda planted6: [planted6, matched_chain()],
+        5.0,
+        "8bae968316482e90f62063099abfb08fc6e56353feaedd38e704d97a2fcfbfe1",
+    ),
+    # Each inert pose ties exactly with its reverse; the listing order
+    # decides which one, and so its RMSD, is reported.
+    "planted6-inert": (
+        lambda planted6: [planted6, inert_chain()],
+        5.0,
+        "e2d5de06fa3f1913978465f2c5488fe6c5b7ae0afa6082f29de93352f762ac57",
+    ),
+    # The mismatched complex's lowest states are invalid window hits, which
+    # sort ahead of its best valid pose.
+    "mismatched-weak": (
+        lambda planted6: [mismatched_complex(), matched_chain()],
+        0.1,
+        "c4bb3ea4c7b36f93f68beeddf5bccd1d1f66c67c10090b70a527873a08e5f48f",
+    ),
+    # At gamma 1e-6, 32 invalid states sort ahead of every valid pose of the
+    # mismatched complex, so each evaluation excludes it.
+    "mismatched-excluded": (
+        lambda planted6: [mismatched_complex(), matched_chain()],
+        1e-6,
+        "ff664e7795bbfe9dc3b3a3ad6bb8b5f51f268db884a44ff236a81ce4528ec265",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TUNER_CASES))
+def test_tuner_documents_match_recorded_digest(case, planted6):
+    make_dataset, gamma, recorded = TUNER_CASES[case]
+    text = json.dumps(tuner_documents(make_dataset(planted6), gamma), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == recorded
+
+
+def test_exact_tuner_reports_overflow_like_assemble(planted6):
+    """A weight whose scale * lambda overflows raises the GraphBuildError
+    that assembling at those lambdas raises, on both tuner paths."""
+    template = Hyperparameters(gamma=5.0, component_scales=(1e308,) * 5)
+    sched = AnnealSchedule(n_reads=2, n_sweeps=2)
+    messages = []
+    for exact in (True, False):
+        with pytest.raises(GraphBuildError, match="non-finite QUBO coefficient") as caught:
+            greedy_tune([planted6], sched, weights=(5.0,), hp_template=template, exact=exact)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+small_complexes = complex_docs().filter(
+    lambda doc: len(doc["ligand"]["atoms"]) >= 2
+    and len(doc["ligand"]["atoms"]) * len(doc["grid_points"]) <= 18
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    docs=st.lists(small_complexes, min_size=1, max_size=2),
+    gamma=st.sampled_from([None, 1e-6, 0.1, 5.0]),
+)
+def test_tuner_trace_matches_exact_docking(docs, gamma):
+    """Every trace entry is the mean and exclusion count of docking each
+    complex exactly at the entry's lambdas."""
+    dataset = [parse_complex(doc) for doc in docs]
+    sched = AnnealSchedule()
+    try:
+        result = greedy_tune(dataset, sched, hp_template=Hyperparameters(gamma=gamma), exact=True)
+        trace = result.trace
+    except NoValidSolutionError:
+        # Raised only when no evaluation found a pose; the baseline is one.
+        trace = [{"lambdas": [0.0] * 5, "mean_adjusted_rmsd": None, "excluded": len(dataset)}]
+    for entry in trace:
+        hp = Hyperparameters(lambdas=tuple(entry["lambdas"]), gamma=gamma)
+        values = []
+        for cx in dataset:
+            try:
+                report = dock(cx, hp, sched, exact=True)
+            except NoValidSolutionError:
+                continue
+            values.append(report.adjusted_rmsd)
+            if report.lowest_energy < report.total_energy:
+                event("an invalid state sorts ahead of the pose")
+        assert entry["excluded"] == len(dataset) - len(values)
+        event(f"{entry['excluded']} of {len(dataset)} excluded")
+        assert entry["mean_adjusted_rmsd"] == (sum(values) / len(values) if values else None)
