@@ -1,29 +1,33 @@
 """QUBO solvers: Metropolis simulated annealing and an exhaustive oracle.
 
-Annealing runs n_reads independent restarts as one seeded batch, stepped
-lockstep. Each read owns an RNG stream seeded from (seed, read index) and
-consumes it in a fixed order — initial bitstring, then per sweep one
-variable permutation and one block of uniforms. One sweep proposes a
-single-bit flip for every variable in the read's permuted order with
-acceptance min(1, exp(-dE/T)) on a geometric temperature ladder. The
-n_threads argument is kept for compatibility; it changes neither the
-results nor how they are computed.
+Annealing runs n_reads independent restarts as one seeded batch. Each
+read owns an RNG stream seeded from (seed, read index) and consumes it in
+a fixed order — initial bitstring, then per sweep one variable
+permutation and one block of uniforms. One sweep proposes a single-bit
+flip for every variable in the read's permuted order with acceptance
+min(1, exp(-dE/T)) on a geometric temperature ladder. The n_threads
+argument is kept for compatibility; it changes neither the results nor
+how they are computed.
 
 Each read's start energy comes from `qubo.active_sums`, the kernel that
 scores every sample, and its local fields f = h + x Q_sym (Q_sym is the
 symmetric, zero-diagonal coupling matrix) from its own active rows.
 Proposing a flip of v then costs one gather, dE = (1 - 2 x_v) f_v, and
 only an accepted flip touches the fields: f += (1 - 2 x_v) Q_sym[v] for
-that read. A step thus costs O(reads) plus O(accepted flips x n)
-instead of O(reads x n), as in dwave-neal's sampler.
+that read, as in dwave-neal's sampler.
 
-Once a sweep's permutations and uniforms are drawn, one array pass prices
-every (step, read) proposal from the sweep-start state, O(reads x n).
-Before the first step at which some read accepts, no sign, field or
-energy changes, so those decisions are final: a sweep in which nothing is
-accepted ends there, and otherwise the lockstep steps run from that first
-accepted proposal on. The late, cold sweeps, where almost every proposal
-is rejected, thus cost one array pass each and no Python loop.
+Reads never interact, so each one advances through a sweep on its own,
+from one accepted flip to the next (the per-spin sweep of Isakov et al.,
+Comput. Phys. Commun. 2015, batched over reads). Once a sweep's
+permutations and uniforms are drawn, one array pass prices every
+proposal from the sweep-start state, O(reads x n), and gives each read
+its first accepted step; a read with none is done for that sweep. Each
+loop iteration then flips every read that has a next accept, and every
+read still in the sweep prices the next `_WINDOW` steps from its own
+state to find its next accept. A sweep thus costs that pass plus about
+O(flips x n + scanned steps), and its loop runs about as many times as
+the busiest read flips, not once per step. The late, cold sweeps, where
+almost every proposal is rejected, cost the one pass and little more.
 
 All three solvers turn bit rows into a SampleSet through `_sample_set`:
 SA's best state per read, brute force's candidate listing (see
@@ -38,18 +42,19 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SampleFormatError
-from .qubo import Assignment, QuboProblem, active_sums, energies
+from .qubo import Assignment, QuboProblem, active_sums, energies, exact_sum
 
 BRUTE_FORCE_MAX_VARS = 24
 BRUTE_FORCE_KEEP = 32
 TEMPERATURE_FLOOR = 1e-6
+# Steps a read prices ahead per event-loop iteration.
+_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,19 @@ def _temperature_ladder(t_initial: float, t_final: float, n_sweeps: int) -> np.n
 def _anneal_reads(
     problem: QuboProblem, seed: int, n_reads: int, temps: np.ndarray
 ) -> np.ndarray:
-    """Run every read lockstep; returns each read's best bitstring as a row."""
+    """Anneal every read, each advancing from one accepted flip to its
+    next; returns each read's best bitstring as a row.
+
+    A sweep's proposals sit in a read's row in step order, as flat entry
+    indices r * n + v with their uniforms, padded after step n by
+    `_WINDOW` steps whose uniform of 2.0 never accepts. The sweep-start
+    pass gives each read its first accepted step. Each loop iteration then
+    flips every read that has a next accept, and every read left in the
+    sweep prices the next `_WINDOW` steps of its row from its own state:
+    from the step after its flip, or from where its last window ended if
+    that one held no accept. A read's state changes only at its own flips,
+    so each decision is the one a step-by-step sweep would make.
+    """
     h, q_sym = problem.dense
     n = problem.n_vars
     rngs = [np.random.default_rng([seed, r]) for r in range(n_reads)]
@@ -168,46 +185,64 @@ def _anneal_reads(
     best_state = bits.copy()
 
     # The live state is signs[r, v] = 1 - 2 x[r, v], the sign of both the
-    # energy change and the field update when v flips. Entry (r, v) of a
-    # flat view is r * n + v.
+    # energy change and the field update when v flips.
     signs = 1.0 - 2.0 * bits
     signs_flat = signs.reshape(-1)
     fields_flat = fields.reshape(-1)
-    read_base = (np.arange(n_reads) * n)[:, None]
-    perms = np.empty((n_reads, n), dtype=np.intp)
-    unifs = np.empty((n_reads, n), dtype=np.float64)
+    width = n + _WINDOW
+    entries = np.arange(n_reads * n).reshape(n_reads, n)
+    steps = np.zeros((n_reads, width), dtype=np.intp)
+    unifs = np.full((n_reads, width), 2.0)
+    steps_flat, unifs_flat = steps.reshape(-1), unifs.reshape(-1)
+    window = np.arange(_WINDOW)
     for temperature in temps:
+        # The same streams as rng.permutation(n) and rng.random(n).
         for k, rng in enumerate(rngs):
-            perms[k] = rng.permutation(n)
-            unifs[k] = rng.random(n)
-        # Step-major copies: row `step` holds every read's proposal.
-        flat_steps = np.ascontiguousarray((perms + read_base).T)
-        unif_steps = np.ascontiguousarray(unifs.T)
-        # Every decision priced from the sweep-start state is final up to
-        # the first step at which some read accepts; the lockstep loop
-        # starts there.
-        deltas = signs_flat[flat_steps] * fields_flat[flat_steps]
-        accepts = unif_steps < np.exp(np.minimum(0.0, -deltas / temperature))
-        busy = np.flatnonzero(accepts.any(axis=1))
-        if not busy.size:
+            row = steps[k, :n]
+            row[:] = entries[k]
+            rng.shuffle(row)
+            rng.random(out=unifs[k, :n])
+        flat = steps[:, :n]
+        deltas = signs_flat[flat] * fields_flat[flat]
+        accepts = unifs[:, :n] < np.exp(np.minimum(0.0, -deltas / temperature))
+        live = np.flatnonzero(accepts.any(axis=1))
+        if not live.size:
             continue
-        first = busy[0]
-        for flat, unif in zip(flat_steps[first:], unif_steps[first:]):
+        # at: each live read's next flip where `flips`, else its next window.
+        at = accepts[live].argmax(axis=1)
+        flips = np.ones(live.size, dtype=bool)
+        while True:
+            rows = live[flips]
+            flat = steps_flat[rows * width + at[flips]]
             sign = signs_flat[flat]
             delta = sign * fields_flat[flat]
-            accept = unif < np.exp(np.minimum(0.0, -delta / temperature))
-            if not accept.any():
-                continue
-            rows = np.flatnonzero(accept)
-            flips = flat[rows]
-            flip_sign = sign[rows]
-            signs_flat[flips] = -flip_sign
-            fields[rows] += flip_sign[:, None] * q_sym[flips - rows * n]
-            running[rows] += delta[rows]
-            improved = running < best_energy
-            if improved.any():
+            signs_flat[flat] = -sign
+            # Row by row in place: f + (+-1) q is exactly f +- q, and no
+            # (rows, n) temporaries are made.
+            variables = flat - rows * n
+            for row, var, up in zip(rows.tolist(), variables.tolist(), (sign > 0).tolist()):
+                if up:
+                    fields[row] += q_sym[var]
+                else:
+                    fields[row] -= q_sym[var]
+            running[rows] += delta
+            improved = rows[running[rows] < best_energy[rows]]
+            if improved.size:
                 best_energy[improved] = running[improved]
                 best_state[improved] = signs[improved] < 0.0
+            at += flips
+            stay = at < n
+            if not stay.all():
+                live, at = live[stay], at[stay]
+                if not live.size:
+                    break
+            ahead = (live * width + at)[:, None] + window
+            flat = steps_flat[ahead]
+            deltas = signs_flat[flat] * fields_flat[flat]
+            accepts = unifs_flat[ahead] < np.exp(np.minimum(0.0, -deltas / temperature))
+            first = accepts.argmax(axis=1)
+            flips = accepts[np.arange(live.size), first]
+            at += np.where(flips, first, _WINDOW)
     return best_state
 
 
@@ -340,8 +375,10 @@ class ExhaustiveScan:
 
 
 def window_scale(values: np.ndarray, offset: float) -> float:
-    """Error-window scale of a problem: fsum of its |coefficients| plus |offset|."""
-    return math.fsum(np.abs(values)) + abs(offset)
+    """Error-window scale of a problem: fsum of its |coefficients|, plus
+    |offset| (the fsum of two values is their rounded sum). Raises
+    CoefficientOverflowError past the float range."""
+    return exact_sum((exact_sum(np.abs(values)), abs(offset)))
 
 
 def state_rows(states: np.ndarray, n: int) -> np.ndarray:
@@ -387,7 +424,7 @@ def incremental_delta(problem: QuboProblem, assignment: Assignment, flip: int) -
         )
     h, q_sym = problem.dense
     sign = 1.0 - 2.0 * float(bits[flip])
-    return sign * math.fsum(np.append(q_sym[flip, bits != 0], h[flip]))
+    return sign * exact_sum(np.append(q_sym[flip, bits != 0], h[flip]))
 
 
 def import_samples(problem: QuboProblem, path) -> SampleSet:

@@ -45,6 +45,7 @@ from .qubo import (
     build_full,
     build_physchem_raw,
     energies,
+    exact_sum,
     physchem_diagonal,
 )
 
@@ -266,7 +267,8 @@ class _EnumeratedComplex:
     and each placement's total is the fsum of its fixed terms and its
     `active_sums` of the five maps, the values `energies` would give.
     Invalid window hits, which lead the listing at high lambdas, are
-    scored by `energies` on the assembled problem. The first valid state
+    scored by `energies` on the zero-lambda problem with the five maps put
+    in place of its physicochemical terms. The first valid state
     among the `BRUTE_FORCE_KEEP` lowest (stable order, so ties keep the
     listing order) is the pose `dock` reports; its adjusted RMSD is
     computed once per placement.
@@ -306,14 +308,17 @@ class _EnumeratedComplex:
 
         placement = np.array([self.index.get(state, -1) for state in states.tolist()], dtype=int)
         sums = [active_sums(physchem[name].arrays, self.on) for name in PHYSCHEM_TERMS]
-        totals = np.array([math.fsum(terms) for terms in zip(self.geom, self.penalty, *sums)])
+        totals = np.array([exact_sum(terms) for terms in zip(self.geom, self.penalty, *sums)])
         energy = np.empty(len(states))
         valid = placement >= 0
         energy[valid] = totals[placement[valid]]
         if not valid.all():
-            problem = assemble(self.lig, self.grid, replace(self.hp, lambdas=lambdas))
+            # The term maps `assemble` would build at these lambdas: gamma,
+            # the scales and the penalty do not depend on them. `energies`
+            # reads only the term maps and the offset.
+            scored = replace(base, term_coeffs={**base.term_coeffs, **physchem})
             invalid = state_rows(states[~valid], base.n_vars)
-            energy[~valid] = [e.total for e in energies(problem, invalid)]
+            energy[~valid] = [e.total for e in energies(scored, invalid)]
 
         ranked = placement[np.argsort(energy, kind="stable")[:BRUTE_FORCE_KEEP]]
         ranked = ranked[ranked >= 0]

@@ -26,6 +26,11 @@ class GraphBuildError(QdockError):
     zero-length edge, coincident points)."""
 
 
+class CoefficientOverflowError(QdockError):
+    """Finite QUBO coefficients whose magnitudes sum past the float range,
+    so an exact (fsum) energy or scale cannot be formed."""
+
+
 class NoValidSolutionError(QdockError):
     """No sample decoded to a constraint-satisfying pose.
 

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GraphBuildError, QdockError
+from .errors import CoefficientOverflowError, GraphBuildError, QdockError
 from .grid import GridGraph, build_grid_graph
 from .ligand import LigandGraph, build_ligand_graph
 from .model import ComplexInput
@@ -435,6 +435,17 @@ def energy(problem: QuboProblem, assignment: Assignment) -> EnergyBreakdown:
     return energies(problem, np.asarray(bits).reshape(1, -1))[0]
 
 
+def exact_sum(values) -> float:
+    """math.fsum of coefficient values; CoefficientOverflowError where their
+    partial sums pass the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise CoefficientOverflowError(
+            "QUBO coefficient magnitudes sum past the float range"
+        ) from None
+
+
 # Rows x entries per scoring block: bounds each boolean mask to a few MB.
 _SCORE_CELLS = 1 << 22
 
@@ -454,13 +465,13 @@ def active_sums(arrays: tuple[np.ndarray, ...], on: np.ndarray) -> list[float]:
         seen = block.any(axis=0)
         live = np.flatnonzero(seen.take(a) & seen.take(b))
         if len(block) == 1 or not len(live):
-            sums.extend([math.fsum(values[live].tolist())] * len(block))
+            sums.extend([exact_sum(values[live].tolist())] * len(block))
             continue
         flat = np.flatnonzero(block.take(a[live], axis=1) & block.take(b[live], axis=1))
         row, entry = np.divmod(flat, len(live))
         active = values[live[entry]].tolist()
         ends = np.cumsum(np.bincount(row, minlength=len(block))).tolist()
-        sums.extend(math.fsum(active[s:e]) for s, e in zip([0, *ends], ends))
+        sums.extend(exact_sum(active[s:e]) for s, e in zip([0, *ends], ends))
     return sums
 
 
@@ -476,7 +487,7 @@ def energies(problem: QuboProblem, rows: np.ndarray) -> list[EnergyBreakdown]:
             terms["penalty"] += problem.offset
         elif problem.offset != 0.0:
             terms["offset"] = problem.offset
-        breakdowns.append(EnergyBreakdown(terms=terms, total=math.fsum(terms.values())))
+        breakdowns.append(EnergyBreakdown(terms=terms, total=exact_sum(terms.values())))
     return breakdowns
 
 

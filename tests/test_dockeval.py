@@ -9,6 +9,7 @@ import pytest
 from qdock import (
     AnnealSchedule,
     Assignment,
+    CoefficientOverflowError,
     Hyperparameters,
     InvalidAssignment,
     NoValidSolutionError,
@@ -399,6 +400,17 @@ def test_tuner_raises_when_nothing_decodes():
     sched = AnnealSchedule(n_reads=1, n_sweeps=1, seed=0)
     with pytest.raises(NoValidSolutionError, match="no complex produced a valid pose"):
         greedy_tune([mismatched_complex()], sched, hp_template=Hyperparameters(gamma=1e-6))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_tuner_reports_coefficient_sum_overflow(planted6, exact):
+    # Scale x lambda stays finite at the first weight (0.2), but the
+    # coefficient magnitudes sum past the float range in the exact window
+    # scale and in SA's start energies.
+    template = Hyperparameters(gamma=5.0, component_scales=(1e308,) * 5)
+    sched = AnnealSchedule(n_reads=2, n_sweeps=2)
+    with pytest.raises(CoefficientOverflowError, match="sum past the float range"):
+        greedy_tune([planted6], sched, hp_template=template, exact=exact)
 
 
 def test_tuner_counts_excluded_complexes():

@@ -22,7 +22,7 @@ from qdock import (
     simulated_anneal,
 )
 from qdock import qubo
-from qdock.anneal import _sample_set, resolve_temperatures
+from qdock.anneal import _WINDOW, _sample_set, resolve_temperatures
 
 from test_qubo import complex_docs, hyperparameters
 
@@ -269,6 +269,39 @@ def generated_problem(source):
 def test_annealer_matches_local_field_reference(source, kind, data, seed):
     problem = data.draw(generated_problem(source))
     sched = schedule(problem, kind, seed)
+    expected = reference_document(problem, sched, local_field_reference(problem, sched))
+    assert simulated_anneal(problem, sched).to_dict() == expected
+
+
+def odd_field_qubo(n, seed):
+    """Sparse integer QUBO: odd linear coefficients in [-3, 3] and about two
+    couplings of +-2 per variable. Every local field is odd, so no flip is
+    free: a cold read accepts only downhill flips, and fewer of them each
+    sweep."""
+    rng = np.random.default_rng([n, seed])
+    coeffs = {(a, a): float(2 * rng.integers(-2, 2) + 1) for a in range(n)}
+    for a in range(n):
+        for b in rng.choice(n, 2, replace=False).tolist():
+            if a != b:
+                coeffs[min(a, b), max(a, b)] = float(2 * rng.choice([-1, 1]))
+    return QuboProblem(n_mol=1, n_grid=n, coeffs=coeffs, term_coeffs={"imported": dict(coeffs)})
+
+
+@pytest.mark.parametrize("n_reads", [1, 4])
+@pytest.mark.parametrize("kind", ["hot", "warm", "cold"])
+@pytest.mark.parametrize("n", [_WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 1])
+def test_annealer_matches_local_field_reference_across_window_edges(n, kind, n_reads):
+    # Sizes around the look-ahead window: a window that ends before, at or
+    # past the last step. At 2 _WINDOW + 1 variables, cold and warm reads
+    # (warm accepts an uphill step of 1 with probability e^-4) accept
+    # sparsely, so some scan a whole window without an accept and go on
+    # to a later one in the same sweep.
+    problem = odd_field_qubo(n, n_reads)
+    hot, cold = resolve_temperatures(problem, AnnealSchedule())
+    temperature = {"hot": 10.0 * hot, "warm": 0.25, "cold": cold}[kind]
+    sched = AnnealSchedule(
+        n_reads=n_reads, n_sweeps=8, t_initial=temperature, t_final=temperature, seed=n
+    )
     expected = reference_document(problem, sched, local_field_reference(problem, sched))
     assert simulated_anneal(problem, sched).to_dict() == expected
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qdock import (
     Assignment,
+    CoefficientOverflowError,
     GraphBuildError,
     Hyperparameters,
     brute_force,
@@ -547,6 +548,16 @@ def test_non_finite_message_names_first_entry(
     with expect, pytest.raises(GraphBuildError) as excinfo:
         build_full(complex_input, hp)
     assert str(excinfo.value) == "non-finite QUBO coefficient " + message
+
+
+def test_coefficient_sum_overflow_is_a_domain_error():
+    # Each coefficient is finite; their exact sums are not.
+    coeffs = {(0, 0): 1e308, (1, 1): 1e308, (0, 1): 1e308}
+    problem = QuboProblem(n_mol=1, n_grid=2, coeffs=coeffs, term_coeffs={"imported": coeffs})
+    with pytest.raises(CoefficientOverflowError, match="sum past the float range"):
+        energy(problem, Assignment.from_bits([1, 1]))
+    with pytest.raises(CoefficientOverflowError, match="sum past the float range"):
+        brute_force(problem)
 
 
 def test_subnormal_raw_magnitude_falls_back_to_unit_scale(tiny4_doc):
