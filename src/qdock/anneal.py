@@ -19,15 +19,15 @@ that read, as in dwave-neal's sampler.
 Reads never interact, so each one advances through a sweep on its own,
 from one accepted flip to the next (the per-spin sweep of Isakov et al.,
 Comput. Phys. Commun. 2015, batched over reads). Once a sweep's
-permutations and uniforms are drawn, one array pass prices every
-proposal from the sweep-start state, O(reads x n), and gives each read
-its first accepted step; a read with none is done for that sweep. Each
-loop iteration then flips every read that has a next accept, and every
-read still in the sweep prices the next `_WINDOW` steps from its own
-state to find its next accept. A sweep thus costs that pass plus about
-O(flips x n + scanned steps), and its loop runs about as many times as
-the busiest read flips, not once per step. The late, cold sweeps, where
-almost every proposal is rejected, cost the one pass and little more.
+permutations and uniforms are drawn, every read starts at step 0. Each
+loop iteration prices each read's next steps from its own state, all n
+of them in the first iteration, O(reads x n), and `_WINDOW` after that;
+it then flips every read that found an accept, and a read that has
+passed step n is done for the sweep. A sweep thus costs that first pass
+plus about O(flips x n + scanned steps), and its loop runs about as many
+times as the busiest read flips, not once per step. The late, cold
+sweeps, where almost every proposal is rejected, cost the first pass and
+little more.
 
 All three solvers turn bit rows into a SampleSet through `_sample_set`:
 SA's best state per read, brute force's candidate listing (see
@@ -161,13 +161,14 @@ def _anneal_reads(
 
     A sweep's proposals sit in a read's row in step order, as flat entry
     indices r * n + v with their uniforms, padded after step n by
-    `_WINDOW` steps whose uniform of 2.0 never accepts. The sweep-start
-    pass gives each read its first accepted step. Each loop iteration then
-    flips every read that has a next accept, and every read left in the
-    sweep prices the next `_WINDOW` steps of its row from its own state:
-    from the step after its flip, or from where its last window ended if
-    that one held no accept. A read's state changes only at its own flips,
-    so each decision is the one a step-by-step sweep would make.
+    `_WINDOW` steps whose uniform of 2.0 never accepts. Every read starts
+    the sweep at step 0. Each loop iteration prices each live read's next
+    span of steps from its own state, n steps in the sweep's first
+    iteration and `_WINDOW` in every later one, and flips every read whose
+    span held an accept at its first one; the read then resumes at the
+    step after its flip, or where its span ended if the span held none.
+    A read's state changes only at its own flips, so each decision is the
+    one a step-by-step sweep would make.
     """
     h, q_sym = problem.dense
     n = problem.n_vars
@@ -183,6 +184,9 @@ def _anneal_reads(
         fields[k] = h + q_sym[bits[k] != 0].sum(axis=0)
     best_energy = running.copy()
     best_state = bits.copy()
+    if not n:
+        # No variables, so no proposals (and no step to start a sweep at).
+        return best_state
 
     # The live state is signs[r, v] = 1 - 2 x[r, v], the sign of both the
     # energy change and the field update when v flips.
@@ -194,7 +198,7 @@ def _anneal_reads(
     steps = np.zeros((n_reads, width), dtype=np.intp)
     unifs = np.full((n_reads, width), 2.0)
     steps_flat, unifs_flat = steps.reshape(-1), unifs.reshape(-1)
-    window = np.arange(_WINDOW)
+    reads = np.arange(n_reads)
     for temperature in temps:
         # The same streams as rng.permutation(n) and rng.random(n).
         for k, rng in enumerate(rngs):
@@ -202,47 +206,39 @@ def _anneal_reads(
             row[:] = entries[k]
             rng.shuffle(row)
             rng.random(out=unifs[k, :n])
-        flat = steps[:, :n]
-        deltas = signs_flat[flat] * fields_flat[flat]
-        accepts = unifs[:, :n] < np.exp(np.minimum(0.0, -deltas / temperature))
-        live = np.flatnonzero(accepts.any(axis=1))
-        if not live.size:
-            continue
-        # at: each live read's next flip where `flips`, else its next window.
-        at = accepts[live].argmax(axis=1)
-        flips = np.ones(live.size, dtype=bool)
-        while True:
-            rows = live[flips]
-            flat = steps_flat[rows * width + at[flips]]
-            sign = signs_flat[flat]
-            delta = sign * fields_flat[flat]
-            signs_flat[flat] = -sign
-            # Row by row in place: f + (+-1) q is exactly f +- q, and no
-            # (rows, n) temporaries are made.
-            variables = flat - rows * n
-            for row, var, up in zip(rows.tolist(), variables.tolist(), (sign > 0).tolist()):
-                if up:
-                    fields[row] += q_sym[var]
-                else:
-                    fields[row] -= q_sym[var]
-            running[rows] += delta
-            improved = rows[running[rows] < best_energy[rows]]
-            if improved.size:
-                best_energy[improved] = running[improved]
-                best_state[improved] = signs[improved] < 0.0
-            at += flips
-            stay = at < n
-            if not stay.all():
-                live, at = live[stay], at[stay]
-                if not live.size:
-                    break
-            ahead = (live * width + at)[:, None] + window
+        # at: each live read's next step to price.
+        live, at, span = reads, np.zeros(n_reads, dtype=np.intp), n
+        while live.size:
+            ahead = (live * width + at)[:, None] + np.arange(span)
             flat = steps_flat[ahead]
             deltas = signs_flat[flat] * fields_flat[flat]
             accepts = unifs_flat[ahead] < np.exp(np.minimum(0.0, -deltas / temperature))
             first = accepts.argmax(axis=1)
             flips = accepts[np.arange(live.size), first]
-            at += np.where(flips, first, _WINDOW)
+            at += np.where(flips, first, span)
+            span = _WINDOW
+            if flips.any():
+                rows = live[flips]
+                flat = steps_flat[rows * width + at[flips]]
+                sign = signs_flat[flat]
+                delta = sign * fields_flat[flat]
+                signs_flat[flat] = -sign
+                # Row by row in place: f + (+-1) q is exactly f +- q, and no
+                # (rows, n) temporaries are made.
+                variables = flat - rows * n
+                for row, var, up in zip(rows.tolist(), variables.tolist(), (sign > 0).tolist()):
+                    if up:
+                        fields[row] += q_sym[var]
+                    else:
+                        fields[row] -= q_sym[var]
+                running[rows] += delta
+                improved = rows[running[rows] < best_energy[rows]]
+                if improved.size:
+                    best_energy[improved] = running[improved]
+                    best_state[improved] = signs[improved] < 0.0
+                at += flips
+            stay = at < n
+            live, at = live[stay], at[stay]
     return best_state
 
 

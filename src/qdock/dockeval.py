@@ -6,12 +6,11 @@ coordinates. Scoring is always against the experimental ligand coordinates
 carried by the problem, matched by atom id with no realignment.
 
 The greedy tuner scores each candidate set of lambdas by docking every
-complex. With exact=True it does not call `dock`: the lambda-free parts
-(the zero-lambda problem, the exhaustive scan's half tables and the
-valid placements with their geom and penalty terms) are built once per
-complex, and each evaluation redoes only the physicochemical diagonal,
-the scan and the listing. It reports what `dock(exact=True)` would, down
-to the tie order (see `_EnumeratedComplex`).
+complex on the problem `qubo.with_lambdas` makes from its zero-lambda
+problem, which is built once. With exact=True the exhaustive scan's
+half tables and the valid placements are built once too, and each
+evaluation redoes only the scan and the listing, reporting what
+`dock(exact=True)` would down to the tie order (see `_EnumeratedComplex`).
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from .anneal import (
     window_scale,
 )
 from .errors import NoValidSolutionError
-from .grid import GridGraph, build_grid_graph
-from .ligand import LigandGraph, build_ligand_graph
+from .grid import build_grid_graph
+from .ligand import build_ligand_graph
 from .model import ComplexInput
 from .qubo import (
     PHYSCHEM_TERMS,
@@ -46,7 +45,7 @@ from .qubo import (
     build_physchem_raw,
     energies,
     exact_sum,
-    physchem_diagonal,
+    with_lambdas,
 )
 
 TUNER_WEIGHTS = (0.2, 0.5, 1.0, 2.0, 5.0)
@@ -254,71 +253,53 @@ class TunerResult:
 
 
 class _EnumeratedComplex:
-    """One complex's `dock(exact=True)` as a function of the lambdas.
+    """One complex's `dock(exact=True)` as a function of its problem at
+    the evaluated lambdas.
 
     Geometry, the penalty, gamma, the scales and the decode context do not
-    depend on the lambdas, and a valid pose's penalty is exactly 0. So one
-    `assemble` at zero lambdas, the raw physicochemical tables, the
-    `ExhaustiveScan` (half tables, cross factor and valid placements) and
-    each placement's geom and penalty terms are built once per complex.
-    An evaluation redoes only the lambda-dependent diagonal:
-    `physchem_diagonal` gives the linear vector and the five term maps,
-    `ExhaustiveScan.candidates` lists the states brute force would list,
-    and each placement's total is the fsum of its fixed terms and its
-    `active_sums` of the five maps, the values `energies` would give.
-    Invalid window hits, which lead the listing at high lambdas, are
-    scored by `energies` on the zero-lambda problem with the five maps put
-    in place of its physicochemical terms. The first valid state
-    among the `BRUTE_FORCE_KEEP` lowest (stable order, so ties keep the
-    listing order) is the pose `dock` reports; its adjusted RMSD is
-    computed once per placement.
+    depend on the lambdas, and a valid pose's penalty is exactly 0. So the
+    `ExhaustiveScan` of the zero-lambda problem (half tables, cross factor
+    and valid placements) and each placement's geom and penalty terms are
+    built once per complex. An evaluation reads the problem `with_lambdas`
+    gave: `ExhaustiveScan.candidates` lists the states brute force would
+    list from its linear vector and window scale, and each placement's
+    total is the fsum of its fixed terms and its `active_sums` of the five
+    physicochemical maps, the values `energies` would give. Invalid window
+    hits, which lead the listing at high lambdas, are scored by `energies`
+    on the problem itself. The first valid state among the
+    `BRUTE_FORCE_KEEP` lowest (stable order, so ties keep the listing
+    order) is the pose `dock` reports; its adjusted RMSD is computed once
+    per placement.
     """
 
-    def __init__(self, lig: LigandGraph, grid: GridGraph, hp: Hyperparameters):
-        self.lig, self.grid, self.hp = lig, grid, hp
-        self.base = assemble(lig, grid, replace(hp, lambdas=(0.0,) * 5))
-        self.scan = ExhaustiveScan.of(self.base)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.raw = build_physchem_raw(lig, grid)
-        a, b, values = self.base.coeffs.arrays
-        self.couplings = values[a != b]
-        a, b, values = self.base.term_coeffs["penalty"].arrays
-        self.penalty_diagonal = values[a == b]
+    def __init__(self, base: QuboProblem):
+        self.base = base
+        self.scan = ExhaustiveScan.of(base)
         placements = self.scan.placements
-        self.rows = state_rows(placements, self.base.n_vars)
+        self.rows = state_rows(placements, base.n_vars)
         self.on = self.rows != 0
-        fixed = energies(self.base, self.rows)
+        fixed = energies(base, self.rows)
         self.geom = [e.terms["geom"] for e in fixed]
         self.penalty = [e.terms["penalty"] for e in fixed]
         self.index = {state: k for k, state in enumerate(placements.tolist())}
         self.adjusted: dict[int, float] = {}
 
-    def adjusted_rmsd(self, lambdas: tuple) -> float | None:
-        """The adjusted RMSD `dock(exact=True)` reports at `lambdas`, or
-        None where it raises NoValidSolutionError."""
-        base = self.base
-        physchem, diagonal = physchem_diagonal(
-            self.raw, base.scales, lambdas, self.penalty_diagonal
-        )
-        if not np.isfinite(diagonal).all():
-            # assemble raises the GraphBuildError that names the entry.
-            assemble(self.lig, self.grid, replace(self.hp, lambdas=lambdas))
-        scale = window_scale(np.concatenate([self.couplings, diagonal]), base.offset)
-        states = self.scan.candidates(diagonal, scale)
+    def adjusted_rmsd(self, problem: QuboProblem) -> float | None:
+        """The adjusted RMSD `dock(exact=True)` reports for `problem`, which
+        `with_lambdas` made from the base problem, or None where it raises
+        NoValidSolutionError."""
+        scale = window_scale(problem.coeffs.arrays[2], problem.offset)
+        states = self.scan.candidates(problem.dense[0], scale)
 
         placement = np.array([self.index.get(state, -1) for state in states.tolist()], dtype=int)
-        sums = [active_sums(physchem[name].arrays, self.on) for name in PHYSCHEM_TERMS]
+        sums = [active_sums(problem.term_coeffs[name].arrays, self.on) for name in PHYSCHEM_TERMS]
         totals = np.array([exact_sum(terms) for terms in zip(self.geom, self.penalty, *sums)])
         energy = np.empty(len(states))
         valid = placement >= 0
         energy[valid] = totals[placement[valid]]
         if not valid.all():
-            # The term maps `assemble` would build at these lambdas: gamma,
-            # the scales and the penalty do not depend on them. `energies`
-            # reads only the term maps and the offset.
-            scored = replace(base, term_coeffs={**base.term_coeffs, **physchem})
-            invalid = state_rows(states[~valid], base.n_vars)
-            energy[~valid] = [e.total for e in energies(scored, invalid)]
+            invalid = state_rows(states[~valid], problem.n_vars)
+            energy[~valid] = [e.total for e in energies(problem, invalid)]
 
         ranked = placement[np.argsort(energy, kind="stable")[:BRUTE_FORCE_KEEP]]
         ranked = ranked[ranked >= 0]
@@ -326,6 +307,7 @@ class _EnumeratedComplex:
             return None
         best = int(ranked[0])
         if best not in self.adjusted:
+            base = self.base
             pose = decode(Assignment(self.rows[best]), base)
             self.adjusted[best] = adjusted_rmsd(pose, base.experimental_coords, base.grid_positions)
         return self.adjusted[best]
@@ -360,12 +342,13 @@ def greedy_tune(
     entry's `excluded`; the mean is None when every complex is.
 
     Each evaluation's mean is what docking each complex at its lambdas
-    gives. With SA, every evaluation assembles and anneals each complex.
-    With exact=True, each complex's lambda-free parts (its zero-lambda
-    problem, the exhaustive scan's half tables, and its valid placements
-    with their geom and penalty terms) are built once, and an evaluation
-    redoes only the physicochemical diagonal, the scan and the listing
-    (see `_EnumeratedComplex`).
+    gives. Each complex's zero-lambda problem and raw physicochemical
+    tables are built once; an evaluation checks its lambdas as
+    Hyperparameters does and weights the tables with `with_lambdas`.
+    With exact=True the exhaustive scan's half tables and each complex's
+    valid placements with their geom and penalty terms are built once
+    too, and an evaluation redoes only the scan and the listing (see
+    `_EnumeratedComplex`).
     n_threads is accepted for compatibility and has no effect.
     """
     if not dataset:
@@ -373,18 +356,24 @@ def greedy_tune(
     if hp_template is None:
         hp_template = Hyperparameters()
     weights = tuple(sorted(weights))
-    graphs = [(cx, build_ligand_graph(cx), build_grid_graph(cx)) for cx in dataset]
-    if exact:
-        enumerated = [_EnumeratedComplex(lig, grid, hp_template) for _, lig, grid in graphs]
+    zero = replace(hp_template, lambdas=(0.0,) * 5)
+    complexes = []
+    for cx in dataset:
+        lig, grid = build_ligand_graph(cx), build_grid_graph(cx)
+        base = assemble(lig, grid, zero)
+        complexes.append((cx, base, build_physchem_raw(lig, grid),
+                          _EnumeratedComplex(base) if exact else None))
 
     def adjusted_rmsds(lambdas: tuple) -> list[float | None]:
-        if exact:
-            return [c.adjusted_rmsd(lambdas) for c in enumerated]
-        hp = replace(hp_template, lambdas=lambdas)
+        lambdas = replace(hp_template, lambdas=lambdas).lambdas
         values = []
-        for cx, lig, grid in graphs:
+        for cx, base, raw, enumerated in complexes:
+            problem = with_lambdas(base, raw, lambdas)
+            if exact:
+                values.append(enumerated.adjusted_rmsd(problem))
+                continue
             try:
-                report = _solve_and_report(assemble(lig, grid, hp), sched, False, cx.name)
+                report = _solve_and_report(problem, sched, False, cx.name)
             except NoValidSolutionError:
                 values.append(None)
             else:

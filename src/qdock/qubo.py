@@ -19,6 +19,10 @@ coefficient to the largest geometric coefficient, so the lambda weights
 compare like with like; where either magnitude is zero, or the ratio is
 not finite, the scale is 1.0.
 
+`assemble` builds the lambda-free terms and ends in `with_lambdas`, the
+one function that weights the physicochemical tables; the tuner calls it
+alone on each complex's zero-lambda problem.
+
 Each term is computed as arrays over the ligand edges, the grid distance
 matrix and the grid color vectors, and kept as (a, b, value) arrays with
 zero entries dropped. Those arrays and the summed map's are the model:
@@ -33,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -142,15 +146,15 @@ class Hyperparameters:
     def __post_init__(self):
         if len(self.lambdas) != 5:
             raise ValueError("lambdas must have exactly 5 entries")
-        if any(lam < 0 for lam in self.lambdas):
-            raise ValueError("lambdas must be non-negative")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not all(0 <= lam < math.inf for lam in self.lambdas):
+            raise ValueError("lambdas must be non-negative and finite")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if self.component_scales is not None:
             if len(self.component_scales) != 5:
                 raise ValueError("component_scales must have exactly 5 entries")
-            if any(not s > 0 for s in self.component_scales):
-                raise ValueError("component_scales must be positive")
+            if not all(0 < s < math.inf for s in self.component_scales):
+                raise ValueError("component_scales must be positive and finite")
 
 
 @dataclass
@@ -288,18 +292,20 @@ def build_penalty(n_mol: int, n_grid: int, gamma: float) -> tuple[CoeffMap, floa
 
 def build_physchem_raw(lig: LigandGraph, grid: GridGraph) -> dict[str, np.ndarray]:
     """Unscaled physicochemical tables (lambda- and scale-free), each
-    (n_mol, n_grid): entry (i, j) belongs to variable i n_grid + j."""
+    (n_mol, n_grid): entry (i, j) belongs to variable i n_grid + j. Extreme
+    inputs can overflow here; `with_lambdas` names the non-finite entry."""
     atoms = lig.atoms
     charge = np.array([atom.charge for atom in atoms], dtype=float)[:, None]
     types = [atom.type_index for atom in atoms]
     flags = np.array([(a.hbond_acceptor, a.hbond_donor, a.hydrophobic) for a in atoms]).T
-    return {
-        "el": charge * grid.coulomb,
-        "vdw": grid.lj[:, types].T,
-        "hba": -(flags[0, :, None] * grid.hb_acceptor).astype(float),
-        "hbd": -(flags[1, :, None] * grid.hb_donor).astype(float),
-        "hydro": -(flags[2, :, None] * grid.hydrophobic).astype(float),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {
+            "el": charge * grid.coulomb,
+            "vdw": grid.lj[:, types].T,
+            "hba": -(flags[0, :, None] * grid.hb_acceptor).astype(float),
+            "hbd": -(flags[1, :, None] * grid.hb_donor).astype(float),
+            "hydro": -(flags[2, :, None] * grid.hydrophobic).astype(float),
+        }
 
 
 def resolve_scales(hp: Hyperparameters, geom: np.ndarray, raw: dict[str, np.ndarray]) -> tuple:
@@ -328,26 +334,6 @@ def resolve_gamma(hp: Hyperparameters, geom: np.ndarray) -> float:
     return float(10.0 * geom_magnitude) if geom_magnitude > 0.0 else 1.0
 
 
-def physchem_diagonal(
-    raw: dict[str, np.ndarray], scales: tuple, lambdas: tuple, diagonal: np.ndarray
-) -> tuple[dict[str, CoeffMap], np.ndarray]:
-    """The physicochemical term maps at `lambdas`, and `diagonal` with them
-    added. Each term's table is raw * (scale * lambda) where raw is nonzero
-    and 0.0 elsewhere, in variable order; its map drops the zero products
-    (-0.0 at lambda 0 too). The tables are added to a copy of `diagonal`
-    one by one in PHYSCHEM_TERMS order, which fixes the rounding of every
-    linear coefficient. Overflow is left to the caller's finite checks."""
-    variables = np.arange(len(diagonal))
-    summed = diagonal.copy()
-    terms = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, scale, lam in zip(PHYSCHEM_TERMS, scales, lambdas):
-            table = np.where(raw[name] != 0.0, raw[name] * (scale * lam), 0.0).ravel()
-            terms[name] = CoeffMap.nonzero(variables, variables, table)
-            summed += table
-    return terms, summed
-
-
 def build_full(complex_input: ComplexInput, hp: Hyperparameters) -> QuboProblem:
     """Assemble the complete Hamiltonian for a complex."""
     lig = build_ligand_graph(complex_input)
@@ -374,49 +360,66 @@ def _reject_non_finite(a, b, values: np.ndarray, term_coeffs: dict[str, CoeffMap
         )
 
 
-def assemble(lig: LigandGraph, grid: GridGraph, hp: Hyperparameters) -> QuboProblem:
-    """Combine the term arrays into a QuboProblem from prebuilt graphs. No
-    other term shares a geom key, and the penalty holds every other key,
-    whose diagonal adds the scaled physicochemical tables in order. The
-    summed map is the nonzero geom entries, then every penalty key."""
-    n_mol, n_grid = lig.n_atoms, grid.n_points
-    geom_a, geom_b, geom_values = build_distortion(lig, grid)
-    gamma = resolve_gamma(hp, geom_values)
-    a, b, penalty_values = _penalty_entries(n_mol, n_grid, gamma)
-    term_coeffs: dict[str, CoeffMap] = {
-        "geom": CoeffMap.nonzero(geom_a, geom_b, geom_values),
-        "penalty": CoeffMap(a, b, penalty_values),
-    }
-    summed = penalty_values.copy()
+def with_lambdas(problem: QuboProblem, raw: dict[str, np.ndarray], lambdas) -> QuboProblem:
+    """The whole problem at `lambdas`, from the lambda-free parts of a
+    problem `assemble` built (geom and penalty maps, gamma, scales, offset,
+    decode context) and its complex's `build_physchem_raw` tables.
+
+    Each term's table is raw * (scale * lambda) where raw is nonzero and
+    0.0 elsewhere, in variable order; its map drops the zero products
+    (-0.0 at lambda 0 too). The penalty diagonal (in variable order) adds
+    the tables one by one in PHYSCHEM_TERMS order, which fixes the rounding
+    of every linear coefficient. The summed map is the nonzero geom
+    entries, then every penalty key. Raises GraphBuildError naming the
+    first non-finite coefficient, or a non-finite offset.
+    """
+    a, b, values = problem.term_coeffs["penalty"].arrays
     linear = a == b
-    # Extreme inputs can overflow here; the finite checks below name the entry.
+    variables = np.arange(problem.n_vars)
+    diagonal = values[linear]
+    term_coeffs = {name: problem.term_coeffs[name] for name in ("geom", "penalty")}
+    # Extreme weights can overflow here; the finite checks below name the entry.
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = build_physchem_raw(lig, grid)
-        scales = resolve_scales(hp, geom_values, raw)
-    physchem, diagonal = physchem_diagonal(raw, scales, hp.lambdas, penalty_values[linear])
-    term_coeffs.update(physchem)
+        for name, scale, lam in zip(PHYSCHEM_TERMS, problem.scales, lambdas):
+            table = np.where(raw[name] != 0.0, raw[name] * (scale * lam), 0.0).ravel()
+            term_coeffs[name] = CoeffMap.nonzero(variables, variables, table)
+            diagonal += table
+    summed = values.copy()
     summed[linear] = diagonal
     geom = term_coeffs["geom"].arrays
     coeffs = CoeffMap(*(np.concatenate(pair) for pair in zip(geom, (a, b, summed))))
     _reject_non_finite(*coeffs.arrays, term_coeffs)
-    offset = gamma * n_mol
-    if not math.isfinite(offset):
-        raise GraphBuildError(f"non-finite QUBO penalty offset {offset!r}")
+    if not math.isfinite(problem.offset):
+        raise GraphBuildError(f"non-finite QUBO penalty offset {problem.offset!r}")
+    return replace(problem, coeffs=coeffs, term_coeffs=term_coeffs, lambdas=tuple(lambdas))
 
-    return QuboProblem(
+
+def assemble(lig: LigandGraph, grid: GridGraph, hp: Hyperparameters) -> QuboProblem:
+    """Combine the term arrays into a QuboProblem from prebuilt graphs:
+    the lambda-free geom and penalty terms, gamma and the scales, then
+    `with_lambdas` at hp.lambdas."""
+    n_mol, n_grid = lig.n_atoms, grid.n_points
+    geom_a, geom_b, geom_values = build_distortion(lig, grid)
+    gamma = resolve_gamma(hp, geom_values)
+    penalty = CoeffMap(*_penalty_entries(n_mol, n_grid, gamma))
+    geom = CoeffMap.nonzero(geom_a, geom_b, geom_values)
+    raw = build_physchem_raw(lig, grid)
+    scales = resolve_scales(hp, geom_values, raw)
+    # `with_lambdas` builds the summed map, so this half carries none.
+    lambda_free = QuboProblem(
         n_mol=n_mol,
         n_grid=n_grid,
-        coeffs=coeffs,
-        term_coeffs=term_coeffs,
-        offset=offset,
+        coeffs={},
+        term_coeffs={"geom": geom, "penalty": penalty},
+        offset=gamma * n_mol,
         gamma=gamma,
-        lambdas=tuple(hp.lambdas),
         scales=scales,
         atom_ids=[atom.id for atom in lig.atoms],
         grid_ids=list(grid.point_ids),
         grid_positions=grid.positions,
         experimental_coords=np.array([atom.position for atom in lig.atoms], dtype=float),
     )
+    return with_lambdas(lambda_free, raw, hp.lambdas)
 
 
 def energy(problem: QuboProblem, assignment: Assignment) -> EnergyBreakdown:

@@ -118,6 +118,9 @@ def test_empty_problem():
     assert len(exact) == 1
     assert exact.best.energy == 2.5
     assert exact.best.assignment.to_string() == ""
+    sa = simulated_anneal(problem, AnnealSchedule(n_reads=3, n_sweeps=5))
+    assert [sample.assignment.to_string() for sample in sa] == [""] * 3
+    assert sa.best.energy == 2.5
 
 
 def test_brute_force_variable_cap():

@@ -111,6 +111,20 @@ def test_non_finite_coefficients_exit_without_traceback(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--lambdas", "0,0,nan,0,0", "--gamma", "5"], ["--lambdas", "0,0,0,0,inf"], ["--gamma", "inf"]],
+    ids=["nan-lambda", "inf-lambda", "inf-gamma"],
+)
+def test_non_finite_weights_exit_without_output(capsys, flags):
+    # planted6 has no H-bond acceptor signal, so a NaN weight on hba would
+    # otherwise reach only the report's metadata.
+    code, out, err = run(capsys, ["dock", "--complex", str(PLANTED6), "--exact", *flags])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "and finite" in err and "NaN" not in err
+
+
 @pytest.mark.parametrize("command", ["build", "dock"])
 def test_far_coordinate_exits_without_traceback(tmp_path, command):
     doc = json.loads(TINY4.read_text())

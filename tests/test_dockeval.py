@@ -430,9 +430,22 @@ def test_tuner_counts_excluded_complexes():
     assert doc["lambdas"] == list(result.lambdas)
 
 
-@pytest.fixture(scope="module")
-def tuned_pair(planted6):
-    """greedy_tune(exact=True) on planted6 and the matched chain, with
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("weight", [-1.0, math.nan])
+def test_tuner_rejects_weights_that_are_not_lambdas(planted6, exact, weight):
+    sched = AnnealSchedule(n_reads=2, n_sweeps=2)
+    template = Hyperparameters(gamma=5.0)
+    with pytest.raises(ValueError, match="lambdas must be non-negative and finite"):
+        greedy_tune([planted6], sched, weights=(weight,), hp_template=template, exact=exact)
+
+
+# The tuner's schedule and the re-dock's: exact tuning ignores it.
+TUNED_PAIR_SCHEDULE = AnnealSchedule(n_reads=4, n_sweeps=30, seed=3)
+
+
+@pytest.fixture(scope="module", params=[True, False], ids=["exact", "sa"])
+def tuned_pair(request, planted6):
+    """greedy_tune on planted6 and the matched chain, exactly or by SA, with
     build_grid_graph counted where qdock.dockeval looks it up."""
     colourings = []
     build_grid_graph = dockeval.build_grid_graph
@@ -445,23 +458,30 @@ def tuned_pair(planted6):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dockeval, "build_grid_graph", counting)
         result = greedy_tune(
-            dataset, AnnealSchedule(), hp_template=Hyperparameters(gamma=5.0), exact=True
+            dataset,
+            TUNED_PAIR_SCHEDULE,
+            hp_template=Hyperparameters(gamma=5.0),
+            exact=request.param,
         )
-    return dataset, result, colourings
+    return dataset, request.param, result, colourings
 
 
 def test_tuner_colours_each_complex_once(tuned_pair):
-    dataset, result, colourings = tuned_pair
+    dataset, _, result, colourings = tuned_pair
     assert len(result.trace) > len(dataset)
     assert len(colourings) == len(dataset)
     assert all(coloured is cx for coloured, cx in zip(colourings, dataset))
 
 
 def test_tuner_trace_matches_docking_each_complex(tuned_pair):
-    dataset, result, _ = tuned_pair
-    sched = AnnealSchedule()
+    dataset, exact, result, _ = tuned_pair
     for entry in result.trace:
         hp = Hyperparameters(lambdas=tuple(entry["lambdas"]), gamma=5.0)
-        values = [dock(cx, hp, sched, exact=True).adjusted_rmsd for cx in dataset]
-        assert entry["excluded"] == 0
-        assert entry["mean_adjusted_rmsd"] == sum(values) / len(values)
+        values = []
+        for cx in dataset:
+            try:
+                values.append(dock(cx, hp, TUNED_PAIR_SCHEDULE, exact=exact).adjusted_rmsd)
+            except NoValidSolutionError:
+                assert not exact
+        assert entry["excluded"] == len(dataset) - len(values)
+        assert entry["mean_adjusted_rmsd"] == (sum(values) / len(values) if values else None)

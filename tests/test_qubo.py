@@ -27,7 +27,15 @@ from qdock import (
     parse_complex,
     report_from_samples,
 )
-from qdock.qubo import PHYSCHEM_TERMS, TERM_NAMES, CoeffMap, QuboProblem
+from qdock.qubo import (
+    PHYSCHEM_TERMS,
+    TERM_NAMES,
+    CoeffMap,
+    QuboProblem,
+    assemble,
+    build_physchem_raw,
+    with_lambdas,
+)
 from qdock.qubofile import export_qubo, import_qubo
 
 from conftest import PLANTED6_DECOY, PLANTED6_PLANTED, TINY4_PLANTED, index_mapping
@@ -382,6 +390,36 @@ hyperparameters = st.builds(
 @given(doc=complex_docs(), hp=hyperparameters)
 def test_generated_assembly_matches_per_entry_reference(doc, hp):
     assert_matches_per_entry_reference(parse_complex(doc), hp)
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    doc=complex_docs(),
+    hp=hyperparameters,
+    lambdas=st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1e4))] * 5),
+)
+def test_with_lambdas_equals_assembly_at_those_lambdas(doc, hp, lambdas):
+    """Weighting the zero-lambda problem gives the problem `assemble`
+    builds at the lambdas, bit for bit and in key order."""
+    cx = parse_complex(doc)
+    lig, grid = build_ligand_graph(cx), build_grid_graph(cx)
+    expected = assemble(lig, grid, dataclasses.replace(hp, lambdas=lambdas))
+    zero = assemble(lig, grid, dataclasses.replace(hp, lambdas=(0.0,) * 5))
+    built = with_lambdas(zero, build_physchem_raw(lig, grid), lambdas)
+    assert list(built.term_coeffs) == list(expected.term_coeffs) == list(TERM_NAMES)
+    maps = zip([built.coeffs, *built.term_coeffs.values()],
+               [expected.coeffs, *expected.term_coeffs.values()])
+    for got, want in maps:
+        assert all(same_bits(x, y) for x, y in zip(got.arrays, want.arrays))
+    assert (built.gamma, built.scales, built.offset, built.lambdas) == (
+        expected.gamma, expected.scales, expected.offset, expected.lambdas)
+    assert (built.atom_ids, built.grid_ids) == (expected.atom_ids, expected.grid_ids)
+    assert same_bits(built.grid_positions, expected.grid_positions)
+    assert same_bits(built.experimental_coords, expected.experimental_coords)
 
 
 # SHA-256 of `export_qubo` bytes, recorded before the term maps were built
@@ -788,6 +826,13 @@ def test_hyperparameter_validation():
         Hyperparameters(gamma=0.0)
     with pytest.raises(ValueError, match="positive"):
         Hyperparameters(component_scales=(1.0, 1.0, 0.0, 1.0, 1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambdas must be non-negative and finite"):
+            Hyperparameters(lambdas=(0, 0, bad, 0, 0))
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            Hyperparameters(gamma=bad)
+        with pytest.raises(ValueError, match="component_scales must be positive and finite"):
+            Hyperparameters(component_scales=(1.0, bad, 1.0, 1.0, 1.0))
 
 
 def test_assignment_round_trip_and_equality():
