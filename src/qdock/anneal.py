@@ -52,6 +52,11 @@ from .qubo import Assignment, QuboProblem, active_sums, energies, exact_sum
 
 BRUTE_FORCE_MAX_VARS = 24
 BRUTE_FORCE_KEEP = 32
+# The split scan's cross-table values held at once (8 MB of float64), its
+# bound's blocks of low-half states per row, and its most window hits.
+_CHUNK_ENTRIES = 1 << 20
+_BOUND_BLOCKS = 16
+_MAX_HITS = 65536
 TEMPERATURE_FLOOR = 1e-6
 # Steps a read prices ahead per event-loop iteration.
 _WINDOW = 64
@@ -296,8 +301,14 @@ class ExhaustiveScan:
     energies, the (2^n_lo, n_hi) factor bits_lo @ U[lo, hi], and, for a
     problem with decode context, every constraint-satisfying state (one
     point per atom, injective) in `itertools.permutations` order of the
-    placements. An imported problem has no placements. Nothing here is
-    2^n-sized; at 24 variables the halves hold 4096 rows each.
+    placements. An imported problem has no placements.
+
+    `of` also walks the cross table bits_hi @ cross.T in row chunks (see
+    `cross_rows`) and keeps `cross_min[k, s_hi]`, the minimum of row s_hi
+    over the k-th of `_BOUND_BLOCKS` contiguous blocks of low-half states
+    (keyed by the top bits of s_lo), and each placement's own cross value.
+    Nothing here is 2^n-sized; at 24 variables the halves hold 4096 rows
+    each and `cross_min` 16 x 4096 values.
 
     `candidates(h, scale)` finishes the scan for one linear vector; a
     caller whose coefficients change only on the diagonal (the tuner's
@@ -310,6 +321,8 @@ class ExhaustiveScan:
     quad_hi: np.ndarray
     cross: np.ndarray
     placements: np.ndarray
+    cross_min: np.ndarray
+    placement_cross: np.ndarray
 
     @classmethod
     def of(cls, problem: QuboProblem) -> "ExhaustiveScan":
@@ -330,6 +343,7 @@ class ExhaustiveScan:
 
         bits_lo, quad_lo = half(lo)
         bits_hi, quad_hi = half(hi)
+        cross = bits_lo @ q_upper[lo, hi]
         placements = np.zeros(0, dtype=np.int64)
         if problem.has_decode_context():
             n_grid = problem.n_grid
@@ -340,34 +354,95 @@ class ExhaustiveScan:
                 ),
                 dtype=np.int64,
             )
-        return cls(bits_lo, bits_hi, quad_lo, quad_hi, bits_lo @ q_upper[lo, hi], placements)
+
+        n_rows, n_cols = len(bits_hi), len(bits_lo)
+        blocks = min(_BOUND_BLOCKS, n_cols)
+        placement_row, placement_col = placements >> (n // 2), placements & (n_cols - 1)
+        cross_min = np.empty((blocks, n_rows))
+        placement_cross = np.empty(len(placements))
+        for start, product in cross_rows(bits_hi, cross, np.arange(n_rows)):
+            stop = start + len(product)
+            cross_min[:, start:stop] = product.reshape(len(product), blocks, -1).min(axis=2).T
+            inside = (placement_row >= start) & (placement_row < stop)
+            placement_cross[inside] = product[placement_row[inside] - start, placement_col[inside]]
+        return cls(
+            bits_lo, bits_hi, quad_lo, quad_hi, cross, placements, cross_min, placement_cross
+        )
 
     def candidates(self, h: np.ndarray, scale: float) -> np.ndarray:
         """State indices to re-score for linear vector h.
 
-        One matrix product gives the cross term of every (high, low) pair
-        as a (2^n_hi, 2^n_lo) float array; the half energies are added to
-        it in place, and row s_hi, column s_lo is state s_hi * 2^n_lo +
-        s_lo. That array (128 MB at 24 variables) and the boolean window
-        mask over it are the only 2^n-sized allocations, and neither
-        outlives the call. First come the states whose scanned energy lies
-        within 1e-9 x max(`scale`, 1) of the scanned minimum (the window
-        hits), ascending; beyond 65,536 hits the lowest scanned energies
-        are kept. Then the placements that are not hits, in order.
+        The scanned energy of state s_hi * 2^n_lo + s_lo is its cross
+        value (row s_hi, column s_lo of bits_hi @ cross.T), plus E_hi of
+        s_hi, plus E_lo of s_lo, added in that order. Listed first are the
+        states whose scanned energy lies within eps = 1e-9 x max(`scale`,
+        1) of the scanned minimum (the window hits), ascending; beyond
+        65,536 hits the lowest scanned energies are kept. Then the
+        placements that are not hits, in order.
+
+        Only the rows that can reach the window are scored. A row's bound
+        is the least, over the blocks, of (block cross minimum + E_hi) +
+        the block's least E_lo; rounded addition is monotone, so no value
+        the scan computes in the row lies below it. The cap `low` starts
+        as a value the scan computes, the lower of the best placement's
+        and the minimum of the row with the lowest bound, so it is never
+        below the scanned minimum, and a row whose bound exceeds low + eps
+        holds no hit. The other rows are scored in chunks of `cross_rows`,
+        which reproduce the full table's values bit for bit, and `low`
+        falls to the scanned minimum on the way. Each chunk's states within
+        low + eps, pruned to the 65,536 lowest, are all that outlives it,
+        so the call holds one chunk of the table at a time.
         """
         n_lo = self.bits_lo.shape[1]
         energy_lo = self.bits_lo @ h[:n_lo] + self.quad_lo
         energy_hi = self.bits_hi @ h[n_lo:] + self.quad_hi
-        scanned = self.bits_hi @ self.cross.T
-        scanned += energy_hi[:, None]
-        scanned += energy_lo[None, :]
-        scanned = scanned.ravel()
+        n_cols, blocks = len(energy_lo), len(self.cross_min)
+        block_lo = energy_lo.reshape(blocks, -1).min(axis=1)
+        bound = ((self.cross_min + energy_hi) + block_lo[:, None]).min(axis=0)
 
-        window = scanned.min() + 1e-9 * max(scale, 1.0)
-        hits = np.flatnonzero(scanned <= window)
-        if len(hits) > 65536:
-            hits = np.sort(hits[np.argsort(scanned[hits], kind="stable")[:65536]])
+        first = bound.argmin()
+        _, product = next(cross_rows(self.bits_hi, self.cross, first[None]))
+        low = ((product[0] + energy_hi[first]) + energy_lo).min()
+        if len(self.placements):
+            row, col = self.placements >> n_lo, self.placements & (n_cols - 1)
+            low = min(low, ((self.placement_cross + energy_hi[row]) + energy_lo[col]).min())
+        eps = 1e-9 * max(scale, 1.0)
+        rows = np.flatnonzero(bound <= low + eps)
+
+        states = np.zeros(0, dtype=np.int64)
+        values = np.zeros(0)
+        for start, product in cross_rows(self.bits_hi, self.cross, rows):
+            chunk = rows[start:start + len(product)]
+            product += energy_hi[chunk, None]
+            product += energy_lo[None, :]
+            low = min(low, product.min())
+            near = np.flatnonzero(product <= low + eps)
+            states = np.concatenate([states, (chunk[near // n_cols] << n_lo) | (near % n_cols)])
+            values = np.concatenate([values, product.ravel()[near]])
+            if len(states) > _MAX_HITS:
+                lowest = np.sort(np.argsort(values, kind="stable")[:_MAX_HITS])
+                states, values = states[lowest], values[lowest]
+        hits = states[values <= low + eps]
         return np.concatenate([hits, self.placements[~np.isin(self.placements, hits)]])
+
+
+def cross_rows(bits_hi: np.ndarray, cross: np.ndarray, rows: np.ndarray):
+    """Yield (offset, bits_hi[rows[offset:...]] @ cross.T) for consecutive
+    chunks of `rows`, each at most `_CHUNK_ENTRIES` values.
+
+    Every value equals the same row and column of the full product
+    bits_hi @ cross.T bit for bit: the bits are 0 or 1, so each product
+    is exact and only the order of the additions could differ. numpy
+    computes a matrix product of two or more rows with gemm, whose order
+    does not depend on the row count, but a one-row product with gemv,
+    whose order can differ; a one-row chunk is therefore computed as two
+    copies of its row.
+    """
+    step = max(1, _CHUNK_ENTRIES // len(cross))
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        product = bits_hi[np.resize(chunk, max(2, len(chunk)))] @ cross.T
+        yield start, product[: len(chunk)]
 
 
 def window_scale(values: np.ndarray, offset: float) -> float:
@@ -385,11 +460,15 @@ def state_rows(states: np.ndarray, n: int) -> np.ndarray:
 def brute_force(problem: QuboProblem, keep: int = BRUTE_FORCE_KEEP) -> SampleSet:
     """Exhaustive search over all 2^n assignments (n capped at 24).
 
-    `ExhaustiveScan.of(problem)` enumerates the halves of the split scan,
-    and its `candidates` lists, as state indices, the states within
-    rounding of the scanned minimum, then every valid placement that is
-    not among them. Placements are listed only for a problem with decode
-    context; an imported file gets the window hits alone. Each candidate
+    `ExhaustiveScan.of(problem)` enumerates the halves of the split scan
+    and its per-row bounds, and its `candidates` lists, as state indices,
+    the states within rounding of the scanned minimum, then every valid
+    placement that is not among them. It scores only the high-half rows
+    whose bound reaches the window, one chunk of rows at a time, so no
+    2^n-sized array is made: at 24 variables a call peaks near 20 MB
+    under tracemalloc, where the whole table alone took 128 MB.
+    Placements are listed only for a problem with decode context; an
+    imported file gets the window hits alone. Each candidate
     is re-scored exactly (fsum) with `read` = its listing rank, so the
     reported optimum is the true fsum optimum and, with decode context,
     the set always contains the best valid assignment. The returned

@@ -8,9 +8,12 @@ carried by the problem, matched by atom id with no realignment.
 The greedy tuner scores each candidate set of lambdas by docking every
 complex on the problem `qubo.with_lambdas` makes from its zero-lambda
 problem, which is built once. With exact=True the exhaustive scan's
-half tables and the valid placements are built once too, and each
-evaluation redoes only the scan and the listing, reporting what
-`dock(exact=True)` would down to the tie order (see `_EnumeratedComplex`).
+half tables, its per-row bounds and the valid placements are built once
+too, and each evaluation redoes only the scan and the listing, reporting
+what `dock(exact=True)` would down to the tie order (see
+`_EnumeratedComplex`). The scan scores only the rows of its table whose
+bound can reach the window, so an evaluation usually computes a small
+part of the 2^n split-scan table.
 """
 
 from __future__ import annotations
@@ -258,11 +261,12 @@ class _EnumeratedComplex:
 
     Geometry, the penalty, gamma, the scales and the decode context do not
     depend on the lambdas, and a valid pose's penalty is exactly 0. So the
-    `ExhaustiveScan` of the zero-lambda problem (half tables, cross factor
-    and valid placements) and each placement's geom and penalty terms are
-    built once per complex. An evaluation reads the problem `with_lambdas`
-    gave: `ExhaustiveScan.candidates` lists the states brute force would
-    list from its linear vector and window scale, and each placement's
+    `ExhaustiveScan` of the zero-lambda problem (half tables, cross factor,
+    per-row bounds and valid placements) and each placement's geom and
+    penalty terms are built once per complex. An evaluation reads the
+    problem `with_lambdas` gave: `ExhaustiveScan.candidates` lists the
+    states brute force would list from its linear vector and window scale,
+    one `searchsorted` maps them to placement ranks, and each placement's
     total is the fsum of its fixed terms and its `active_sums` of the five
     physicochemical maps, the values `energies` would give. Invalid window
     hits, which lead the listing at high lambdas, are scored by `energies`
@@ -281,7 +285,11 @@ class _EnumeratedComplex:
         fixed = energies(base, self.rows)
         self.geom = [e.terms["geom"] for e in fixed]
         self.penalty = [e.terms["penalty"] for e in fixed]
-        self.index = {state: k for k, state in enumerate(placements.tolist())}
+        # Placement states ascending, each with its rank in `placements`;
+        # a trailing -1 answers every state past the last one.
+        order = np.argsort(placements)
+        self.sorted_states = np.append(placements[order], -1)
+        self.rank = np.append(order, -1)
         self.adjusted: dict[int, float] = {}
 
     def adjusted_rmsd(self, problem: QuboProblem) -> float | None:
@@ -291,7 +299,8 @@ class _EnumeratedComplex:
         scale = window_scale(problem.coeffs.arrays[2], problem.offset)
         states = self.scan.candidates(problem.dense[0], scale)
 
-        placement = np.array([self.index.get(state, -1) for state in states.tolist()], dtype=int)
+        at = np.searchsorted(self.sorted_states[:-1], states)
+        placement = np.where(self.sorted_states[at] == states, self.rank[at], -1)
         sums = [active_sums(problem.term_coeffs[name].arrays, self.on) for name in PHYSCHEM_TERMS]
         totals = np.array([exact_sum(terms) for terms in zip(self.geom, self.penalty, *sums)])
         energy = np.empty(len(states))

@@ -49,6 +49,11 @@ from .model import ComplexInput
 
 TERM_NAMES = ("geom", "penalty", "el", "vdw", "hba", "hbd", "hydro")
 PHYSCHEM_TERMS = ("el", "vdw", "hba", "hbd", "hydro")
+# Most variables `QuboProblem.dense` builds its n x n coupling matrix for:
+# 1.15 GB at this size (a 30 x 300 pocket has 9,000 variables). A file
+# header may announce any count, and a larger matrix can be granted lazily
+# and exhaust memory only later.
+DENSE_MAX_VARS = 12_000
 
 
 class CoeffMap(Mapping):
@@ -234,10 +239,15 @@ class QuboProblem:
         """Linear vector h and symmetric zero-diagonal coupling matrix.
 
         Built once from the arrays of `coeffs`. Keys are unique, so index
-        assignment places each coefficient exactly once. Raises QdockError
+        assignment places each coefficient exactly once. Raises QdockError,
+        before allocating anything, past `DENSE_MAX_VARS` variables, and
         when the n x n matrix cannot be allocated.
         """
         n = self.n_vars
+        if n > DENSE_MAX_VARS:
+            raise QdockError(f"a QUBO with {n} variables exceeds DENSE_MAX_VARS = "
+                             f"{DENSE_MAX_VARS}: its {n} x {n} coupling matrix "
+                             f"would take {8 * n * n} bytes")
         a, b, values = self.coeffs.arrays
         linear = a == b
         try:

@@ -158,6 +158,14 @@ def test_unallocatable_qubo_exits_without_traceback(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "100000000" in lines[0]
 
 
+def test_qubo_past_the_dense_limit_exits_naming_it(capsys, tmp_path):
+    wide = tmp_path / "wide.qubo"
+    wide.write_text("p qubo 40000 0\n")
+    code, out, err = run(capsys, ["solve", "--qubo", str(wide)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "DENSE_MAX_VARS" in err and "40000" in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qdock.cli", "--help"],

@@ -1,6 +1,7 @@
 """Coordinate-list QUBO files: export format and exact round-trip."""
 
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from qdock import (
     GraphBuildError,
     Hyperparameters,
+    QdockError,
     QuboFormatError,
     QuboProblem,
     build_full,
@@ -18,6 +20,8 @@ from qdock import (
     load_complex,
     parse_complex,
 )
+
+from qdock.qubo import DENSE_MAX_VARS
 
 from conftest import PLANTED6, TINY4
 from test_properties import qubos
@@ -423,3 +427,22 @@ def test_bytes_outside_the_grammar_name_their_line(tmp_path):
     huge = write(tmp_path, f"p qubo {2**70} 1\n0 {2**63} 1.0\n")
     with pytest.raises(QuboFormatError, match=r"bad\.qubo:2: malformed entry"):
         import_qubo(huge)
+
+
+@pytest.mark.parametrize("n_vars", [DENSE_MAX_VARS + 1, 40000])
+def test_dense_view_refuses_past_its_limit(tmp_path, n_vars):
+    """A header may announce any variable count, but the dense view is
+    refused past the named limit before anything is allocated (40,000
+    variables would ask for a 12.8 GB matrix)."""
+    assert DENSE_MAX_VARS >= 9000  # a 30 x 300 pocket
+    path = tmp_path / "wide.qubo"
+    path.write_text(f"p qubo {n_vars} 0\n")
+    problem = import_qubo(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QdockError, match=f"exceeds DENSE_MAX_VARS = {DENSE_MAX_VARS}"):
+            problem.dense
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
