@@ -489,7 +489,8 @@ def brute_force(problem: QuboProblem, keep: int = BRUTE_FORCE_KEEP) -> SampleSet
 
 
 def incremental_delta(problem: QuboProblem, assignment: Assignment, flip: int) -> float:
-    """Energy change of flipping one bit, from its row/column alone."""
+    """Energy change of flipping one bit: the fsum of its linear entry and
+    of its couplings to set variables, from the arrays of `coeffs`."""
     if not 0 <= flip < problem.n_vars:
         raise ValueError(f"variable id {flip} out of range")
     bits = assignment.bits
@@ -497,9 +498,11 @@ def incremental_delta(problem: QuboProblem, assignment: Assignment, flip: int) -
         raise ValueError(
             f"assignment has {len(bits)} bits, problem has {problem.n_vars} variables"
         )
-    h, q_sym = problem.dense
+    a, b, values = problem.coeffs.arrays
+    other = np.where(a == flip, b, a)
+    touched = ((a == flip) | (b == flip)) & ((a == b) | (bits[other] != 0))
     sign = 1.0 - 2.0 * float(bits[flip])
-    return sign * exact_sum(np.append(q_sym[flip, bits != 0], h[flip]))
+    return sign * exact_sum(values[touched].tolist())
 
 
 def import_samples(problem: QuboProblem, path) -> SampleSet:

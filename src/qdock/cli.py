@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .anneal import AnnealSchedule, brute_force, import_samples, simulated_anneal
@@ -133,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
                solver_choice=True, out=True)
 
     p_tune = sub.add_parser("tune", help="greedy search over interaction weights")
-    add_common(p_tune, dataset=True, hyper=True, schedule=True, solver_choice=True, out=True)
+    add_common(p_tune, dataset=True, schedule=True, solver_choice=True, out=True)
+    p_tune.add_argument("--gamma", type=float, help="constraint penalty weight")
 
     p_export = sub.add_parser("export", help="write a QUBO file for an external solver")
     add_common(p_export, complex_input=True, hyper=True, out=True)
@@ -289,19 +291,16 @@ def _cmd_build(args, config, parser, quiet=False) -> int:
     problem = build_full(complex_input, _hyperparameters(args, config))
     export_qubo(problem, out_path)
     if not quiet:
-        sys.stdout.write(
-            json.dumps(
-                {
-                    "n_vars": problem.n_vars,
-                    "n_entries": len(problem.coeffs),
-                    "gamma": problem.gamma,
-                    "lambdas": list(problem.lambdas),
-                    "scales": list(problem.scales),
-                    "out": str(out_path),
-                },
-                indent=2,
-            )
-            + "\n"
+        _write_json(
+            {
+                "n_vars": problem.n_vars,
+                "n_entries": len(problem.coeffs),
+                "gamma": problem.gamma,
+                "lambdas": list(problem.lambdas),
+                "scales": list(problem.scales),
+                "out": str(out_path),
+            },
+            None,
         )
     return 0
 
@@ -317,13 +316,27 @@ def _cmd_solve(args, config, parser) -> int:
     return 0
 
 
-def _dock_one(complex_input, args, config):
+def _dock_one(complex_input, hp, args, config):
     return dock(
         complex_input,
-        _hyperparameters(args, config),
+        hp,
         _schedule(args, config),
         exact=bool(_setting(args, config, "exact", False)),
     )
+
+
+def _dock_dataset(dataset, hp, args, config) -> tuple[list, int]:
+    """Dock every complex at hp: the reports, a failure's too when it
+    carries one, and the number of complexes with no valid pose."""
+    reports, failures = [], 0
+    for complex_input in dataset:
+        try:
+            reports.append(_dock_one(complex_input, hp, args, config))
+        except NoValidSolutionError as exc:
+            failures += 1
+            if exc.report is not None:
+                reports.append(exc.report)
+    return reports, failures
 
 
 def _write_report(make_report, out) -> int:
@@ -349,21 +362,17 @@ def _cmd_dock(args, config, parser) -> int:
 
     if complex_path:
         return _write_report(
-            lambda: _dock_one(load_complex(complex_path), args, config),
+            lambda: _dock_one(
+                load_complex(complex_path), _hyperparameters(args, config), args, config
+            ),
             _setting(args, config, "out"),
         )
 
     out_dir = Path(_require(args, config, parser, "out", "--out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    failures = 0
-    for complex_input in _load_dataset(dataset_dir):
-        try:
-            reports.append(_dock_one(complex_input, args, config))
-        except NoValidSolutionError as exc:
-            failures += 1
-            if exc.report is not None:
-                reports.append(exc.report)
+    reports, failures = _dock_dataset(
+        _load_dataset(dataset_dir), _hyperparameters(args, config), args, config
+    )
     _write_json({"reports": [r.to_dict() for r in reports]}, out_dir / "report.json")
     _write_csv(reports, out_dir / "metrics.csv")
     if failures:
@@ -390,21 +399,7 @@ def _cmd_tune(args, config, parser) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(result.to_dict(), out_dir / "tune.json")
 
-    reports = []
-    tuned = Hyperparameters(lambdas=result.lambdas, gamma=_setting(args, config, "gamma"))
-    for complex_input in dataset:
-        try:
-            reports.append(
-                dock(
-                    complex_input,
-                    tuned,
-                    _schedule(args, config),
-                    exact=bool(_setting(args, config, "exact", False)),
-                )
-            )
-        except NoValidSolutionError as exc:
-            if exc.report is not None:
-                reports.append(exc.report)
+    reports, _ = _dock_dataset(dataset, replace(hp_template, lambdas=result.lambdas), args, config)
     _write_csv(reports, out_dir / "metrics.csv")
     return 0
 
@@ -443,14 +438,11 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         return _HANDLERS[args.command](args, config, parser)
-    except QdockError as exc:
+    except (QdockError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: file not found: {exc.filename}\n")
-        return 1
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 1
 
 

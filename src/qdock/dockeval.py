@@ -185,36 +185,23 @@ def report_from_samples(
         "scales": list(problem.scales),
     }
 
-    for sample, pose in decoded:
-        if isinstance(pose, Pose):
-            experimental = problem.experimental_coords
-            return DockingReport(
-                name=name,
-                valid=True,
-                pose=pose,
-                term_energies=sample.term_energies,
-                total_energy=sample.energy,
-                lowest_energy=overall_best.energy,
-                rmsd=rmsd(pose, experimental),
-                adjusted_rmsd=adjusted_rmsd(pose, experimental, problem.grid_positions),
-                valid_solution_rate=rate,
-                n_samples=len(decoded),
-                metadata=metadata,
-            )
-
+    sample, pose = next(((s, d) for s, d in decoded if isinstance(d, Pose)), (overall_best, None))
+    experimental, grid = problem.experimental_coords, problem.grid_positions
     report = DockingReport(
         name=name,
-        valid=False,
-        pose=None,
-        term_energies=overall_best.term_energies,
-        total_energy=overall_best.energy,
+        valid=pose is not None,
+        pose=pose,
+        term_energies=sample.term_energies,
+        total_energy=sample.energy,
         lowest_energy=overall_best.energy,
-        rmsd=None,
-        adjusted_rmsd=None,
-        valid_solution_rate=0.0,
+        rmsd=None if pose is None else rmsd(pose, experimental),
+        adjusted_rmsd=None if pose is None else adjusted_rmsd(pose, experimental, grid),
+        valid_solution_rate=rate,
         n_samples=len(decoded),
         metadata=metadata,
     )
+    if pose is not None:
+        return report
     raise NoValidSolutionError(f"{name}: no sample decodes to a valid pose", report=report)
 
 

@@ -125,24 +125,29 @@ def _dha_angle_deg(donor: np.ndarray, hydrogens: np.ndarray, acceptor_points) ->
 
 
 def hbond_acceptor_count(points, protein: list[ProteinAtom]):
-    """Protein donors that could hydrogen-bond to an acceptor at one point or an (n, 3) array."""
+    """Protein donors that could hydrogen-bond to an acceptor at one point or an (n, 3) array.
+
+    The angles of every (donor, hydrogen) pair are measured in one pass; a donor
+    counts at a point within its distance gate where any of its pairs is in the window."""
     atoms, r = _point_atom_distances(points, protein)
-    count = np.zeros(r.shape[:-1], dtype=int)
-    for k, atom in enumerate(atoms):
-        if not atom.hbond_role.is_donor:
-            continue
-        in_range = r[..., k] < HBOND_DISTANCE_MAX
-        if not atom.donor_hydrogens:
-            if in_range.any():
-                warnings.warn(
-                    f"donor protein atom {atom.id} has no explicit hydrogens; "
-                    "it cannot satisfy the angle condition",
-                    stacklevel=2,
-                )
-            continue
-        phi = _dha_angle_deg(atom.position, np.array(atom.donor_hydrogens), points)
-        count += in_range & ((HBOND_ANGLE_MIN_DEG < phi) & (phi < HBOND_ANGLE_MAX_DEG)).any(axis=-1)
-    return count[()]
+    in_range = r < HBOND_DISTANCE_MAX
+    donors = [k for k, atom in enumerate(atoms) if atom.hbond_role.is_donor]
+    for k in donors:
+        if not atoms[k].donor_hydrogens and in_range[..., k].any():
+            warnings.warn(
+                f"donor protein atom {atoms[k].id} has no explicit hydrogens; "
+                "it cannot satisfy the angle condition",
+                stacklevel=2,
+            )
+    donors = [k for k in donors if atoms[k].donor_hydrogens]
+    sizes = [len(atoms[k].donor_hydrogens) for k in donors]
+    heavy = np.repeat([atoms[k].position for k in donors], sizes, axis=0).reshape(-1, 3)
+    hydrogens = np.array([h for k in donors for h in atoms[k].donor_hydrogens]).reshape(-1, 3)
+    phi = _dha_angle_deg(heavy, hydrogens, points)
+    in_window = (HBOND_ANGLE_MIN_DEG < phi) & (phi < HBOND_ANGLE_MAX_DEG)
+    # Each donor's pairs are contiguous, from the running sum of the sizes before it.
+    angled = np.logical_or.reduceat(in_window, np.cumsum([0, *sizes])[:-1], axis=-1)
+    return (angled & in_range[..., donors]).sum(axis=-1)
 
 
 def hbond_donor_count(points, protein: list[ProteinAtom]):

@@ -26,19 +26,20 @@ alone on each complex's zero-lambda problem.
 Each term is computed as arrays over the ligand edges, the grid distance
 matrix and the grid color vectors, and kept as (a, b, value) arrays with
 zero entries dropped. Those arrays and the summed map's are the model:
-`QuboProblem.dense`, the coordinate file and `active_sums` (behind every
-energy, SA's start energies too) read them directly. Each coefficient map
-is a read-only `CoeffMap` view over its arrays, which builds a dict keyed
-by (a, b) only when a caller looks an entry up or iterates it.
+`QuboProblem.dense`, the coordinate file, `incremental_delta` and
+`active_sums` (behind every energy, SA's start energies too) read them
+directly. Each coefficient map is a read-only `CoeffMap` view over its
+arrays, which stores nothing else.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Number
 
 import numpy as np
 
@@ -60,23 +61,23 @@ class CoeffMap(Mapping):
     """Read-only (a, b) -> value map over parallel arrays.
 
     `arrays` holds the int64 ids a <= b and the float64 values, one entry
-    per key, in the map's order. The dict of Python ints and floats is
-    built on the first lookup or iteration (`[]`, `in`, `iter`, `.get`,
-    `.items()`, ...) and kept. `len` reads the arrays, and so does `==`
-    between two views: equal key sets, and values equal as floats. A view
-    and another mapping compare as dicts. The arrays and a wrapped dict
-    must not change afterwards.
+    per key, in the map's order: they are the map's only stored form, and
+    must not change afterwards. Iteration, `keys()`, `items()` and
+    `values()` zip the arrays, giving Python ints and floats in map order.
+    A lookup (`[]`, `in`, `.get`) is one mask over the arrays, O(entries),
+    so `dict(view.items())` is the linear way to a dict. `len` reads the
+    arrays, and so does `==` between two views: equal key sets, and values
+    equal as floats. A view and another mapping compare as dicts.
     """
 
-    __slots__ = ("arrays", "_map")
+    __slots__ = ("arrays",)
 
-    def __init__(self, a, b, values, mapping: dict | None = None):
+    def __init__(self, a, b, values):
         self.arrays = (
             np.ascontiguousarray(a, dtype=np.intp),
             np.ascontiguousarray(b, dtype=np.intp),
             np.ascontiguousarray(values, dtype=np.float64),
         )
-        self._map = mapping
 
     @classmethod
     def nonzero(cls, a: np.ndarray, b: np.ndarray, values: np.ndarray) -> "CoeffMap":
@@ -86,36 +87,34 @@ class CoeffMap(Mapping):
 
     @classmethod
     def wrap(cls, mapping: Mapping) -> "CoeffMap":
-        """A view of a plain {(a, b): value} map, which becomes its dict."""
+        """A view of a plain {(a, b): value} map's keys and values."""
         if isinstance(mapping, CoeffMap):
             return mapping
         n = len(mapping)
         keys = np.fromiter(itertools.chain.from_iterable(mapping), np.intp, 2 * n).reshape(n, 2)
-        return cls(keys[:, 0], keys[:, 1], np.fromiter(mapping.values(), np.float64, n), mapping)
-
-    def _dict(self) -> dict:
-        if self._map is None:
-            a, b, values = self.arrays
-            self._map = dict(zip(zip(a.tolist(), b.tolist()), values.tolist()))
-        return self._map
+        return cls(keys[:, 0], keys[:, 1], np.fromiter(mapping.values(), np.float64, n))
 
     def __getitem__(self, key):
-        return self._dict()[key]
+        hash(key)  # an unhashable key raises TypeError, as with a dict
+        if isinstance(key, tuple) and len(key) == 2 and all(isinstance(k, Number) for k in key):
+            a, b, values = self.arrays
+            hit = np.flatnonzero((a == key[0]) & (b == key[1]))
+            if len(hit):
+                return float(values[hit[0]])
+        raise KeyError(key)
 
     def __iter__(self):
-        return iter(self._dict())
+        a, b, _ = self.arrays
+        return zip(a.tolist(), b.tolist())
 
     def __len__(self) -> int:
         return len(self.arrays[2])
 
-    def keys(self):
-        return self._dict().keys()
-
     def items(self):
-        return self._dict().items()
+        return _Items(self)
 
     def values(self):
-        return self._dict().values()
+        return _Values(self)
 
     def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         a, b, values = self.arrays
@@ -130,10 +129,23 @@ class CoeffMap(Mapping):
             return bool(np.array_equal(a, c) and np.array_equal(b, d) and (values == others).all())
         if not isinstance(other, Mapping):
             return NotImplemented
-        return self._dict() == (other if isinstance(other, dict) else dict(other.items()))
+        return dict(self.items()) == (other if isinstance(other, dict) else dict(other.items()))
 
     def __repr__(self) -> str:
         return f"CoeffMap({len(self)} entries)"
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.arrays[2].tolist())
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.arrays[2].tolist())
+
+    def __contains__(self, value):
+        return any(v is value or v == value for v in self)
 
 
 @dataclass(frozen=True)
@@ -192,9 +204,8 @@ class QuboProblem:
 
     Coefficient keys are (a, b) with a <= b; a == b entries are linear.
     `coeffs` is always the entrywise sum of `term_coeffs`. Each map is a
-    `CoeffMap`: its (a, b, value) arrays are the model, and the dict
-    behind it is a read-only view derived on demand. A plain dict given
-    for `coeffs` or a term is wrapped once and kept as that view's dict.
+    `CoeffMap`: its (a, b, value) arrays are the model. A plain dict given
+    for `coeffs` or a term becomes a view of its keys and values.
     Problems built from a complex carry the decode context (atom/grid ids,
     grid positions, experimental coordinates); problems imported from a
     coordinate file only carry coefficients.

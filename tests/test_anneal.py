@@ -13,6 +13,7 @@ from qdock import (
     AnnealSchedule,
     Assignment,
     Hyperparameters,
+    QdockError,
     QuboProblem,
     SampleFormatError,
     SampleSet,
@@ -26,6 +27,7 @@ from qdock import (
     simulated_anneal,
 )
 from qdock.anneal import BRUTE_FORCE_MAX_VARS, resolve_temperatures
+from qdock.qubo import DENSE_MAX_VARS
 
 
 def toy(coeffs, n_vars, offset=0.0):
@@ -303,6 +305,22 @@ def test_incremental_delta_isolated_variable():
     problem = toy({(0, 0): 2.5}, 1)
     assert incremental_delta(problem, Assignment.from_string("0"), 0) == 2.5
     assert incremental_delta(problem, Assignment.from_string("1"), 0) == -2.5
+
+
+def test_incremental_delta_past_the_dense_limit():
+    # A few dyadic entries, so every energy difference is exact.
+    n = DENSE_MAX_VARS + 1
+    problem = toy({(0, 0): 1.5, (0, n - 1): -4.0, (7, n - 1): 0.25, (n - 1, n - 1): 2.0,
+                   (3, 7): 0.125}, n)
+    with pytest.raises(QdockError, match="DENSE_MAX_VARS"):
+        problem.dense
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[[0, 7]] = 1
+    for flip in (0, 3, 5, 7, n - 1):
+        flipped = bits.copy()
+        flipped[flip] ^= 1
+        direct = energy(problem, Assignment(flipped)).total - energy(problem, Assignment(bits)).total
+        assert incremental_delta(problem, Assignment(bits), flip) == direct
 
 
 def test_incremental_delta_input_validation(tiny4):

@@ -432,6 +432,17 @@ def test_tune_out_directory_contains_trace_and_metrics(capsys, tmp_path):
     assert float(rows[0]["adjusted_rmsd"]) == 0.0
 
 
+def test_tune_takes_no_lambdas(capsys, tmp_path):
+    # tune searches the lambdas; a given value would be ignored.
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    shutil.copy(PLANTED6, dataset / "planted6.json")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["tune", "--dataset", str(dataset), "--gamma", "5", "--exact", "--lambdas", "9,9,9,9,9"])
+    assert excinfo.value.code == 2
+    assert "--lambdas" in capsys.readouterr().err
+
+
 def test_tune_empty_dataset_dir_fails(capsys, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

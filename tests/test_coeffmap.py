@@ -1,6 +1,7 @@
 """Coefficient maps as read-only views over (a, b, value) arrays."""
 
 import numpy as np
+import pytest
 
 from qdock import (
     AnnealSchedule,
@@ -26,11 +27,14 @@ def views(problem):
     return [problem.coeffs, *problem.term_coeffs.values()]
 
 
-def built_dicts(problems):
-    return [view for problem in problems for view in views(problem) if view._map is not None]
+def forbid_key_access(monkeypatch):
+    """Make every per-key read of a view fail: the arrays are all that is left."""
+    for name in ("__iter__", "__getitem__", "items", "values"):
+        monkeypatch.setattr(CoeffMap, name, lambda *args, name=name: pytest.fail(f"called {name}"))
 
 
-def test_pipeline_builds_no_coefficient_dict(tiny4, planted6, tmp_path):
+def test_pipeline_builds_no_coefficient_dict(tiny4, planted6, tmp_path, monkeypatch):
+    forbid_key_access(monkeypatch)
     built = build_full(tiny4, UNIT_HP)
     export_qubo(built, tmp_path / "tiny4.qubo")
     imported = import_qubo(tmp_path / "tiny4.qubo")
@@ -41,11 +45,9 @@ def test_pipeline_builds_no_coefficient_dict(tiny4, planted6, tmp_path):
     planted = build_full(planted6, UNIT_HP)
     simulated_anneal(planted, AnnealSchedule(n_reads=4, n_sweeps=10, seed=3))
     energy(planted, one_hot_assignment(planted, index_mapping(planted, PLANTED6_PLANTED)))
-    problems = [built, imported, planted]
     assert len(built.coeffs) == len(imported.coeffs) == 296
     assert [len(view) for view in views(planted)] == [165, 84, 81, 0, 18, 0, 0, 9]
     assert imported.coeffs == built.coeffs
-    assert built_dicts(problems) == []
 
 
 def test_views_compare_equal_to_plain_dicts_in_both_orders(tiny4):
@@ -91,11 +93,10 @@ def test_imported_views_keep_file_order_and_python_types(tmp_path):
     assert all(type(x) is int and type(y) is int and type(v) is float for (x, y), v in problem.coeffs.items())
 
 
-def test_plain_dicts_are_wrapped_once_and_kept():
+def test_plain_dicts_are_wrapped_as_arrays():
     coeffs = {(0, 0): 1, (0, 1): -2.5}
     problem = QuboProblem(n_mol=1, n_grid=2, coeffs=coeffs, term_coeffs={"imported": coeffs})
-    assert isinstance(problem.coeffs, CoeffMap) and problem.coeffs._map is coeffs
-    assert problem.term_coeffs["imported"]._map is coeffs
+    assert isinstance(problem.coeffs, CoeffMap)
     a, b, values = problem.coeffs.arrays
     assert a.tolist() == [0, 0] and b.tolist() == [0, 1] and values.tolist() == [1.0, -2.5]
     assert problem.coeffs[(0, 0)] == 1 and problem.coeffs.get((1, 1)) is None
@@ -104,6 +105,45 @@ def test_plain_dicts_are_wrapped_once_and_kept():
     assert h.tolist() == [1.0, 0.0] and q_sym.tolist() == [[0.0, -2.5], [-2.5, 0.0]]
     assert energy(problem, one_hot_assignment(problem, {0: 1})).total == 0.0
     assert QuboProblem(n_mol=1, n_grid=2, coeffs=problem.coeffs, term_coeffs={}).coeffs is problem.coeffs
+
+
+def test_views_list_entries_without_lookups(tiny4, monkeypatch):
+    view = build_full(tiny4, UNIT_HP).coeffs
+    a, b, values = view.arrays
+    keys = list(zip(a.tolist(), b.tolist()))
+    plain = dict(zip(keys, values.tolist()))
+    # dict() reads a mapping that is not a dict through [], one mask per key.
+    assert dict(view) == plain
+    monkeypatch.setattr(CoeffMap, "__getitem__", lambda self, key: pytest.fail("looked a key up"))
+    assert list(view.keys()) == keys and list(view) == keys
+    assert list(view.items()) == list(plain.items())
+    assert list(view.values()) == list(plain.values())
+    assert values[5] in view.values() and 1e300 not in view.values()
+    assert dict(view.items()) == plain
+    assert view == plain and plain == view
+
+
+def test_lookups_behave_like_a_dict():
+    plain = {(0, 0): 1.0, (0, 1): -2.5, (3, 7): 0.25}
+    view = CoeffMap.wrap(plain)
+    present = [(0, 1), (np.int64(0), np.int64(1)), (np.int32(3), 7), (np.intp(0), 0.0)]
+    absent = [(1, 0), (7, 3), (0, 2), (np.int64(9), np.int64(9)), (0.5, 1), (0, 1, 2), "ab", None, 7]
+    for key in present + absent:
+        assert (key in view) == (key in plain)
+        assert view.get(key) == plain.get(key) and view.get(key, "x") == plain.get(key, "x")
+        if key in plain:
+            assert view[key] == plain[key] and type(view[key]) is float
+        else:
+            with pytest.raises(KeyError):
+                view[key]
+    for unhashable in ([0, 1], (np.array(0), 1)):
+        with pytest.raises(TypeError):
+            unhashable in view
+        with pytest.raises(TypeError):
+            view.get(unhashable)
+    assert (0, 0) not in CoeffMap.wrap({}) and CoeffMap.wrap({}).get((0, 0)) is None
+    # Two entries: a key made of two pairs must not match them elementwise.
+    assert ((0, 1), (0, 1)) not in CoeffMap.wrap({(0, 0): 1.0, (1, 1): 2.0})
 
 
 def test_energy_counts_any_nonzero_bit_as_set():

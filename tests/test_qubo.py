@@ -575,8 +575,9 @@ def test_non_finite_coefficient_names_its_term(tiny4_doc):
 def test_non_finite_message_names_first_entry(
     tiny4_doc, monkeypatch, edit_input, hp, message, warns
 ):
-    # The diagnosis reads the terms' arrays; no coefficient dict is built.
-    monkeypatch.setattr(CoeffMap, "_dict", lambda self: pytest.fail("built a coefficient dict"))
+    # The diagnosis reads the terms' arrays; no entry is read by key or iterated.
+    for name in ("__iter__", "__getitem__"):
+        monkeypatch.setattr(CoeffMap, name, lambda *args, name=name: pytest.fail(f"called {name}"))
     complex_input = parse_complex(copy.deepcopy(tiny4_doc))
     if edit_input is not None:
         complex_input = edit_input(complex_input)
