@@ -449,7 +449,7 @@ def window_scale(values: np.ndarray, offset: float) -> float:
     """Error-window scale of a problem: fsum of its |coefficients|, plus
     |offset| (the fsum of two values is their rounded sum). Raises
     CoefficientOverflowError past the float range."""
-    return exact_sum((exact_sum(np.abs(values)), abs(offset)))
+    return exact_sum((exact_sum(np.abs(values).tolist()), abs(offset)))
 
 
 def state_rows(states: np.ndarray, n: int) -> np.ndarray:

@@ -381,6 +381,9 @@ def _cmd_dock(args, config, parser) -> int:
 
 
 def _cmd_tune(args, config, parser) -> int:
+    if config.get("lambdas") is not None:
+        raise QdockError(f"{args.config}: config lambdas does not apply to tune, "
+                         "which searches the lambdas")
     dataset_dir = _require(args, config, parser, "dataset", "--dataset")
     dataset = _load_dataset(dataset_dir)
     hp_template = Hyperparameters(gamma=_setting(args, config, "gamma"))

@@ -6,14 +6,17 @@ coordinates. Scoring is always against the experimental ligand coordinates
 carried by the problem, matched by atom id with no realignment.
 
 The greedy tuner scores each candidate set of lambdas by docking every
-complex on the problem `qubo.with_lambdas` makes from its zero-lambda
-problem, which is built once. With exact=True the exhaustive scan's
-half tables, its per-row bounds and the valid placements are built once
-too, and each evaluation redoes only the scan and the listing, reporting
-what `dock(exact=True)` would down to the tie order (see
-`_EnumeratedComplex`). The scan scores only the rows of its table whose
-bound can reach the window, so an evaluation usually computes a small
-part of the 2^n split-scan table.
+complex at those lambdas; each complex's zero-lambda problem and raw
+physicochemical tables are built once. The SA tuner anneals the problem
+`qubo.with_lambdas` makes from them. With exact=True the exhaustive
+scan's half tables, its per-row bounds, the valid placements and each
+weighted table's per-placement sums are built once too, and each
+evaluation builds no problem: it weights the tables onto the penalty
+diagonal with `qubo.weighted_linear` and redoes only the scan and the
+listing, reporting what `dock(exact=True)` would down to the tie order
+(see `_EnumeratedComplex`). The scan scores only the rows of its table
+whose bound can reach the window, so an evaluation usually computes a
+small part of the 2^n split-scan table.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .model import ComplexInput
 from .qubo import (
     PHYSCHEM_TERMS,
     Assignment,
+    CoeffMap,
     Hyperparameters,
     QuboProblem,
     active_sums,
@@ -48,6 +52,7 @@ from .qubo import (
     build_physchem_raw,
     energies,
     exact_sum,
+    weighted_linear,
     with_lambdas,
 )
 
@@ -243,28 +248,34 @@ class TunerResult:
 
 
 class _EnumeratedComplex:
-    """One complex's `dock(exact=True)` as a function of its problem at
-    the evaluated lambdas.
+    """One complex's `dock(exact=True)` as a function of the lambdas.
 
     Geometry, the penalty, gamma, the scales and the decode context do not
     depend on the lambdas, and a valid pose's penalty is exactly 0. So the
     `ExhaustiveScan` of the zero-lambda problem (half tables, cross factor,
-    per-row bounds and valid placements) and each placement's geom and
-    penalty terms are built once per complex. An evaluation reads the
-    problem `with_lambdas` gave: `ExhaustiveScan.candidates` lists the
-    states brute force would list from its linear vector and window scale,
-    one `searchsorted` maps them to placement ranks, and each placement's
-    total is the fsum of its fixed terms and its `active_sums` of the five
-    physicochemical maps, the values `energies` would give. Invalid window
-    hits, which lead the listing at high lambdas, are scored by `energies`
-    on the problem itself. The first valid state among the
+    per-row bounds and valid placements), each placement's geom and
+    penalty terms, the penalty diagonal and the |coefficients| off it are
+    prepared once per complex, and each term's weighted table and its
+    per-placement `active_sums` once per (term, weight).
+
+    `evaluate` builds no problem. Every variable has a penalty diagonal
+    entry and geom has none, so the linear vector brute force reads is
+    `weighted_linear`'s, and the window scale is the fsum of the same
+    multiset of |coefficients| as the problem's. `ExhaustiveScan.candidates`
+    lists the states brute force would list, one `searchsorted` maps them
+    to placement ranks, and each placement's total is the fsum of its
+    terms, the values `energies` would give. Two cases build the problem
+    `with_lambdas` gives: a non-finite linear coefficient, for which it
+    raises the GraphBuildError that assembling raises, and invalid window
+    hits, which lead the listing at high lambdas and are scored by
+    `energies`. The first valid state among the
     `BRUTE_FORCE_KEEP` lowest (stable order, so ties keep the listing
     order) is the pose `dock` reports; its adjusted RMSD is computed once
     per placement.
     """
 
-    def __init__(self, base: QuboProblem):
-        self.base = base
+    def __init__(self, base: QuboProblem, raw: dict[str, np.ndarray]):
+        self.base, self.raw = base, raw
         self.scan = ExhaustiveScan.of(base)
         placements = self.scan.placements
         self.rows = state_rows(placements, base.n_vars)
@@ -272,6 +283,13 @@ class _EnumeratedComplex:
         fixed = energies(base, self.rows)
         self.geom = [e.terms["geom"] for e in fixed]
         self.penalty = [e.terms["penalty"] for e in fixed]
+        a, b, values = base.term_coeffs["penalty"].arrays
+        linear = a == b
+        self.diagonal = values[linear]
+        self.off_diagonal = np.abs(np.append(base.term_coeffs["geom"].arrays[2], values[~linear]))
+        self.variables = np.arange(base.n_vars)
+        self.tables: dict = {}
+        self.sums: dict = {}
         # Placement states ascending, each with its rank in `placements`;
         # a trailing -1 answers every state past the last one.
         order = np.argsort(placements)
@@ -279,34 +297,43 @@ class _EnumeratedComplex:
         self.rank = np.append(order, -1)
         self.adjusted: dict[int, float] = {}
 
-    def adjusted_rmsd(self, problem: QuboProblem) -> float | None:
-        """The adjusted RMSD `dock(exact=True)` reports for `problem`, which
-        `with_lambdas` made from the base problem, or None where it raises
-        NoValidSolutionError."""
-        scale = window_scale(problem.coeffs.arrays[2], problem.offset)
-        states = self.scan.candidates(problem.dense[0], scale)
+    def evaluate(self, lambdas) -> tuple[np.ndarray, float, float | None]:
+        """The linear vector and window scale brute force reads at
+        `lambdas`, and the adjusted RMSD `dock(exact=True)` reports there,
+        or None where it raises NoValidSolutionError."""
+        base = self.base
+        h, tables = weighted_linear(self.diagonal, self.raw, base.scales, lambdas, self.tables)
+        if not np.isfinite(h).all():
+            with_lambdas(base, self.raw, lambdas)  # raises the GraphBuildError
+        scale = window_scale(np.append(self.off_diagonal, h), base.offset)
+        states = self.scan.candidates(h, scale)
 
         at = np.searchsorted(self.sorted_states[:-1], states)
         placement = np.where(self.sorted_states[at] == states, self.rank[at], -1)
-        sums = [active_sums(problem.term_coeffs[name].arrays, self.on) for name in PHYSCHEM_TERMS]
+        sums = []
+        for name, lam, table in zip(PHYSCHEM_TERMS, lambdas, tables):
+            if (name, lam) not in self.sums:
+                arrays = CoeffMap.nonzero(self.variables, self.variables, table).arrays
+                self.sums[name, lam] = active_sums(arrays, self.on)
+            sums.append(self.sums[name, lam])
         totals = np.array([exact_sum(terms) for terms in zip(self.geom, self.penalty, *sums)])
         energy = np.empty(len(states))
         valid = placement >= 0
         energy[valid] = totals[placement[valid]]
         if not valid.all():
-            invalid = state_rows(states[~valid], problem.n_vars)
+            invalid = state_rows(states[~valid], base.n_vars)
+            problem = with_lambdas(base, self.raw, lambdas)
             energy[~valid] = [e.total for e in energies(problem, invalid)]
 
         ranked = placement[np.argsort(energy, kind="stable")[:BRUTE_FORCE_KEEP]]
         ranked = ranked[ranked >= 0]
         if not len(ranked):
-            return None
+            return h, scale, None
         best = int(ranked[0])
         if best not in self.adjusted:
-            base = self.base
             pose = decode(Assignment(self.rows[best]), base)
             self.adjusted[best] = adjusted_rmsd(pose, base.experimental_coords, base.grid_positions)
-        return self.adjusted[best]
+        return h, scale, self.adjusted[best]
 
 
 def _mean(values: list[float | None]) -> tuple[float | None, int]:
@@ -339,12 +366,13 @@ def greedy_tune(
 
     Each evaluation's mean is what docking each complex at its lambdas
     gives. Each complex's zero-lambda problem and raw physicochemical
-    tables are built once; an evaluation checks its lambdas as
-    Hyperparameters does and weights the tables with `with_lambdas`.
-    With exact=True the exhaustive scan's half tables and each complex's
-    valid placements with their geom and penalty terms are built once
-    too, and an evaluation redoes only the scan and the listing (see
-    `_EnumeratedComplex`).
+    tables are built once, and an evaluation checks its lambdas as
+    Hyperparameters does. The SA path weights the tables with
+    `with_lambdas` and anneals. With exact=True each complex's prepared
+    `_EnumeratedComplex` (scan tables, valid placements with their geom
+    and penalty terms, and per-weight tables and sums) evaluates the
+    lambdas without building a problem, redoing only the scan and the
+    listing.
     n_threads is accepted for compatibility and has no effect.
     """
     if not dataset:
@@ -357,19 +385,18 @@ def greedy_tune(
     for cx in dataset:
         lig, grid = build_ligand_graph(cx), build_grid_graph(cx)
         base = assemble(lig, grid, zero)
-        complexes.append((cx, base, build_physchem_raw(lig, grid),
-                          _EnumeratedComplex(base) if exact else None))
+        raw = build_physchem_raw(lig, grid)
+        complexes.append((cx, base, raw, _EnumeratedComplex(base, raw) if exact else None))
 
     def adjusted_rmsds(lambdas: tuple) -> list[float | None]:
         lambdas = replace(hp_template, lambdas=lambdas).lambdas
         values = []
         for cx, base, raw, enumerated in complexes:
-            problem = with_lambdas(base, raw, lambdas)
             if exact:
-                values.append(enumerated.adjusted_rmsd(problem))
+                values.append(enumerated.evaluate(lambdas)[2])
                 continue
             try:
-                report = _solve_and_report(problem, sched, False, cx.name)
+                report = _solve_and_report(with_lambdas(base, raw, lambdas), sched, False, cx.name)
             except NoValidSolutionError:
                 values.append(None)
             else:

@@ -108,26 +108,52 @@ class ComplexInput:
         return np.array([a.position for a in self.ligand_atoms], dtype=float)
 
 
-def _number(value, where: str, kind=float):
-    """A finite JSON number; with kind=int, one with an integral value."""
+# The Python types `json` gives a JSON number; bool, an int subclass, is not one.
+_JSON_NUMBERS = (int, float)
+_HBOND_ROLES = tuple(role.value for role in HBondRole)
+
+
+def _plain(value, limit: float = sys.float_info.max) -> bool:
+    """A JSON int or float of magnitude at most `limit` (so not NaN)."""
+    return type(value) in _JSON_NUMBERS and abs(value) <= limit
+
+
+def _at(where: str, key) -> str:
+    """A value's location in an error message: `where`, or where.key."""
+    return where if key is None else f"{where}.{key}"
+
+
+def _number(value, where: str, kind=float, key=None):
+    """A finite JSON number; with kind=int, one with an integral value.
+    A JSON int or float skips the `numbers.Real` test."""
+    if _plain(value) and (kind is float or value == int(value)):
+        return kind(value)
     if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
-        raise ComplexFormatError(f"{where}: expected a finite number, got {value!r}")
+        raise ComplexFormatError(f"{_at(where, key)}: expected a finite number, got {value!r}")
     if kind is int and value != int(value):
-        raise ComplexFormatError(f"{where}: expected an integer, got {value!r}")
+        raise ComplexFormatError(f"{_at(where, key)}: expected an integer, got {value!r}")
     return kind(value)
 
 
-def _array(value, where: str) -> list:
+def _array(value, where: str, key=None) -> list:
     if not isinstance(value, (list, tuple)):
-        raise ComplexFormatError(f"{where}: expected a JSON array, got {type(value).__name__}")
+        raise ComplexFormatError(
+            f"{_at(where, key)}: expected a JSON array, got {type(value).__name__}"
+        )
     return value
 
 
 def _numbers(value, where: str) -> np.ndarray:
-    return np.array([_number(v, f"{where}[{k}]") for k, v in enumerate(_array(value, where))])
+    value = _array(value, where)
+    if all(_plain(v) for v in value):
+        return np.array(value, dtype=float)
+    return np.array([_number(v, f"{where}[{k}]") for k, v in enumerate(value)])
 
 
-def _as_vec3(value, where: str) -> np.ndarray:
+def _as_vec3(value, where: str, key=None) -> np.ndarray:
+    if type(value) is list and len(value) == 3 and all(_plain(c, COORDINATE_LIMIT) for c in value):
+        return np.array(value, dtype=float)
+    where = _at(where, key)
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ComplexFormatError(f"{where}: expected a 3-vector, got {value!r}")
     if not all(isinstance(c, numbers.Real) for c in value):
@@ -141,9 +167,10 @@ def _as_vec3(value, where: str) -> np.ndarray:
     return vec
 
 
-def _as_flag(value, where: str) -> int:
+def _flag(entry: dict, key: str, where: str, default) -> int:
+    value = entry.get(key, default)
     if value not in (0, 1, False, True):
-        raise ComplexFormatError(f"{where}: flag must be 0 or 1, got {value!r}")
+        raise ComplexFormatError(f"{where}.{key}: flag must be 0 or 1, got {value!r}")
     return int(value)
 
 
@@ -166,7 +193,11 @@ def _required(entry: dict, key: str, where: str):
 
 
 def _field(entry: dict, key: str, where: str, kind=float):
-    return _number(_required(entry, key, where), f"{where}.{key}", kind)
+    return _number(_required(entry, key, where), where, kind, key)
+
+
+def _position(entry: dict, where: str) -> np.ndarray:
+    return _as_vec3(_required(entry, "position", where), where, "position")
 
 
 def _check_unique_ids(items, kind: str) -> None:
@@ -207,19 +238,19 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
     protein = []
     for where, entry in _objects(doc["protein"], "protein"):
         role = entry.get("hbond_role", "none")
-        if role not in [r.value for r in HBondRole]:
+        if role not in _HBOND_ROLES:
             raise ComplexFormatError(f"{where}.hbond_role: unknown role {role!r}")
-        hydrogens = _array(entry.get("donor_hydrogens", []), f"{where}.donor_hydrogens")
+        hydrogens = _array(entry.get("donor_hydrogens", []), where, "donor_hydrogens")
         hydrogens = tuple(
             _as_vec3(h, f"{where}.donor_hydrogens[{k}]") for k, h in enumerate(hydrogens)
         )
         atom = ProteinAtom(
             id=_field(entry, "id", where, int),
-            position=_as_vec3(_required(entry, "position", where), f"{where}.position"),
+            position=_position(entry, where),
             charge=_field(entry, "charge", where),
             type_index=_field(entry, "type_index", where, int),
             hbond_role=HBondRole(role),
-            hydrophobic=bool(_as_flag(entry.get("hydrophobic", False), f"{where}.hydrophobic")),
+            hydrophobic=bool(_flag(entry, "hydrophobic", where, False)),
             donor_hydrogens=hydrogens,
         )
         if not 0 <= atom.type_index < table.n_types:
@@ -244,12 +275,12 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
     for where, entry in _objects(ligand_doc["atoms"], "ligand.atoms"):
         atom = LigandAtom(
             id=_field(entry, "id", where, int),
-            position=_as_vec3(_required(entry, "position", where), f"{where}.position"),
+            position=_position(entry, where),
             charge=_field(entry, "charge", where),
             type_index=_field(entry, "type_index", where, int),
-            hbond_acceptor=_as_flag(entry.get("hbond_acceptor", 0), f"{where}.hbond_acceptor"),
-            hbond_donor=_as_flag(entry.get("hbond_donor", 0), f"{where}.hbond_donor"),
-            hydrophobic=_as_flag(entry.get("hydrophobic", 0), f"{where}.hydrophobic"),
+            hbond_acceptor=_flag(entry, "hbond_acceptor", where, 0),
+            hbond_donor=_flag(entry, "hbond_donor", where, 0),
+            hydrophobic=_flag(entry, "hydrophobic", where, 0),
         )
         if not 0 <= atom.type_index < table.n_types:
             raise ComplexFormatError(
@@ -266,12 +297,12 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
         pair = entry.get("atoms")
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ComplexFormatError(f"{where}: 'atoms' must be a pair of atom ids")
-        i, j = (_number(p, f"{where}.atoms[{k}]", int) for k, p in enumerate(pair))
+        i, j = _number(pair[0], where, int, "atoms[0]"), _number(pair[1], where, int, "atoms[1]")
         if i == j:
             raise ComplexFormatError(f"{where}: bond endpoints must be distinct")
         if i not in atom_ids or j not in atom_ids:
             raise ComplexFormatError(f"{where}: bond references unknown atom id")
-        locked = _as_flag(entry.get("dihedral_locked", False), f"{where}.dihedral_locked")
+        locked = _flag(entry, "dihedral_locked", where, False)
         ligand_bonds.append(LigandBond(i=i, j=j, dihedral_locked=bool(locked)))
 
     grid_points = []
@@ -279,7 +310,7 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
         grid_points.append(
             GridPointInput(
                 id=_field(entry, "id", where, int),
-                position=_as_vec3(_required(entry, "position", where), f"{where}.position"),
+                position=_position(entry, where),
             )
         )
     _check_unique_ids(grid_points, "grid")

@@ -19,9 +19,10 @@ coefficient to the largest geometric coefficient, so the lambda weights
 compare like with like; where either magnitude is zero, or the ratio is
 not finite, the scale is 1.0.
 
-`assemble` builds the lambda-free terms and ends in `with_lambdas`, the
-one function that weights the physicochemical tables; the tuner calls it
-alone on each complex's zero-lambda problem.
+`assemble` builds the lambda-free terms and ends in `with_lambdas`.
+`weighted_linear` is the one function that weights the physicochemical
+tables: `with_lambdas` calls it, and so does the exact tuner, which needs
+only the linear coefficients at each lambda vector.
 
 Each term is computed as arrays over the ligand edges, the grid distance
 matrix and the grid color vectors, and kept as (a, b, value) arrays with
@@ -55,6 +56,9 @@ PHYSCHEM_TERMS = ("el", "vdw", "hba", "hbd", "hydro")
 # header may announce any count, and a larger matrix can be granted lazily
 # and exhaust memory only later.
 DENSE_MAX_VARS = 12_000
+# Integer key types, and the integers a coefficient map's int64 ids can equal.
+_INTEGERS = (int, np.integer)
+_IDS = range(np.iinfo(np.intp).min, np.iinfo(np.intp).max + 1)
 
 
 class CoeffMap(Mapping):
@@ -64,13 +68,16 @@ class CoeffMap(Mapping):
     per key, in the map's order: they are the map's only stored form, and
     must not change afterwards. Iteration, `keys()`, `items()` and
     `values()` zip the arrays, giving Python ints and floats in map order.
-    A lookup (`[]`, `in`, `.get`) is one mask over the arrays, O(entries),
-    so `dict(view.items())` is the linear way to a dict. `len` reads the
-    arrays, and so does `==` between two views: equal key sets, and values
-    equal as floats. A view and another mapping compare as dicts.
+    A lookup (`[]`, `in`, `.get`) of a pair of integers is two binary
+    searches in a key index, sorted on the first such lookup and kept in a
+    slot, so `dict(view)` takes O(entries log entries); the pipeline never
+    looks a key up, and never builds the index. A key with another kind of
+    number (0.0, say) is matched by one mask over the arrays. `len` reads
+    the arrays, and so does `==` between two views: equal key sets, and
+    values equal as floats. A view and another mapping compare as dicts.
     """
 
-    __slots__ = ("arrays",)
+    __slots__ = ("arrays", "_index")
 
     def __init__(self, a, b, values):
         self.arrays = (
@@ -78,6 +85,7 @@ class CoeffMap(Mapping):
             np.ascontiguousarray(b, dtype=np.intp),
             np.ascontiguousarray(values, dtype=np.float64),
         )
+        self._index = None
 
     @classmethod
     def nonzero(cls, a: np.ndarray, b: np.ndarray, values: np.ndarray) -> "CoeffMap":
@@ -96,12 +104,31 @@ class CoeffMap(Mapping):
 
     def __getitem__(self, key):
         hash(key)  # an unhashable key raises TypeError, as with a dict
-        if isinstance(key, tuple) and len(key) == 2 and all(isinstance(k, Number) for k in key):
-            a, b, values = self.arrays
-            hit = np.flatnonzero((a == key[0]) & (b == key[1]))
-            if len(hit):
-                return float(values[hit[0]])
+        if isinstance(key, tuple) and len(key) == 2:
+            x, y = key
+            at = None
+            if isinstance(x, _INTEGERS) and isinstance(y, _INTEGERS):
+                at = self._find(int(x), int(y))
+            elif isinstance(x, Number) and isinstance(y, Number):
+                a, b, _ = self.arrays
+                hit = np.flatnonzero((a == x) & (b == y))
+                at = hit[0] if len(hit) else None
+            if at is not None:
+                return float(self.arrays[2][at])
         raise KeyError(key)
+
+    def _find(self, x: int, y: int):
+        """The array position of key (x, y), or None."""
+        if x not in _IDS or y not in _IDS:
+            return None
+        if self._index is None:
+            a, b, _ = self.arrays
+            order = np.lexsort((b, a))
+            self._index = order, a[order], b[order]
+        order, a, b = self._index
+        lo, hi = a.searchsorted(x), a.searchsorted(x, "right")
+        at = lo + b[lo:hi].searchsorted(y)
+        return order[at] if at < hi and b[at] == y else None
 
     def __iter__(self):
         a, b, _ = self.arrays
@@ -381,30 +408,51 @@ def _reject_non_finite(a, b, values: np.ndarray, term_coeffs: dict[str, CoeffMap
         )
 
 
+def weighted_linear(
+    penalty_diagonal: np.ndarray, raw: dict[str, np.ndarray], scales, lambdas, tables: dict
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The linear coefficients at `lambdas` and each physicochemical term's
+    table, from the penalty diagonal (in variable order), a complex's
+    `build_physchem_raw` tables and its scales.
+
+    Each term's table is raw * (scale * lambda) where raw is nonzero and
+    0.0 elsewhere, in variable order. The linear vector is the penalty
+    diagonal plus the tables one by one in PHYSCHEM_TERMS order, which
+    fixes the rounding of every linear coefficient. Extreme weights can
+    overflow to non-finite values; the caller checks them. `tables` holds
+    each table under (term, lambda): a caller that weights the same raw
+    tables again passes the same dict and reuses them.
+    """
+    diagonal = penalty_diagonal.copy()
+    weighted = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, scale, lam in zip(PHYSCHEM_TERMS, scales, lambdas):
+            if (name, lam) not in tables:
+                product = raw[name] * (scale * lam)
+                tables[name, lam] = np.where(raw[name] != 0.0, product, 0.0).ravel()
+            diagonal += tables[name, lam]
+            weighted.append(tables[name, lam])
+    return diagonal, weighted
+
+
 def with_lambdas(problem: QuboProblem, raw: dict[str, np.ndarray], lambdas) -> QuboProblem:
     """The whole problem at `lambdas`, from the lambda-free parts of a
     problem `assemble` built (geom and penalty maps, gamma, scales, offset,
     decode context) and its complex's `build_physchem_raw` tables.
 
-    Each term's table is raw * (scale * lambda) where raw is nonzero and
-    0.0 elsewhere, in variable order; its map drops the zero products
-    (-0.0 at lambda 0 too). The penalty diagonal (in variable order) adds
-    the tables one by one in PHYSCHEM_TERMS order, which fixes the rounding
-    of every linear coefficient. The summed map is the nonzero geom
-    entries, then every penalty key. Raises GraphBuildError naming the
-    first non-finite coefficient, or a non-finite offset.
+    `weighted_linear` gives the tables and the linear coefficients. Each
+    term's map drops the zero products (-0.0 at lambda 0 too). The summed
+    map is the nonzero geom entries, then every penalty key with the linear
+    coefficients on its diagonal. Raises GraphBuildError naming the first
+    non-finite coefficient, or a non-finite offset.
     """
     a, b, values = problem.term_coeffs["penalty"].arrays
     linear = a == b
     variables = np.arange(problem.n_vars)
-    diagonal = values[linear]
+    diagonal, tables = weighted_linear(values[linear], raw, problem.scales, lambdas, {})
     term_coeffs = {name: problem.term_coeffs[name] for name in ("geom", "penalty")}
-    # Extreme weights can overflow here; the finite checks below name the entry.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, scale, lam in zip(PHYSCHEM_TERMS, problem.scales, lambdas):
-            table = np.where(raw[name] != 0.0, raw[name] * (scale * lam), 0.0).ravel()
-            term_coeffs[name] = CoeffMap.nonzero(variables, variables, table)
-            diagonal += table
+    for name, table in zip(PHYSCHEM_TERMS, tables):
+        term_coeffs[name] = CoeffMap.nonzero(variables, variables, table)
     summed = values.copy()
     summed[linear] = diagonal
     geom = term_coeffs["geom"].arrays

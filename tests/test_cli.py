@@ -443,6 +443,23 @@ def test_tune_takes_no_lambdas(capsys, tmp_path):
     assert "--lambdas" in capsys.readouterr().err
 
 
+def test_tune_rejects_lambdas_in_its_config(capsys, tmp_path):
+    # A config's lambdas would be ignored like the flag; the key is named.
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    shutil.copy(PLANTED6, dataset / "planted6.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lambdas": [9, 9, 9, 9, 9]}))
+    argv = ["tune", "--dataset", str(dataset), "--gamma", "5", "--exact", "--config", str(config)]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "config lambdas" in err
+    # A null value means "not set", as for every config key.
+    config.write_text(json.dumps({"lambdas": None}))
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["lambdas"] == [0, 0, 0, 0, 0.2]
+
+
 def test_tune_empty_dataset_dir_fails(capsys, tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -1,5 +1,7 @@
 """Coefficient maps as read-only views over (a, b, value) arrays."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,25 @@ def test_lookups_behave_like_a_dict():
     assert (0, 0) not in CoeffMap.wrap({}) and CoeffMap.wrap({}).get((0, 0)) is None
     # Two entries: a key made of two pairs must not match them elementwise.
     assert ((0, 1), (0, 1)) not in CoeffMap.wrap({(0, 0): 1.0, (1, 1): 2.0})
+
+
+def test_dict_of_a_large_view_is_not_quadratic():
+    # dict() looks every key up; 200,000 masks over 200,000 entries would
+    # take minutes, and the key index answers them in about a second.
+    k = np.random.default_rng(5).permutation(200_000)
+    a = k // 400
+    view = CoeffMap(a, a + k % 400, np.sqrt(k))
+    started = time.perf_counter()
+    plain = dict(view)
+    assert time.perf_counter() - started < 10.0
+    assert plain == dict(view.items()) and len(plain) == 200_000
+
+
+def test_integer_lookups_past_the_id_range_miss():
+    view = CoeffMap.wrap({(0, 0): 1.0, (2, 5): -1.0})
+    for key in [(2**70, 0), (0, -(2**70)), (np.uint64(2**64 - 1), 5)]:
+        assert key not in view and view.get(key) is None
+    assert view[(np.int8(2), np.uint8(5))] == -1.0 and view[(False, False)] == 1.0
 
 
 def test_energy_counts_any_nonzero_bit_as_set():

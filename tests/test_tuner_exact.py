@@ -3,6 +3,7 @@ complex; its documents must equal those of docking each complex exactly."""
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import event, given, settings
@@ -13,13 +14,18 @@ from qdock import (
     GraphBuildError,
     Hyperparameters,
     NoValidSolutionError,
+    build_grid_graph,
+    build_ligand_graph,
     dock,
     greedy_tune,
     parse_complex,
 )
+from qdock.anneal import window_scale
+from qdock.dockeval import TUNER_WEIGHTS, _EnumeratedComplex
+from qdock.qubo import assemble, build_physchem_raw, with_lambdas
 
 from test_dockeval import matched_chain, mismatched_complex
-from test_qubo import complex_docs
+from test_qubo import complex_docs, same_bits
 
 
 def inert_chain():
@@ -111,7 +117,8 @@ def test_tuner_documents_match_recorded_digest(case, planted6):
 
 def test_exact_tuner_reports_overflow_like_assemble(planted6):
     """A weight whose scale * lambda overflows raises the GraphBuildError
-    that assembling at those lambdas raises, on both tuner paths."""
+    that assembling at those lambdas raises, on both tuner paths and in
+    the prepared evaluation, which builds no problem otherwise."""
     template = Hyperparameters(gamma=5.0, component_scales=(1e308,) * 5)
     sched = AnnealSchedule(n_reads=2, n_sweeps=2)
     messages = []
@@ -119,7 +126,70 @@ def test_exact_tuner_reports_overflow_like_assemble(planted6):
         with pytest.raises(GraphBuildError, match="non-finite QUBO coefficient") as caught:
             greedy_tune([planted6], sched, weights=(5.0,), hp_template=template, exact=exact)
         messages.append(str(caught.value))
-    assert messages[0] == messages[1]
+    # planted6 has no charges, so el stays finite at any weight; vdw, the
+    # tuner's next candidate, overflows.
+    lig, grid = build_ligand_graph(planted6), build_grid_graph(planted6)
+    enumerated = _EnumeratedComplex(assemble(lig, grid, template), build_physchem_raw(lig, grid))
+    enumerated.evaluate((5.0, 0.0, 0.0, 0.0, 0.0))
+    lambdas = (0.0, 5.0, 0.0, 0.0, 0.0)
+    with pytest.raises(GraphBuildError) as assembling:
+        dock(planted6, replace(template, lambdas=lambdas), sched, exact=True)
+    with pytest.raises(GraphBuildError) as evaluating:
+        enumerated.evaluate(lambdas)
+    messages += [str(assembling.value), str(evaluating.value)]
+    assert len(set(messages)) == 1
+
+
+def assert_evaluations_match_docking(cx, gamma, lambda_vectors) -> list[str]:
+    """Evaluate one complex's prepared tables at each lambda vector in turn:
+    the linear vector and window scale equal, bit for bit, those of the
+    problem `with_lambdas` builds, and the adjusted RMSD (or None) is what
+    `dock(exact=True)` reports at those lambdas. Returns what each
+    evaluation found."""
+    hp = Hyperparameters(gamma=gamma)
+    lig, grid = build_ligand_graph(cx), build_grid_graph(cx)
+    base, raw = assemble(lig, grid, hp), build_physchem_raw(lig, grid)
+    enumerated = _EnumeratedComplex(base, raw)
+    sched = AnnealSchedule()
+    found = []
+    for lambdas in lambda_vectors:
+        problem = with_lambdas(base, raw, lambdas)
+        h, scale, adjusted = enumerated.evaluate(lambdas)
+        assert same_bits(h, problem.dense[0])
+        assert scale == window_scale(problem.coeffs.arrays[2], problem.offset)
+        try:
+            report = dock(cx, replace(hp, lambdas=lambdas), sched, exact=True)
+        except NoValidSolutionError:
+            assert adjusted is None
+            found.append("no valid pose among the lowest states")
+            continue
+        assert adjusted == report.adjusted_rmsd
+        if report.lowest_energy < report.total_energy:
+            found.append("an invalid state sorts ahead of the pose")
+    return found
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    doc=complex_docs().filter(
+        lambda doc: len(doc["ligand"]["atoms"]) * len(doc["grid_points"]) <= 18
+    ),
+    gamma=st.sampled_from([1e-6, 0.1, 5.0]),
+    lambda_vectors=st.lists(
+        st.tuples(*[st.sampled_from([0.0, *TUNER_WEIGHTS, 1e3])] * 5), min_size=1, max_size=4
+    ),
+)
+def test_prepared_evaluation_matches_docking_at_those_lambdas(doc, gamma, lambda_vectors):
+    for found in assert_evaluations_match_docking(parse_complex(doc), gamma, lambda_vectors):
+        event(found)
+
+
+def test_prepared_evaluation_finds_no_pose_where_docking_finds_none():
+    # At gamma 1e-6 the mismatched complex's 32 lowest states are invalid
+    # at every lambda vector here (see TUNER_CASES).
+    lambda_vectors = [(0.0,) * 5, (1e3, 0.0, 0.0, 5.0, 0.2), (0.0,) * 5]
+    found = assert_evaluations_match_docking(mismatched_complex(), 1e-6, lambda_vectors)
+    assert found == ["no valid pose among the lowest states"] * 3
 
 
 small_complexes = complex_docs().filter(
