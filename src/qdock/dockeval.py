@@ -6,17 +6,15 @@ coordinates. Scoring is always against the experimental ligand coordinates
 carried by the problem, matched by atom id with no realignment.
 
 The greedy tuner scores each candidate set of lambdas by docking every
-complex at those lambdas; each complex's zero-lambda problem and raw
-physicochemical tables are built once. The SA tuner anneals the problem
-`qubo.with_lambdas` makes from them. With exact=True the exhaustive
-scan's half tables, its per-row bounds, the valid placements and each
-weighted table's per-placement sums are built once too, and each
-evaluation builds no problem: it weights the tables onto the penalty
-diagonal with `qubo.weighted_linear` and redoes only the scan and the
-listing, reporting what `dock(exact=True)` would down to the tie order
-(see `_EnumeratedComplex`). The scan scores only the rows of its table
-whose bound can reach the window, so an evaluation usually computes a
-small part of the 2^n split-scan table.
+complex at those lambdas; each complex's zero-lambda problem, which
+carries its raw physicochemical tables, is built once. The SA tuner
+anneals the problem `qubo.with_lambdas` makes from it. With exact=True
+the exhaustive scan, the valid placements and each weighted table's
+per-placement sums are built once too, and each evaluation builds no
+problem: it weights the tables with `qubo.weighted_linear`, redoes only
+the scan (usually a small part of its 2^n table) and the listing, and
+scores each listed state by one rule, reporting what `dock(exact=True)`
+would down to the tie order (see `_EnumeratedComplex`).
 """
 
 from __future__ import annotations
@@ -43,13 +41,10 @@ from .model import ComplexInput
 from .qubo import (
     PHYSCHEM_TERMS,
     Assignment,
-    CoeffMap,
     Hyperparameters,
     QuboProblem,
-    active_sums,
     assemble,
     build_full,
-    build_physchem_raw,
     energies,
     exact_sum,
     weighted_linear,
@@ -250,44 +245,38 @@ class TunerResult:
 class _EnumeratedComplex:
     """One complex's `dock(exact=True)` as a function of the lambdas.
 
-    Geometry, the penalty, gamma, the scales and the decode context do not
-    depend on the lambdas, and a valid pose's penalty is exactly 0. So the
-    `ExhaustiveScan` of the zero-lambda problem (half tables, cross factor,
-    per-row bounds and valid placements), each placement's geom and
-    penalty terms, the penalty diagonal and the |coefficients| off it are
-    prepared once per complex, and each term's weighted table and its
-    per-placement `active_sums` once per (term, weight).
+    Geometry, the penalty, gamma, the scales, the raw tables and the decode
+    context do not depend on the lambdas. So the `ExhaustiveScan` of the
+    zero-lambda problem, each placement's geom and penalty energies, the
+    penalty diagonal and the |coefficients| off it are prepared once per
+    complex, and each term's weighted table and per-placement sums once
+    per (term, weight).
 
     `evaluate` builds no problem. Every variable has a penalty diagonal
     entry and geom has none, so the linear vector brute force reads is
     `weighted_linear`'s, and the window scale is the fsum of the same
-    multiset of |coefficients| as the problem's. `ExhaustiveScan.candidates`
-    lists the states brute force would list, one `searchsorted` maps them
-    to placement ranks, and each placement's total is the fsum of its
-    terms, the values `energies` would give. Two cases build the problem
-    `with_lambdas` gives: a non-finite linear coefficient, for which it
-    raises the GraphBuildError that assembling raises, and invalid window
-    hits, which lead the listing at high lambdas and are scored by
-    `energies`. The first valid state among the
-    `BRUTE_FORCE_KEEP` lowest (stable order, so ties keep the listing
-    order) is the pose `dock` reports; its adjusted RMSD is computed once
-    per placement.
+    multiset of |coefficients| as the problem's. Every state
+    `ExhaustiveScan.candidates` lists, placement or invalid window hit, is
+    scored by `_totals`, which is its `energies` total on the weighted
+    problem bit for bit: fsum is exact and gives +0.0 for all zeros, the
+    tables are finite once the linear vector is, and the penalty energy
+    carries the offset. A non-finite linear coefficient makes
+    `with_lambdas` raise the GraphBuildError that assembling raises. The
+    first valid state among the `BRUTE_FORCE_KEEP` lowest (stable order,
+    so ties keep the listing order) is the pose `dock` reports; its
+    adjusted RMSD is computed once per placement.
     """
 
-    def __init__(self, base: QuboProblem, raw: dict[str, np.ndarray]):
-        self.base, self.raw = base, raw
+    def __init__(self, base: QuboProblem):
+        self.base = base
         self.scan = ExhaustiveScan.of(base)
         placements = self.scan.placements
         self.rows = state_rows(placements, base.n_vars)
-        self.on = self.rows != 0
-        fixed = energies(base, self.rows)
-        self.geom = [e.terms["geom"] for e in fixed]
-        self.penalty = [e.terms["penalty"] for e in fixed]
+        self.fixed = _lambda_free(base, self.rows)
         a, b, values = base.term_coeffs["penalty"].arrays
         linear = a == b
         self.diagonal = values[linear]
         self.off_diagonal = np.abs(np.append(base.term_coeffs["geom"].arrays[2], values[~linear]))
-        self.variables = np.arange(base.n_vars)
         self.tables: dict = {}
         self.sums: dict = {}
         # Placement states ascending, each with its rank in `placements`;
@@ -302,28 +291,26 @@ class _EnumeratedComplex:
         `lambdas`, and the adjusted RMSD `dock(exact=True)` reports there,
         or None where it raises NoValidSolutionError."""
         base = self.base
-        h, tables = weighted_linear(self.diagonal, self.raw, base.scales, lambdas, self.tables)
+        h, tables = weighted_linear(base, self.diagonal, lambdas, self.tables)
         if not np.isfinite(h).all():
-            with_lambdas(base, self.raw, lambdas)  # raises the GraphBuildError
+            with_lambdas(base, lambdas)  # raises the GraphBuildError
         scale = window_scale(np.append(self.off_diagonal, h), base.offset)
         states = self.scan.candidates(h, scale)
 
         at = np.searchsorted(self.sorted_states[:-1], states)
         placement = np.where(self.sorted_states[at] == states, self.rank[at], -1)
-        sums = []
-        for name, lam, table in zip(PHYSCHEM_TERMS, lambdas, tables):
-            if (name, lam) not in self.sums:
-                arrays = CoeffMap.nonzero(self.variables, self.variables, table).arrays
-                self.sums[name, lam] = active_sums(arrays, self.on)
-            sums.append(self.sums[name, lam])
-        totals = np.array([exact_sum(terms) for terms in zip(self.geom, self.penalty, *sums)])
+        keys = list(zip(PHYSCHEM_TERMS, lambdas))
+        for key, table in zip(keys, tables):
+            if key not in self.sums:
+                self.sums[key] = _table_sums(table, self.rows)
+        totals = np.array(_totals(self.fixed, [self.sums[key] for key in keys]))
         energy = np.empty(len(states))
         valid = placement >= 0
         energy[valid] = totals[placement[valid]]
         if not valid.all():
             invalid = state_rows(states[~valid], base.n_vars)
-            problem = with_lambdas(base, self.raw, lambdas)
-            energy[~valid] = [e.total for e in energies(problem, invalid)]
+            sums = [_table_sums(table, invalid) for table in tables]
+            energy[~valid] = _totals(_lambda_free(base, invalid), sums)
 
         ranked = placement[np.argsort(energy, kind="stable")[:BRUTE_FORCE_KEEP]]
         ranked = ranked[ranked >= 0]
@@ -336,13 +323,34 @@ class _EnumeratedComplex:
         return h, scale, self.adjusted[best]
 
 
+def _lambda_free(problem: QuboProblem, rows: np.ndarray) -> list[list[float]]:
+    """The bit rows' geom and penalty (offset included) energies, as two lists."""
+    fixed = energies(problem, rows)
+    return [[e.terms[name] for e in fixed] for name in ("geom", "penalty")]
+
+
+def _table_sums(table: np.ndarray, rows: np.ndarray) -> list[float]:
+    """Per bit row, the fsum of a weighted table over its set variables."""
+    if not table.any():
+        return [0.0] * len(rows)
+    row, variable = np.nonzero(rows)
+    values = table[variable].tolist()
+    ends = np.cumsum(np.bincount(row, minlength=len(rows))).tolist()
+    return [exact_sum(values[s:e]) for s, e in zip([0, *ends], ends)]
+
+
+def _totals(fixed: list[list[float]], sums: list[list[float]]) -> list[float]:
+    """Per state, the fsum of its `_lambda_free` energies and its `_table_sums`."""
+    return [exact_sum(terms) for terms in zip(*fixed, *sums)]
+
+
 def _mean(values: list[float | None]) -> tuple[float | None, int]:
-    """Mean of the non-None values and how many were None; the mean is
-    None when every value is."""
+    """Mean (an fsum, so the same on every Python version) of the non-None
+    values and how many were None; the mean is None when every value is."""
     kept = [v for v in values if v is not None]
     if not kept:
         return None, len(values)
-    return sum(kept) / len(kept), len(values) - len(kept)
+    return math.fsum(kept) / len(kept), len(values) - len(kept)
 
 
 def greedy_tune(
@@ -365,14 +373,14 @@ def greedy_tune(
     entry's `excluded`; the mean is None when every complex is.
 
     Each evaluation's mean is what docking each complex at its lambdas
-    gives. Each complex's zero-lambda problem and raw physicochemical
-    tables are built once, and an evaluation checks its lambdas as
-    Hyperparameters does. The SA path weights the tables with
-    `with_lambdas` and anneals. With exact=True each complex's prepared
-    `_EnumeratedComplex` (scan tables, valid placements with their geom
-    and penalty terms, and per-weight tables and sums) evaluates the
-    lambdas without building a problem, redoing only the scan and the
-    listing.
+    gives. Each complex's zero-lambda problem, which carries its raw
+    physicochemical tables, is built once, and an evaluation checks its
+    lambdas as Hyperparameters does. The SA path re-weights that problem
+    with `with_lambdas` and anneals. With exact=True each complex's
+    prepared `_EnumeratedComplex` (scan tables, valid placements with
+    their geom and penalty terms, and per-weight tables and sums)
+    evaluates the lambdas without building a problem, redoing only the
+    scan and the listing.
     n_threads is accepted for compatibility and has no effect.
     """
     if not dataset:
@@ -383,36 +391,27 @@ def greedy_tune(
     zero = replace(hp_template, lambdas=(0.0,) * 5)
     complexes = []
     for cx in dataset:
-        lig, grid = build_ligand_graph(cx), build_grid_graph(cx)
-        base = assemble(lig, grid, zero)
-        raw = build_physchem_raw(lig, grid)
-        complexes.append((cx, base, raw, _EnumeratedComplex(base, raw) if exact else None))
-
-    def adjusted_rmsds(lambdas: tuple) -> list[float | None]:
-        lambdas = replace(hp_template, lambdas=lambdas).lambdas
-        values = []
-        for cx, base, raw, enumerated in complexes:
-            if exact:
-                values.append(enumerated.evaluate(lambdas)[2])
-                continue
-            try:
-                report = _solve_and_report(with_lambdas(base, raw, lambdas), sched, False, cx.name)
-            except NoValidSolutionError:
-                values.append(None)
-            else:
-                values.append(report.adjusted_rmsd)
-        return values
+        base = assemble(build_ligand_graph(cx), build_grid_graph(cx), zero)
+        complexes.append((cx, base, _EnumeratedComplex(base) if exact else None))
 
     current = [0.0] * 5
     trace: list[dict] = []
     selection_order: list[dict] = []
-    any_valid = False
 
     def evaluate(lambdas, interaction, weight):
-        nonlocal any_valid
-        mean, excluded = _mean(adjusted_rmsds(tuple(lambdas)))
-        if mean is not None:
-            any_valid = True
+        lambdas = replace(hp_template, lambdas=tuple(lambdas)).lambdas
+        values = []
+        for cx, base, enumerated in complexes:
+            if exact:
+                values.append(enumerated.evaluate(lambdas)[2])
+                continue
+            try:
+                report = _solve_and_report(with_lambdas(base, lambdas), sched, False, cx.name)
+            except NoValidSolutionError:
+                values.append(None)
+            else:
+                values.append(report.adjusted_rmsd)
+        mean, excluded = _mean(values)
         trace.append(
             {
                 "interaction": interaction,
@@ -453,7 +452,7 @@ def greedy_tune(
             }
         )
 
-    if not any_valid:
+    if all(entry["mean_adjusted_rmsd"] is None for entry in trace):
         raise NoValidSolutionError(
             "no complex produced a valid pose under any candidate lambdas"
         )

@@ -172,7 +172,9 @@ def hydrophobic_count(points, protein: list[ProteinAtom]):
 
 
 def build_grid_graph(complex_input: ComplexInput) -> GridGraph:
-    """Assemble the complete pocket grid graph with all colorings."""
+    """Assemble the complete pocket grid graph with all colorings. Raises
+    GraphBuildError naming the first grid point whose Coulomb potential or
+    Lennard-Jones row is not finite."""
     points = complex_input.grid_points
     protein = complex_input.protein
     n = len(points)
@@ -184,12 +186,21 @@ def build_grid_graph(complex_input: ComplexInput) -> GridGraph:
     if off_diagonal.size and off_diagonal.min() < MIN_POINT_SEPARATION:
         raise GraphBuildError("two grid points coincide")
 
+    # An extreme dielectric or type table overflows these; the check names the point.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coulomb = coulomb_potential(positions, protein, complex_input.dielectric)
+        lj = lj_vector(positions, protein, complex_input.type_table)
+    bad = np.flatnonzero(~(np.isfinite(coulomb) & np.isfinite(lj).all(axis=-1)))
+    if len(bad):
+        kind = "Lennard-Jones energy" if np.isfinite(coulomb[bad[0]]) else "Coulomb potential"
+        raise GraphBuildError(f"non-finite {kind} at grid point {points[bad[0]].id}")
+
     return GridGraph(
         point_ids=[p.id for p in points],
         positions=positions,
         dist=dist,
-        coulomb=coulomb_potential(positions, protein, complex_input.dielectric),
-        lj=lj_vector(positions, protein, complex_input.type_table),
+        coulomb=coulomb,
+        lj=lj,
         hb_acceptor=hbond_acceptor_count(positions, protein),
         hb_donor=hbond_donor_count(positions, protein),
         hydrophobic=hydrophobic_count(positions, protein),

@@ -118,6 +118,11 @@ def _plain(value, limit: float = sys.float_info.max) -> bool:
     return type(value) in _JSON_NUMBERS and abs(value) <= limit
 
 
+def _real(value) -> bool:
+    """A `numbers.Real` other than bool: numpy scalars pass, JSON true does not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _at(where: str, key) -> str:
     """A value's location in an error message: `where`, or where.key."""
     return where if key is None else f"{where}.{key}"
@@ -125,10 +130,10 @@ def _at(where: str, key) -> str:
 
 def _number(value, where: str, kind=float, key=None):
     """A finite JSON number; with kind=int, one with an integral value.
-    A JSON int or float skips the `numbers.Real` test."""
+    A JSON int or float skips the `_real` test."""
     if _plain(value) and (kind is float or value == int(value)):
         return kind(value)
-    if not (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max):
+    if not (_real(value) and abs(value) <= sys.float_info.max):
         raise ComplexFormatError(f"{_at(where, key)}: expected a finite number, got {value!r}")
     if kind is int and value != int(value):
         raise ComplexFormatError(f"{_at(where, key)}: expected an integer, got {value!r}")
@@ -156,7 +161,7 @@ def _as_vec3(value, where: str, key=None) -> np.ndarray:
     where = _at(where, key)
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ComplexFormatError(f"{where}: expected a 3-vector, got {value!r}")
-    if not all(isinstance(c, numbers.Real) for c in value):
+    if not all(_real(c) for c in value):
         raise ComplexFormatError(f"{where}: non-numeric coordinate in {value!r}")
     vec = _numbers(value, where)
     for k, c in enumerate(value):

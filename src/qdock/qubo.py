@@ -19,10 +19,10 @@ coefficient to the largest geometric coefficient, so the lambda weights
 compare like with like; where either magnitude is zero, or the ratio is
 not finite, the scale is 1.0.
 
-`assemble` builds the lambda-free terms and ends in `with_lambdas`.
-`weighted_linear` is the one function that weights the physicochemical
-tables: `with_lambdas` calls it, and so does the exact tuner, which needs
-only the linear coefficients at each lambda vector.
+`assemble` builds the lambda-free terms, keeps the raw physicochemical
+tables on the problem and ends in `with_lambdas`, which re-weights a
+problem from itself alone. `weighted_linear` is the one function that
+weights the tables: `with_lambdas` calls it, and so does the exact tuner.
 
 Each term is computed as arrays over the ligand edges, the grid distance
 matrix and the grid color vectors, and kept as (a, b, value) arrays with
@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from numbers import Number
 
@@ -234,8 +234,8 @@ class QuboProblem:
     `CoeffMap`: its (a, b, value) arrays are the model. A plain dict given
     for `coeffs` or a term becomes a view of its keys and values.
     Problems built from a complex carry the decode context (atom/grid ids,
-    grid positions, experimental coordinates); problems imported from a
-    coordinate file only carry coefficients.
+    grid positions, experimental coordinates) and the raw tables
+    `with_lambdas` weights; imported or hand-built ones only coefficients.
     """
 
     n_mol: int
@@ -250,6 +250,7 @@ class QuboProblem:
     grid_ids: list[int] | None = None
     grid_positions: np.ndarray | None = None
     experimental_coords: np.ndarray | None = None
+    physchem_raw: dict[str, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.coeffs = CoeffMap.wrap(self.coeffs)
@@ -409,24 +410,23 @@ def _reject_non_finite(a, b, values: np.ndarray, term_coeffs: dict[str, CoeffMap
 
 
 def weighted_linear(
-    penalty_diagonal: np.ndarray, raw: dict[str, np.ndarray], scales, lambdas, tables: dict
+    problem: QuboProblem, penalty_diagonal: np.ndarray, lambdas, tables: dict
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The linear coefficients at `lambdas` and each physicochemical term's
-    table, from the penalty diagonal (in variable order), a complex's
-    `build_physchem_raw` tables and its scales.
+    table, from the penalty diagonal (in variable order) and the problem's
+    `physchem_raw` tables and scales.
 
     Each term's table is raw * (scale * lambda) where raw is nonzero and
     0.0 elsewhere, in variable order. The linear vector is the penalty
     diagonal plus the tables one by one in PHYSCHEM_TERMS order, which
     fixes the rounding of every linear coefficient. Extreme weights can
     overflow to non-finite values; the caller checks them. `tables` holds
-    each table under (term, lambda): a caller that weights the same raw
-    tables again passes the same dict and reuses them.
+    each table under (term, lambda): a caller that weights the same
+    problem again passes the same dict and reuses them.
     """
-    diagonal = penalty_diagonal.copy()
-    weighted = []
+    raw, diagonal, weighted = problem.physchem_raw, penalty_diagonal.copy(), []
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, scale, lam in zip(PHYSCHEM_TERMS, scales, lambdas):
+        for name, scale, lam in zip(PHYSCHEM_TERMS, problem.scales, lambdas):
             if (name, lam) not in tables:
                 product = raw[name] * (scale * lam)
                 tables[name, lam] = np.where(raw[name] != 0.0, product, 0.0).ravel()
@@ -435,10 +435,10 @@ def weighted_linear(
     return diagonal, weighted
 
 
-def with_lambdas(problem: QuboProblem, raw: dict[str, np.ndarray], lambdas) -> QuboProblem:
+def with_lambdas(problem: QuboProblem, lambdas) -> QuboProblem:
     """The whole problem at `lambdas`, from the lambda-free parts of a
     problem `assemble` built (geom and penalty maps, gamma, scales, offset,
-    decode context) and its complex's `build_physchem_raw` tables.
+    decode context) and the `physchem_raw` tables it carries.
 
     `weighted_linear` gives the tables and the linear coefficients. Each
     term's map drops the zero products (-0.0 at lambda 0 too). The summed
@@ -449,7 +449,7 @@ def with_lambdas(problem: QuboProblem, raw: dict[str, np.ndarray], lambdas) -> Q
     a, b, values = problem.term_coeffs["penalty"].arrays
     linear = a == b
     variables = np.arange(problem.n_vars)
-    diagonal, tables = weighted_linear(values[linear], raw, problem.scales, lambdas, {})
+    diagonal, tables = weighted_linear(problem, values[linear], lambdas, {})
     term_coeffs = {name: problem.term_coeffs[name] for name in ("geom", "penalty")}
     for name, table in zip(PHYSCHEM_TERMS, tables):
         term_coeffs[name] = CoeffMap.nonzero(variables, variables, table)
@@ -465,8 +465,8 @@ def with_lambdas(problem: QuboProblem, raw: dict[str, np.ndarray], lambdas) -> Q
 
 def assemble(lig: LigandGraph, grid: GridGraph, hp: Hyperparameters) -> QuboProblem:
     """Combine the term arrays into a QuboProblem from prebuilt graphs:
-    the lambda-free geom and penalty terms, gamma and the scales, then
-    `with_lambdas` at hp.lambdas."""
+    the lambda-free geom and penalty terms, gamma, the scales and the raw
+    physicochemical tables, then `with_lambdas` at hp.lambdas."""
     n_mol, n_grid = lig.n_atoms, grid.n_points
     geom_a, geom_b, geom_values = build_distortion(lig, grid)
     gamma = resolve_gamma(hp, geom_values)
@@ -487,8 +487,9 @@ def assemble(lig: LigandGraph, grid: GridGraph, hp: Hyperparameters) -> QuboProb
         grid_ids=list(grid.point_ids),
         grid_positions=grid.positions,
         experimental_coords=np.array([atom.position for atom in lig.atoms], dtype=float),
+        physchem_raw=raw,
     )
-    return with_lambdas(lambda_free, raw, hp.lambdas)
+    return with_lambdas(lambda_free, hp.lambdas)
 
 
 def energy(problem: QuboProblem, assignment: Assignment) -> EnergyBreakdown:

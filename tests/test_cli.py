@@ -144,6 +144,18 @@ def test_far_coordinate_exits_without_traceback(tmp_path, command):
     assert not out.exists()
 
 
+def test_grid_with_non_finite_colouring_exits_without_output(tmp_path, capsys):
+    doc = json.loads(TINY4.read_text())
+    doc["dielectric"] = 1e-320
+    bad = tmp_path / "tiny-dielectric.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "grid.json"
+    code, stdout, err = run(capsys, ["grid", "--complex", str(bad), "--out", str(out)])
+    assert code == 1
+    assert err == "error: non-finite Coulomb potential at grid point 101\n"
+    assert not out.exists() and "NaN" not in stdout
+
+
 def test_unallocatable_qubo_exits_without_traceback(tmp_path):
     huge = tmp_path / "huge.qubo"
     huge.write_text("p qubo 100000000 0\n")

@@ -485,3 +485,10 @@ def test_tuner_trace_matches_docking_each_complex(tuned_pair):
                 assert not exact
         assert entry["excluded"] == len(dataset) - len(values)
         assert entry["mean_adjusted_rmsd"] == (sum(values) / len(values) if values else None)
+
+
+def test_tuner_mean_sums_exactly():
+    # The builtin sum gives 1.0 here before Python 3.12 and 1 + 2e-16 after.
+    mean, excluded = dockeval._mean([1.0, 1e-16, None, 1e-16])
+    assert (mean, excluded) == (math.fsum([1.0, 1e-16, 1e-16]) / 3, 1)
+    assert mean != 1.0 / 3

@@ -1,5 +1,6 @@
 """Pocket grid colorings: Coulomb, Lennard-Jones, H-bond counts, distances."""
 
+import copy
 import math
 
 import numpy as np
@@ -405,6 +406,22 @@ def test_grid_point_on_protein_atom_rejected():
         "type_table": {"epsilon": [0.2], "r_min": [1.5]},
     }
     with pytest.raises(GraphBuildError, match="coincides with protein atom 1"):
+        build_grid_graph(parse_complex(doc))
+
+
+@pytest.mark.parametrize(
+    "edit, kind",
+    [
+        (lambda doc: doc.update(dielectric=1e-320), "Coulomb potential"),
+        (lambda doc: doc["type_table"]["r_min"].__setitem__(1, 1e100), "Lennard-Jones energy"),
+    ],
+    ids=["tiny-dielectric", "huge-r_min"],
+)
+def test_non_finite_colouring_names_its_grid_point(tiny4_doc, edit, kind):
+    # No RuntimeWarning escapes either (it would be an error in this suite).
+    doc = copy.deepcopy(tiny4_doc)
+    edit(doc)
+    with pytest.raises(GraphBuildError, match=f"^non-finite {kind} at grid point 101$"):
         build_grid_graph(parse_complex(doc))
 
 

@@ -168,6 +168,15 @@ MALFORMED_ENTRIES = [
     (_replace([1e200, 0.0, 0.0], "grid_points", 0, "position"), "grid_points[0].position[0]"),
     (_replace([0.0, 0.0, -1e101], "ligand", "atoms", 0, "position"), "ligand.atoms[0].position[2]"),
     (_replace([0.0, 2e100, 0.0], "protein", 0, "position"), "protein[0].position[1]"),
+    # JSON true is not a number, although bool is a `numbers.Real`.
+    (_replace(True, "protein", 0, "charge"), "protein[0].charge"),
+    (_replace(True, "ligand", "atoms", 0, "id"), "ligand.atoms[0].id"),
+    (_replace(True, "grid_points", 0, "id"), "grid_points[0].id"),
+    (_replace([{"atoms": [1, True]}], "ligand", "bonds"), "ligand.bonds[0].atoms[1]"),
+    (_replace(True, "protein", 0, "type_index"), "protein[0].type_index"),
+    (_replace(True, "dielectric"), "dielectric"),
+    (_replace([True], "type_table", "epsilon"), "type_table.epsilon[0]"),
+    (_replace([0.0, True, 0.0], "grid_points", 0, "position"), "grid_points[0].position"),
 ]
 
 

@@ -33,7 +33,6 @@ from qdock.qubo import (
     CoeffMap,
     QuboProblem,
     assemble,
-    build_physchem_raw,
     with_lambdas,
 )
 from qdock.qubofile import export_qubo, import_qubo
@@ -409,7 +408,7 @@ def test_with_lambdas_equals_assembly_at_those_lambdas(doc, hp, lambdas):
     lig, grid = build_ligand_graph(cx), build_grid_graph(cx)
     expected = assemble(lig, grid, dataclasses.replace(hp, lambdas=lambdas))
     zero = assemble(lig, grid, dataclasses.replace(hp, lambdas=(0.0,) * 5))
-    built = with_lambdas(zero, build_physchem_raw(lig, grid), lambdas)
+    built = with_lambdas(zero, lambdas)
     assert list(built.term_coeffs) == list(expected.term_coeffs) == list(TERM_NAMES)
     maps = zip([built.coeffs, *built.term_coeffs.values()],
                [expected.coeffs, *expected.term_coeffs.values()])
@@ -420,6 +419,16 @@ def test_with_lambdas_equals_assembly_at_those_lambdas(doc, hp, lambdas):
     assert (built.atom_ids, built.grid_ids) == (expected.atom_ids, expected.grid_ids)
     assert same_bits(built.grid_positions, expected.grid_positions)
     assert same_bits(built.experimental_coords, expected.experimental_coords)
+
+
+def test_built_problem_carries_its_raw_tables(tiny4, tmp_path):
+    """A built problem keeps the raw tables it was weighted from, so it
+    re-weights from itself alone; an imported one has none."""
+    built = build_full(tiny4, Hyperparameters(lambdas=(1.0,) * 5))
+    assert set(built.physchem_raw) == set(PHYSCHEM_TERMS)
+    assert with_lambdas(built, (1.0,) * 5).coeffs == built.coeffs
+    export_qubo(built, tmp_path / "out.qubo")
+    assert import_qubo(tmp_path / "out.qubo").physchem_raw is None
 
 
 # SHA-256 of `export_qubo` bytes, recorded before the term maps were built

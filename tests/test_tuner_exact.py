@@ -20,9 +20,10 @@ from qdock import (
     greedy_tune,
     parse_complex,
 )
+from qdock import dockeval
 from qdock.anneal import window_scale
 from qdock.dockeval import TUNER_WEIGHTS, _EnumeratedComplex
-from qdock.qubo import assemble, build_physchem_raw, with_lambdas
+from qdock.qubo import assemble, with_lambdas
 
 from test_dockeval import matched_chain, mismatched_complex
 from test_qubo import complex_docs, same_bits
@@ -129,7 +130,7 @@ def test_exact_tuner_reports_overflow_like_assemble(planted6):
     # planted6 has no charges, so el stays finite at any weight; vdw, the
     # tuner's next candidate, overflows.
     lig, grid = build_ligand_graph(planted6), build_grid_graph(planted6)
-    enumerated = _EnumeratedComplex(assemble(lig, grid, template), build_physchem_raw(lig, grid))
+    enumerated = _EnumeratedComplex(assemble(lig, grid, template))
     enumerated.evaluate((5.0, 0.0, 0.0, 0.0, 0.0))
     lambdas = (0.0, 5.0, 0.0, 0.0, 0.0)
     with pytest.raises(GraphBuildError) as assembling:
@@ -140,6 +141,17 @@ def test_exact_tuner_reports_overflow_like_assemble(planted6):
     assert len(set(messages)) == 1
 
 
+@pytest.mark.parametrize("gamma", [0.1, 1e-6])
+def test_exact_tuner_builds_no_problem_for_finite_lambdas(monkeypatch, gamma):
+    """Invalid window hits lead the listing at both gammas (see
+    TUNER_CASES); they are scored from the prepared tables too."""
+    monkeypatch.setattr(dockeval, "with_lambdas", lambda *args: pytest.fail("built a problem"))
+    dataset = [mismatched_complex(), matched_chain()]
+    result = greedy_tune(dataset, AnnealSchedule(), hp_template=Hyperparameters(gamma=gamma),
+                         exact=True)
+    assert len(result.trace) > 1
+
+
 def assert_evaluations_match_docking(cx, gamma, lambda_vectors) -> list[str]:
     """Evaluate one complex's prepared tables at each lambda vector in turn:
     the linear vector and window scale equal, bit for bit, those of the
@@ -148,12 +160,12 @@ def assert_evaluations_match_docking(cx, gamma, lambda_vectors) -> list[str]:
     evaluation found."""
     hp = Hyperparameters(gamma=gamma)
     lig, grid = build_ligand_graph(cx), build_grid_graph(cx)
-    base, raw = assemble(lig, grid, hp), build_physchem_raw(lig, grid)
-    enumerated = _EnumeratedComplex(base, raw)
+    base = assemble(lig, grid, hp)
+    enumerated = _EnumeratedComplex(base)
     sched = AnnealSchedule()
     found = []
     for lambdas in lambda_vectors:
-        problem = with_lambdas(base, raw, lambdas)
+        problem = with_lambdas(base, lambdas)
         h, scale, adjusted = enumerated.evaluate(lambdas)
         assert same_bits(h, problem.dense[0])
         assert scale == window_scale(problem.coeffs.arrays[2], problem.offset)
