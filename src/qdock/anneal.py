@@ -301,14 +301,17 @@ class ExhaustiveScan:
     energies, the (2^n_lo, n_hi) factor bits_lo @ U[lo, hi], and, for a
     problem with decode context, every constraint-satisfying state (one
     point per atom, injective) in `itertools.permutations` order of the
-    placements. An imported problem has no placements.
+    placements. An imported problem has no placements. The placements
+    sorted ascending, with a trailing -1, and each one's rank in
+    `placements` (-1 for that sentinel) are the index that maps a listed
+    state to its placement.
 
     `of` also walks the cross table bits_hi @ cross.T in row chunks (see
     `cross_rows`) and keeps `cross_min[k, s_hi]`, the minimum of row s_hi
     over the k-th of `_BOUND_BLOCKS` contiguous blocks of low-half states
-    (keyed by the top bits of s_lo), and each placement's own cross value.
-    Nothing here is 2^n-sized; at 24 variables the halves hold 4096 rows
-    each and `cross_min` 16 x 4096 values.
+    (keyed by the top bits of s_lo). Nothing here is 2^n-sized; at 24
+    variables the halves hold 4096 rows each and `cross_min` 16 x 4096
+    values.
 
     `candidates(h, scale)` finishes the scan for one linear vector; a
     caller whose coefficients change only on the diagonal (the tuner's
@@ -321,8 +324,9 @@ class ExhaustiveScan:
     quad_hi: np.ndarray
     cross: np.ndarray
     placements: np.ndarray
+    sorted_placements: np.ndarray
+    placement_order: np.ndarray
     cross_min: np.ndarray
-    placement_cross: np.ndarray
 
     @classmethod
     def of(cls, problem: QuboProblem) -> "ExhaustiveScan":
@@ -357,20 +361,19 @@ class ExhaustiveScan:
 
         n_rows, n_cols = len(bits_hi), len(bits_lo)
         blocks = min(_BOUND_BLOCKS, n_cols)
-        placement_row, placement_col = placements >> (n // 2), placements & (n_cols - 1)
         cross_min = np.empty((blocks, n_rows))
-        placement_cross = np.empty(len(placements))
         for start, product in cross_rows(bits_hi, cross, np.arange(n_rows)):
             stop = start + len(product)
             cross_min[:, start:stop] = product.reshape(len(product), blocks, -1).min(axis=2).T
-            inside = (placement_row >= start) & (placement_row < stop)
-            placement_cross[inside] = product[placement_row[inside] - start, placement_col[inside]]
+        order = np.argsort(placements)
         return cls(
-            bits_lo, bits_hi, quad_lo, quad_hi, cross, placements, cross_min, placement_cross
+            bits_lo, bits_hi, quad_lo, quad_hi, cross, placements,
+            np.append(placements[order], -1), np.append(order, -1), cross_min,
         )
 
-    def candidates(self, h: np.ndarray, scale: float) -> np.ndarray:
-        """State indices to re-score for linear vector h.
+    def candidates(self, h: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """State indices to re-score for linear vector h, and each one's
+        rank in `placements` (-1 for a state that is not a placement).
 
         The scanned energy of state s_hi * 2^n_lo + s_lo is its cross
         value (row s_hi, column s_lo of bits_hi @ cross.T), plus E_hi of
@@ -384,14 +387,16 @@ class ExhaustiveScan:
         is the least, over the blocks, of (block cross minimum + E_hi) +
         the block's least E_lo; rounded addition is monotone, so no value
         the scan computes in the row lies below it. The cap `low` starts
-        as a value the scan computes, the lower of the best placement's
-        and the minimum of the row with the lowest bound, so it is never
-        below the scanned minimum, and a row whose bound exceeds low + eps
-        holds no hit. The other rows are scored in chunks of `cross_rows`,
-        which reproduce the full table's values bit for bit, and `low`
-        falls to the scanned minimum on the way. Each chunk's states within
-        low + eps, pruned to the 65,536 lowest, are all that outlives it,
-        so the call holds one chunk of the table at a time.
+        as a value the scan computes, the minimum of the row with the
+        lowest bound, so it is never below the scanned minimum, and a row
+        whose bound exceeds low + eps holds no hit. The other rows are
+        scored in chunks of `cross_rows`, which reproduce the full table's
+        values bit for bit, and `low` falls to the scanned minimum on the
+        way. Each chunk's states within low + eps, pruned to the 65,536
+        lowest, are all that outlives it, so the call holds one chunk of
+        the table at a time. The hits find their ranks by a binary search
+        of the sorted placements, and the placements no hit took are
+        picked by a mask.
         """
         n_lo = self.bits_lo.shape[1]
         energy_lo = self.bits_lo @ h[:n_lo] + self.quad_lo
@@ -403,9 +408,6 @@ class ExhaustiveScan:
         first = bound.argmin()
         _, product = next(cross_rows(self.bits_hi, self.cross, first[None]))
         low = ((product[0] + energy_hi[first]) + energy_lo).min()
-        if len(self.placements):
-            row, col = self.placements >> n_lo, self.placements & (n_cols - 1)
-            low = min(low, ((self.placement_cross + energy_hi[row]) + energy_lo[col]).min())
         eps = 1e-9 * max(scale, 1.0)
         rows = np.flatnonzero(bound <= low + eps)
 
@@ -423,7 +425,12 @@ class ExhaustiveScan:
                 lowest = np.sort(np.argsort(values, kind="stable")[:_MAX_HITS])
                 states, values = states[lowest], values[lowest]
         hits = states[values <= low + eps]
-        return np.concatenate([hits, self.placements[~np.isin(self.placements, hits)]])
+        at = np.searchsorted(self.sorted_placements[:-1], hits)
+        ranks = np.where(self.sorted_placements[at] == hits, self.placement_order[at], -1)
+        unhit = np.ones(len(self.placements), dtype=bool)
+        unhit[ranks[ranks >= 0]] = False
+        rest = np.flatnonzero(unhit)
+        return np.concatenate([hits, self.placements[rest]]), np.concatenate([ranks, rest])
 
 
 def cross_rows(bits_hi: np.ndarray, cross: np.ndarray, rows: np.ndarray):
@@ -477,7 +484,7 @@ def brute_force(problem: QuboProblem, keep: int = BRUTE_FORCE_KEEP) -> SampleSet
     started = time.perf_counter()
     scan = ExhaustiveScan.of(problem)
     scale = window_scale(problem.coeffs.arrays[2], problem.offset)
-    states = scan.candidates(problem.dense[0], scale)
+    states, _ = scan.candidates(problem.dense[0], scale)
     result = _sample_set(
         problem,
         state_rows(states, problem.n_vars),

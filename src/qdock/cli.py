@@ -444,8 +444,8 @@ def main(argv=None) -> int:
     except (QdockError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: file not found: {exc.filename}\n")
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc.filename}: {exc.strerror}\n")
         return 1
 
 

@@ -35,15 +35,12 @@ from .anneal import (
     window_scale,
 )
 from .errors import NoValidSolutionError
-from .grid import build_grid_graph
-from .ligand import build_ligand_graph
 from .model import ComplexInput
 from .qubo import (
     PHYSCHEM_TERMS,
     Assignment,
     Hyperparameters,
     QuboProblem,
-    assemble,
     build_full,
     energies,
     exact_sum,
@@ -255,8 +252,9 @@ class _EnumeratedComplex:
     `evaluate` builds no problem. Every variable has a penalty diagonal
     entry and geom has none, so the linear vector brute force reads is
     `weighted_linear`'s, and the window scale is the fsum of the same
-    multiset of |coefficients| as the problem's. Every state
-    `ExhaustiveScan.candidates` lists, placement or invalid window hit, is
+    multiset of |coefficients| as the problem's. `ExhaustiveScan.candidates`
+    gives each listed state's placement rank (-1 for an invalid window
+    hit), and every listed state, placement or invalid window hit, is
     scored by `_totals`, which is its `energies` total on the weighted
     problem bit for bit: fsum is exact and gives +0.0 for all zeros, the
     tables are finite once the linear vector is, and the penalty energy
@@ -270,8 +268,7 @@ class _EnumeratedComplex:
     def __init__(self, base: QuboProblem):
         self.base = base
         self.scan = ExhaustiveScan.of(base)
-        placements = self.scan.placements
-        self.rows = state_rows(placements, base.n_vars)
+        self.rows = state_rows(self.scan.placements, base.n_vars)
         self.fixed = _lambda_free(base, self.rows)
         a, b, values = base.term_coeffs["penalty"].arrays
         linear = a == b
@@ -279,11 +276,6 @@ class _EnumeratedComplex:
         self.off_diagonal = np.abs(np.append(base.term_coeffs["geom"].arrays[2], values[~linear]))
         self.tables: dict = {}
         self.sums: dict = {}
-        # Placement states ascending, each with its rank in `placements`;
-        # a trailing -1 answers every state past the last one.
-        order = np.argsort(placements)
-        self.sorted_states = np.append(placements[order], -1)
-        self.rank = np.append(order, -1)
         self.adjusted: dict[int, float] = {}
 
     def evaluate(self, lambdas) -> tuple[np.ndarray, float, float | None]:
@@ -295,10 +287,7 @@ class _EnumeratedComplex:
         if not np.isfinite(h).all():
             with_lambdas(base, lambdas)  # raises the GraphBuildError
         scale = window_scale(np.append(self.off_diagonal, h), base.offset)
-        states = self.scan.candidates(h, scale)
-
-        at = np.searchsorted(self.sorted_states[:-1], states)
-        placement = np.where(self.sorted_states[at] == states, self.rank[at], -1)
+        states, placement = self.scan.candidates(h, scale)
         keys = list(zip(PHYSCHEM_TERMS, lambdas))
         for key, table in zip(keys, tables):
             if key not in self.sums:
@@ -359,7 +348,6 @@ def greedy_tune(
     weights: tuple = TUNER_WEIGHTS,
     hp_template: Hyperparameters | None = None,
     exact: bool = False,
-    n_threads: int = 1,
 ) -> TunerResult:
     """Greedy forward selection of interaction weights.
 
@@ -368,20 +356,19 @@ def greedy_tune(
     adjusted RMSD, and adopts the best pair if it strictly improves the
     current mean. Ties go to the earlier interaction (el, vdw, hba, hbd,
     hydro) and then to the smaller weight, which is the iteration order.
-    Each complex's ligand and grid graphs are built once. A complex that
-    gives no valid pose is left out of a mean and counted in the trace
-    entry's `excluded`; the mean is None when every complex is.
+    A complex that gives no valid pose is left out of a mean and counted
+    in the trace entry's `excluded`; the mean is None when every complex
+    is.
 
     Each evaluation's mean is what docking each complex at its lambdas
     gives. Each complex's zero-lambda problem, which carries its raw
-    physicochemical tables, is built once, and an evaluation checks its
-    lambdas as Hyperparameters does. The SA path re-weights that problem
-    with `with_lambdas` and anneals. With exact=True each complex's
-    prepared `_EnumeratedComplex` (scan tables, valid placements with
-    their geom and penalty terms, and per-weight tables and sums)
-    evaluates the lambdas without building a problem, redoing only the
-    scan and the listing.
-    n_threads is accepted for compatibility and has no effect.
+    physicochemical tables, is built once, by the `build_full` that
+    `dock` runs, and an evaluation checks its lambdas as Hyperparameters
+    does. The SA path re-weights that problem with `with_lambdas` and
+    anneals. With exact=True each complex's prepared `_EnumeratedComplex`
+    (scan tables, valid placements with their geom and penalty terms, and
+    per-weight tables and sums) evaluates the lambdas without building a
+    problem, redoing only the scan and the listing.
     """
     if not dataset:
         raise ValueError("tuner needs a non-empty dataset")
@@ -391,7 +378,7 @@ def greedy_tune(
     zero = replace(hp_template, lambdas=(0.0,) * 5)
     complexes = []
     for cx in dataset:
-        base = assemble(build_ligand_graph(cx), build_grid_graph(cx), zero)
+        base = build_full(cx, zero)
         complexes.append((cx, base, _EnumeratedComplex(base) if exact else None))
 
     current = [0.0] * 5

@@ -63,6 +63,32 @@ def test_missing_samples_file_reports_path(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["graph", "--complex", "{dir}"],
+        ["solve", "--qubo", "{dir}"],
+        ["report", "--complex", str(TINY4), "--samples", "{dir}"],
+        ["graph", "--complex", str(TINY4), "--config", "{dir}"],
+        ["graph", "--complex", str(TINY4), "--out", "{file}/x.json"],
+    ],
+    ids=["complex-dir", "qubo-dir", "samples-dir", "config-dir", "out-under-file"],
+)
+def test_unreadable_path_exits_without_traceback(tmp_path, args):
+    """A directory where a file is read, or a path through a plain file,
+    ends in one error line that names it (the last argument)."""
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    args = [a.format(dir=tmp_path, file=plain) for a in args]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdock.cli", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and args[-1] in lines[0]
+
+
+@pytest.mark.parametrize(
     "break_doc, where",
     [
         (lambda doc: doc["protein"][0].pop("id"), "protein[0].id"),

@@ -29,7 +29,7 @@ from qdock import (
     rmsd,
     simulated_anneal,
 )
-from qdock import dockeval
+from qdock import dockeval, qubo
 from qdock.dockeval import TUNER_WEIGHTS
 
 from conftest import (
@@ -446,35 +446,50 @@ TUNED_PAIR_SCHEDULE = AnnealSchedule(n_reads=4, n_sweeps=30, seed=3)
 @pytest.fixture(scope="module", params=[True, False], ids=["exact", "sa"])
 def tuned_pair(request, planted6):
     """greedy_tune on planted6 and the matched chain, exactly or by SA, with
-    build_grid_graph counted where qdock.dockeval looks it up."""
-    colourings = []
-    build_grid_graph = dockeval.build_grid_graph
+    build_grid_graph counted where `build_full` looks it up and build_full
+    where qdock.dockeval looks it up."""
+    colourings, builds = [], []
+    build_grid_graph, build_full = qubo.build_grid_graph, dockeval.build_full
 
-    def counting(cx):
+    def colouring(cx):
         colourings.append(cx)
         return build_grid_graph(cx)
 
+    def building(cx, hp):
+        builds.append((cx, hp))
+        return build_full(cx, hp)
+
     dataset = [planted6, matched_chain()]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dockeval, "build_grid_graph", counting)
+        patch.setattr(qubo, "build_grid_graph", colouring)
+        patch.setattr(dockeval, "build_full", building)
         result = greedy_tune(
             dataset,
             TUNED_PAIR_SCHEDULE,
             hp_template=Hyperparameters(gamma=5.0),
             exact=request.param,
         )
-    return dataset, request.param, result, colourings
+    return dataset, request.param, result, colourings, builds
 
 
 def test_tuner_colours_each_complex_once(tuned_pair):
-    dataset, _, result, colourings = tuned_pair
+    dataset, _, result, colourings, _ = tuned_pair
     assert len(result.trace) > len(dataset)
     assert len(colourings) == len(dataset)
     assert all(coloured is cx for coloured, cx in zip(colourings, dataset))
 
 
+def test_tuner_builds_each_complex_once_through_build_full(tuned_pair):
+    """One `build_full` per complex at zero lambdas, on both tuner paths,
+    where a tracer that wraps the public functions sees it."""
+    dataset, _, _, _, builds = tuned_pair
+    assert len(builds) == len(dataset)
+    assert all(built is cx for (built, _), cx in zip(builds, dataset))
+    assert all(hp == Hyperparameters(gamma=5.0) for _, hp in builds)
+
+
 def test_tuner_trace_matches_docking_each_complex(tuned_pair):
-    dataset, exact, result, _ = tuned_pair
+    dataset, exact, result, _, _ = tuned_pair
     for entry in result.trace:
         hp = Hyperparameters(lambdas=tuple(entry["lambdas"]), gamma=5.0)
         values = []

@@ -47,15 +47,15 @@ def full_scan_candidates(scan, h, scale):
 
 def assert_lists_full_scan(problem):
     """`candidates` equals the full-table listing, element and dtype; returns
-    the scan and its listing."""
+    the scan, its listing and the listed states' placement ranks."""
     scan = ExhaustiveScan.of(problem)
     scale = window_scale(problem.coeffs.arrays[2], problem.offset)
     h = problem.dense[0]
-    listed = scan.candidates(h, scale)
+    listed, ranks = scan.candidates(h, scale)
     expected = full_scan_candidates(scan, h, scale)
     assert listed.dtype == expected.dtype
     assert np.array_equal(listed, expected)
-    return scan, listed
+    return scan, listed, ranks
 
 
 def invalid_hits(scan, listed):
@@ -79,7 +79,11 @@ scan_complexes = complex_docs().filter(
 )
 def test_bounded_scan_lists_what_the_full_table_lists(doc, lambdas, gamma):
     problem = build_full(parse_complex(doc), Hyperparameters(lambdas=lambdas, gamma=gamma))
-    scan, listed = assert_lists_full_scan(problem)
+    scan, listed, ranks = assert_lists_full_scan(problem)
+    placed = ranks >= 0
+    assert np.array_equal(placed, np.isin(listed, scan.placements))
+    assert np.array_equal(scan.placements[ranks[placed]], listed[placed])
+    assert (ranks[~placed] == -1).all()
     if invalid_hits(scan, listed):
         event("invalid window hits lead the listing")
 
@@ -103,7 +107,7 @@ def test_bounded_scan_on_fixtures(fixture_name, lambdas, gamma, request):
 def test_bounded_scan_lists_invalid_hits_first():
     # At a tiny gamma the mismatched complex's lowest states are invalid.
     problem = build_full(mismatched_complex(), Hyperparameters(lambdas=(1e3,) * 5, gamma=1e-6))
-    scan, listed = assert_lists_full_scan(problem)
+    scan, listed, _ = assert_lists_full_scan(problem)
     assert invalid_hits(scan, listed) > 0
     assert not np.isin(listed[0], scan.placements)
 
@@ -112,7 +116,7 @@ def test_bounded_scan_lists_invalid_hits_first():
 def test_bounded_scan_on_imported_file(planted6, gamma, tmp_path):
     export_qubo(build_full(planted6, Hyperparameters(gamma=gamma)), tmp_path / "p6.qubo")
     imported = import_qubo(tmp_path / "p6.qubo")
-    scan, listed = assert_lists_full_scan(imported)
+    scan, listed, _ = assert_lists_full_scan(imported)
     assert len(scan.placements) == 0 and len(listed) >= 1
 
 
@@ -121,7 +125,7 @@ def test_bounded_scan_truncates_all_zero_problem(chunk):
     """Every state of the all-zero QUBO is a hit; the listing keeps the
     lowest 65,536 state indices, also when the rows come in many chunks."""
     with mock.patch.object(anneal, "_CHUNK_ENTRIES", chunk):
-        _, listed = assert_lists_full_scan(toy({}, 20))
+        _, listed, _ = assert_lists_full_scan(toy({}, 20))
     assert np.array_equal(listed, np.arange(65536))
 
 
@@ -129,7 +133,7 @@ def test_bounded_scan_truncates_all_zero_problem(chunk):
 def test_bounded_scan_on_tiny_problems(n):
     rng = np.random.default_rng(40 + n)
     coeffs = {(a, b): float(rng.normal()) for a in range(n) for b in range(a, n)}
-    _, listed = assert_lists_full_scan(toy(coeffs, n))
+    _, listed, _ = assert_lists_full_scan(toy(coeffs, n))
     assert len(listed) >= 1
 
 

@@ -323,8 +323,10 @@ def test_assembly_matches_per_entry_reference(fixture_name, hp, request):
 
 @st.composite
 def complex_docs(draw):
-    """Small valid complexes: a jittered chain ligand, grid points on a
-    1.5 A lattice and protein atoms in every H-bond role between them."""
+    """Small valid complexes: a jittered ligand whose bonds form a tree
+    (each atom after the first bonds to an earlier atom drawn here, so
+    chains and branched ligands both occur), grid points on a 1.5 A
+    lattice and protein atoms in every H-bond role between them."""
     small = st.floats(-0.4, 0.4, allow_nan=False)
     charge = st.floats(-1.0, 1.0, allow_nan=False)
     flag = st.integers(0, 1)
@@ -360,7 +362,7 @@ def complex_docs(draw):
         for k in range(n_atoms)
     ]
     bonds = [
-        {"atoms": [50 + k, 51 + k], "dihedral_locked": draw(st.booleans())}
+        {"atoms": [50 + draw(st.integers(0, k)), 51 + k], "dihedral_locked": draw(st.booleans())}
         for k in range(n_atoms - 1)
     ]
     return {
