@@ -313,7 +313,8 @@ class ExhaustiveScan:
     variables the halves hold 4096 rows each and `cross_min` 16 x 4096
     values.
 
-    `candidates(h, scale)` finishes the scan for one linear vector; a
+    `candidates(h)` finishes the scan for one linear vector, its window
+    sized by `scale(h)` from the couplings and offset `of` keeps; a
     caller whose coefficients change only on the diagonal (the tuner's
     lambdas) builds the scan once and calls it per diagonal.
     """
@@ -327,6 +328,8 @@ class ExhaustiveScan:
     sorted_placements: np.ndarray
     placement_order: np.ndarray
     cross_min: np.ndarray
+    couplings: np.ndarray
+    offset: float
 
     @classmethod
     def of(cls, problem: QuboProblem) -> "ExhaustiveScan":
@@ -369,16 +372,22 @@ class ExhaustiveScan:
         return cls(
             bits_lo, bits_hi, quad_lo, quad_hi, cross, placements,
             np.append(placements[order], -1), np.append(order, -1), cross_min,
+            np.abs(q_upper[q_upper != 0]), problem.offset,
         )
 
-    def candidates(self, h: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    def scale(self, h: np.ndarray) -> float:
+        """`window_scale` of the problem at linear vector h, whose other
+        nonzero |coefficients| are `couplings` (zeros leave an fsum as is)."""
+        return window_scale(np.append(self.couplings, h), self.offset)
+
+    def candidates(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """State indices to re-score for linear vector h, and each one's
         rank in `placements` (-1 for a state that is not a placement).
 
         The scanned energy of state s_hi * 2^n_lo + s_lo is its cross
         value (row s_hi, column s_lo of bits_hi @ cross.T), plus E_hi of
         s_hi, plus E_lo of s_lo, added in that order. Listed first are the
-        states whose scanned energy lies within eps = 1e-9 x max(`scale`,
+        states whose scanned energy lies within eps = 1e-9 x max(`scale(h)`,
         1) of the scanned minimum (the window hits), ascending; beyond
         65,536 hits the lowest scanned energies are kept. Then the
         placements that are not hits, in order.
@@ -398,6 +407,8 @@ class ExhaustiveScan:
         of the sorted placements, and the placements no hit took are
         picked by a mask.
         """
+        # First, so a sum past the float range raises before any product overflows.
+        eps = 1e-9 * max(self.scale(h), 1.0)
         n_lo = self.bits_lo.shape[1]
         energy_lo = self.bits_lo @ h[:n_lo] + self.quad_lo
         energy_hi = self.bits_hi @ h[n_lo:] + self.quad_hi
@@ -408,7 +419,6 @@ class ExhaustiveScan:
         first = bound.argmin()
         _, product = next(cross_rows(self.bits_hi, self.cross, first[None]))
         low = ((product[0] + energy_hi[first]) + energy_lo).min()
-        eps = 1e-9 * max(scale, 1.0)
         rows = np.flatnonzero(bound <= low + eps)
 
         states = np.zeros(0, dtype=np.int64)
@@ -453,9 +463,10 @@ def cross_rows(bits_hi: np.ndarray, cross: np.ndarray, rows: np.ndarray):
 
 
 def window_scale(values: np.ndarray, offset: float) -> float:
-    """Error-window scale of a problem: fsum of its |coefficients|, plus
-    |offset| (the fsum of two values is their rounded sum). Raises
-    CoefficientOverflowError past the float range."""
+    """Error-window scale of a problem, the rule `ExhaustiveScan.scale`
+    applies: fsum of its |coefficients|, plus |offset| (the fsum of two
+    values is their rounded sum). Raises CoefficientOverflowError past the
+    float range."""
     return exact_sum((exact_sum(np.abs(values).tolist()), abs(offset)))
 
 
@@ -470,7 +481,8 @@ def brute_force(problem: QuboProblem, keep: int = BRUTE_FORCE_KEEP) -> SampleSet
     `ExhaustiveScan.of(problem)` enumerates the halves of the split scan
     and its per-row bounds, and its `candidates` lists, as state indices,
     the states within rounding of the scanned minimum, then every valid
-    placement that is not among them. It scores only the high-half rows
+    placement that is not among them; it is handed only the linear vector
+    and sizes the window itself. It scores only the high-half rows
     whose bound reaches the window, one chunk of rows at a time, so no
     2^n-sized array is made: at 24 variables a call peaks near 20 MB
     under tracemalloc, where the whole table alone took 128 MB.
@@ -482,9 +494,7 @@ def brute_force(problem: QuboProblem, keep: int = BRUTE_FORCE_KEEP) -> SampleSet
     listing is truncated to `keep` samples; the search itself is complete.
     """
     started = time.perf_counter()
-    scan = ExhaustiveScan.of(problem)
-    scale = window_scale(problem.coeffs.arrays[2], problem.offset)
-    states, _ = scan.candidates(problem.dense[0], scale)
+    states, _ = ExhaustiveScan.of(problem).candidates(problem.dense[0])
     result = _sample_set(
         problem,
         state_rows(states, problem.n_vars),
@@ -497,7 +507,8 @@ def brute_force(problem: QuboProblem, keep: int = BRUTE_FORCE_KEEP) -> SampleSet
 
 def incremental_delta(problem: QuboProblem, assignment: Assignment, flip: int) -> float:
     """Energy change of flipping one bit: the fsum of its linear entry and
-    of its couplings to set variables, from the arrays of `coeffs`."""
+    of its couplings to set variables, from the arrays of `coeffs`. Any
+    nonzero bit counts as set, as in `energy`, and flipping it clears it."""
     if not 0 <= flip < problem.n_vars:
         raise ValueError(f"variable id {flip} out of range")
     bits = assignment.bits
@@ -508,7 +519,7 @@ def incremental_delta(problem: QuboProblem, assignment: Assignment, flip: int) -
     a, b, values = problem.coeffs.arrays
     other = np.where(a == flip, b, a)
     touched = ((a == flip) | (b == flip)) & ((a == b) | (bits[other] != 0))
-    sign = 1.0 - 2.0 * float(bits[flip])
+    sign = -1.0 if bits[flip] else 1.0
     return sign * exact_sum(values[touched].tolist())
 
 
@@ -521,6 +532,8 @@ def import_samples(problem: QuboProblem, path) -> SampleSet:
         raise SampleFormatError(f"samples file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise SampleFormatError(f"{path}: invalid JSON ({exc})") from None
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise SampleFormatError(f"{path}: not readable as JSON ({exc})") from None
     if not isinstance(document, list):
         raise SampleFormatError(f"{path}: expected a JSON array of bitstrings")
 

@@ -158,6 +158,8 @@ def _load_config(args) -> dict:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise QdockError(f"{path}: invalid JSON ({exc})")
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise QdockError(f"{path}: not readable as JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise QdockError(f"{path}: config must be a JSON object")
     for key, value in doc.items():

@@ -11,7 +11,8 @@ carries its raw physicochemical tables, is built once. The SA tuner
 anneals the problem `qubo.with_lambdas` makes from it. With exact=True
 the exhaustive scan, the valid placements and each weighted table's
 per-placement sums are built once too, and each evaluation builds no
-problem: it weights the tables with `qubo.weighted_linear`, redoes only
+problem: it weights the tables with `qubo.weighted_linear` and hands only
+the linear vector to the scan, which sizes its own window; it redoes only
 the scan (usually a small part of its 2^n table) and the listing, and
 scores each listed state by one rule, reporting what `dock(exact=True)`
 would down to the tie order (see `_EnumeratedComplex`).
@@ -32,7 +33,6 @@ from .anneal import (
     brute_force,
     simulated_anneal,
     state_rows,
-    window_scale,
 )
 from .errors import NoValidSolutionError
 from .model import ComplexInput
@@ -71,8 +71,8 @@ def decode(assignment: Assignment, problem: QuboProblem) -> Pose | InvalidAssign
     """Read a bitstring as a pose, or say precisely why it is not one.
 
     Rows are scanned first (missing/duplicate grid point per atom), then
-    columns (grid point claimed twice). Invalidity is a value, not an
-    exception.
+    columns (grid point claimed twice). Any nonzero bit counts as set, as
+    in `energy`. Invalidity is a value, not an exception.
     """
     if not problem.has_decode_context():
         raise ValueError("problem carries no atom/grid context to decode against")
@@ -81,7 +81,7 @@ def decode(assignment: Assignment, problem: QuboProblem) -> Pose | InvalidAssign
         raise ValueError(
             f"assignment has {len(bits)} bits, problem has {problem.n_vars} variables"
         )
-    grid = bits.reshape(problem.n_mol, problem.n_grid)
+    grid = (bits != 0).reshape(problem.n_mol, problem.n_grid)
     per_atom = grid.sum(axis=1)
     for i in range(problem.n_mol):
         if per_atom[i] == 0:
@@ -244,15 +244,15 @@ class _EnumeratedComplex:
 
     Geometry, the penalty, gamma, the scales, the raw tables and the decode
     context do not depend on the lambdas. So the `ExhaustiveScan` of the
-    zero-lambda problem, each placement's geom and penalty energies, the
-    penalty diagonal and the |coefficients| off it are prepared once per
-    complex, and each term's weighted table and per-placement sums once
-    per (term, weight).
+    zero-lambda problem and each placement's geom and penalty energies are
+    prepared once per complex, and each term's weighted table and
+    per-placement sums once per (term, weight).
 
-    `evaluate` builds no problem. Every variable has a penalty diagonal
-    entry and geom has none, so the linear vector brute force reads is
-    `weighted_linear`'s, and the window scale is the fsum of the same
-    multiset of |coefficients| as the problem's. `ExhaustiveScan.candidates`
+    `evaluate` builds no problem and keeps no copy of the coefficients.
+    Every variable has a penalty diagonal entry and geom has none, so the
+    linear vector brute force reads is `weighted_linear`'s; the couplings
+    and the offset do not depend on the lambdas, so the window the scan
+    sizes from that vector is brute force's. `ExhaustiveScan.candidates`
     gives each listed state's placement rank (-1 for an invalid window
     hit), and every listed state, placement or invalid window hit, is
     scored by `_totals`, which is its `energies` total on the weighted
@@ -270,24 +270,19 @@ class _EnumeratedComplex:
         self.scan = ExhaustiveScan.of(base)
         self.rows = state_rows(self.scan.placements, base.n_vars)
         self.fixed = _lambda_free(base, self.rows)
-        a, b, values = base.term_coeffs["penalty"].arrays
-        linear = a == b
-        self.diagonal = values[linear]
-        self.off_diagonal = np.abs(np.append(base.term_coeffs["geom"].arrays[2], values[~linear]))
         self.tables: dict = {}
         self.sums: dict = {}
         self.adjusted: dict[int, float] = {}
 
-    def evaluate(self, lambdas) -> tuple[np.ndarray, float, float | None]:
-        """The linear vector and window scale brute force reads at
+    def evaluate(self, lambdas) -> tuple[np.ndarray, float | None]:
+        """(h, adjusted): the linear vector brute force reads at
         `lambdas`, and the adjusted RMSD `dock(exact=True)` reports there,
         or None where it raises NoValidSolutionError."""
         base = self.base
-        h, tables = weighted_linear(base, self.diagonal, lambdas, self.tables)
+        h, tables = weighted_linear(base, lambdas, self.tables)
         if not np.isfinite(h).all():
             with_lambdas(base, lambdas)  # raises the GraphBuildError
-        scale = window_scale(np.append(self.off_diagonal, h), base.offset)
-        states, placement = self.scan.candidates(h, scale)
+        states, placement = self.scan.candidates(h)
         keys = list(zip(PHYSCHEM_TERMS, lambdas))
         for key, table in zip(keys, tables):
             if key not in self.sums:
@@ -304,12 +299,12 @@ class _EnumeratedComplex:
         ranked = placement[np.argsort(energy, kind="stable")[:BRUTE_FORCE_KEEP]]
         ranked = ranked[ranked >= 0]
         if not len(ranked):
-            return h, scale, None
+            return h, None
         best = int(ranked[0])
         if best not in self.adjusted:
             pose = decode(Assignment(self.rows[best]), base)
             self.adjusted[best] = adjusted_rmsd(pose, base.experimental_coords, base.grid_positions)
-        return h, scale, self.adjusted[best]
+        return h, self.adjusted[best]
 
 
 def _lambda_free(problem: QuboProblem, rows: np.ndarray) -> list[list[float]]:
@@ -390,7 +385,7 @@ def greedy_tune(
         values = []
         for cx, base, enumerated in complexes:
             if exact:
-                values.append(enumerated.evaluate(lambdas)[2])
+                values.append(enumerated.evaluate(lambdas)[1])
                 continue
             try:
                 report = _solve_and_report(with_lambdas(base, lambdas), sched, False, cx.name)

@@ -173,8 +173,9 @@ def hydrophobic_count(points, protein: list[ProteinAtom]):
 
 def build_grid_graph(complex_input: ComplexInput) -> GridGraph:
     """Assemble the complete pocket grid graph with all colorings. Raises
-    GraphBuildError naming the first grid point whose Coulomb potential or
-    Lennard-Jones row is not finite."""
+    GraphBuildError naming the first pair of coincident grid points (as
+    `parse_complex` does, for a complex built without it), or the first
+    grid point whose Coulomb potential or Lennard-Jones row is not finite."""
     points = complex_input.grid_points
     protein = complex_input.protein
     n = len(points)
@@ -182,9 +183,10 @@ def build_grid_graph(complex_input: ComplexInput) -> GridGraph:
 
     delta = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt((delta * delta).sum(axis=-1))
-    off_diagonal = dist[~np.eye(n, dtype=bool)]
-    if off_diagonal.size and off_diagonal.min() < MIN_POINT_SEPARATION:
-        raise GraphBuildError("two grid points coincide")
+    coincident = np.argwhere(np.triu(dist < MIN_POINT_SEPARATION, k=1))
+    if len(coincident):
+        a, b = (points[k].id for k in coincident[0])
+        raise GraphBuildError(f"grid points {a} and {b} coincide")
 
     # An extreme dielectric or type table overflows these; the check names the point.
     with np.errstate(over="ignore", invalid="ignore"):

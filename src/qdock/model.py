@@ -354,4 +354,6 @@ def load_complex(path: str | Path) -> ComplexInput:
         raise ComplexFormatError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ComplexFormatError(f"{path}: not readable as JSON ({exc})") from None
     return parse_complex(doc, name=path.stem)

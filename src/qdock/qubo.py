@@ -22,7 +22,8 @@ not finite, the scale is 1.0.
 `assemble` builds the lambda-free terms, keeps the raw physicochemical
 tables on the problem and ends in `with_lambdas`, which re-weights a
 problem from itself alone. `weighted_linear` is the one function that
-weights the tables: `with_lambdas` calls it, and so does the exact tuner.
+weights the tables, from the problem alone too: `with_lambdas` calls it,
+and so does the exact tuner.
 
 Each term is computed as arrays over the ligand edges, the grid distance
 matrix and the grid color vectors, and kept as (a, b, value) arrays with
@@ -410,10 +411,10 @@ def _reject_non_finite(a, b, values: np.ndarray, term_coeffs: dict[str, CoeffMap
 
 
 def weighted_linear(
-    problem: QuboProblem, penalty_diagonal: np.ndarray, lambdas, tables: dict
+    problem: QuboProblem, lambdas, tables: dict
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The linear coefficients at `lambdas` and each physicochemical term's
-    table, from the penalty diagonal (in variable order) and the problem's
+    table, from the problem's penalty diagonal (in variable order) and
     `physchem_raw` tables and scales.
 
     Each term's table is raw * (scale * lambda) where raw is nonzero and
@@ -424,7 +425,8 @@ def weighted_linear(
     each table under (term, lambda): a caller that weights the same
     problem again passes the same dict and reuses them.
     """
-    raw, diagonal, weighted = problem.physchem_raw, penalty_diagonal.copy(), []
+    a, b, values = problem.term_coeffs["penalty"].arrays
+    raw, diagonal, weighted = problem.physchem_raw, values[a == b], []
     with np.errstate(over="ignore", invalid="ignore"):
         for name, scale, lam in zip(PHYSCHEM_TERMS, problem.scales, lambdas):
             if (name, lam) not in tables:
@@ -449,7 +451,7 @@ def with_lambdas(problem: QuboProblem, lambdas) -> QuboProblem:
     a, b, values = problem.term_coeffs["penalty"].arrays
     linear = a == b
     variables = np.arange(problem.n_vars)
-    diagonal, tables = weighted_linear(problem, values[linear], lambdas, {})
+    diagonal, tables = weighted_linear(problem, lambdas, {})
     term_coeffs = {name: problem.term_coeffs[name] for name in ("geom", "penalty")}
     for name, table in zip(PHYSCHEM_TERMS, tables):
         term_coeffs[name] = CoeffMap.nonzero(variables, variables, table)

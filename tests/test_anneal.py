@@ -24,10 +24,13 @@ from qdock import (
     import_qubo,
     import_samples,
     incremental_delta,
+    one_hot_assignment,
     simulated_anneal,
 )
 from qdock.anneal import BRUTE_FORCE_MAX_VARS, resolve_temperatures
 from qdock.qubo import DENSE_MAX_VARS
+
+from conftest import PLANTED6_PLANTED, index_mapping
 
 
 def toy(coeffs, n_vars, offset=0.0):
@@ -279,19 +282,27 @@ def test_more_sweeps_do_not_hurt_median_quality(planted6):
 
 # -------------------------------------------------------- incremental delta
 
-def test_incremental_delta_matches_energy_difference(tiny4):
+def test_incremental_delta_matches_energy_difference(tiny4, planted6):
     rng = np.random.default_rng(73)
     built = build_full(tiny4, Hyperparameters(lambdas=(0.1,) * 5))
+    cases = []
     for case in range(35):
         # 25 random toy problems, then 10 random states of the built tiny4.
         problem = random_problem(rng, int(rng.integers(1, 10))) if case < 25 else built
         n = problem.n_vars
         bits = rng.integers(0, 2, size=n).astype(np.uint8)
-        flip = int(rng.integers(0, n))
+        cases.append((problem, bits, int(rng.integers(0, n))))
+    # A set bit stored as 2 is set, as `energy` counts it; flipping clears it.
+    problem = build_full(planted6, Hyperparameters(lambdas=(0.1,) * 5))
+    bits = one_hot_assignment(problem, index_mapping(problem, PLANTED6_PLANTED)).bits
+    flip = int(bits.argmax())
+    bits[flip] = 2
+    cases.append((problem, bits, flip))
+    for problem, bits, flip in cases:
         assignment = Assignment(bits)
         delta = incremental_delta(problem, assignment, flip)
         flipped = bits.copy()
-        flipped[flip] ^= 1
+        flipped[flip] = not bits[flip]
         direct = (
             energy(problem, Assignment(flipped)).total
             - energy(problem, assignment).total

@@ -1,14 +1,25 @@
 """Command-line interface: flags, exit codes, files, and reproducibility."""
 
+import argparse
 import csv
 import json
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from qdock.cli import REPORT_CSV_COLUMNS, main
+from qdock import (
+    ComplexFormatError,
+    Hyperparameters,
+    QdockError,
+    SampleFormatError,
+    build_full,
+    import_samples,
+    load_complex,
+)
+from qdock.cli import REPORT_CSV_COLUMNS, _load_config, main
 
 from conftest import FIXTURE_DIR, PLANTED6, TINY4
 
@@ -86,6 +97,45 @@ def test_unreadable_path_exits_without_traceback(tmp_path, args):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and args[-1] in lines[0]
+
+
+BAD_JSON = {
+    "not-utf8": b'{"name": "\xff"}',
+    "too-deep": b"[" * 200_000 + b"]" * 200_000,
+}
+JSON_READERS = {
+    "complex": (["graph", "--complex", "{bad}"], load_complex, ComplexFormatError),
+    "samples": (
+        ["report", "--complex", str(TINY4), "--samples", "{bad}"],
+        lambda path: import_samples(build_full(load_complex(TINY4), Hyperparameters()), path),
+        SampleFormatError,
+    ),
+    "config": (
+        ["graph", "--complex", str(TINY4), "--config", "{bad}"],
+        lambda path: _load_config(argparse.Namespace(config=str(path))),
+        QdockError,
+    ),
+}
+
+
+@pytest.mark.parametrize("content", sorted(BAD_JSON))
+@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+def test_unreadable_json_exits_naming_the_file(tmp_path, reader, content):
+    """A JSON file that is not UTF-8, or nests past the recursion limit,
+    is the reader's domain error naming the file, and one error line."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(BAD_JSON[content])
+    args, read, error = JSON_READERS[reader]
+    args = [a.format(bad=path) for a in args]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdock.cli", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+    with pytest.raises(error, match=re.escape(str(path))):
+        read(path)
 
 
 @pytest.mark.parametrize(

@@ -154,8 +154,11 @@ def test_decode_requires_context_and_matching_length(tmp_path):
 def test_decode_valid_iff_penalty_zero(tiny4):
     problem = build_full(tiny4, TINY4_HP)
     rng = np.random.default_rng(79)
-    for _ in range(200):
-        bits = rng.integers(0, 2, size=problem.n_vars).astype(np.uint8)
+    rows = [rng.integers(0, 2, size=problem.n_vars).astype(np.uint8) for _ in range(200)]
+    # A set bit stored as 2 is set, as `energy` counts it.
+    one_hot = one_hot_assignment(problem, index_mapping(problem, TINY4_PLANTED)).bits
+    one_hot[one_hot.argmax()] = 2
+    for bits in [*rows, one_hot]:
         assignment = Assignment(bits)
         is_pose = isinstance(decode(assignment, problem), Pose)
         penalty = energy(problem, assignment).terms["penalty"]

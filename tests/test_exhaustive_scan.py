@@ -51,7 +51,8 @@ def assert_lists_full_scan(problem):
     scan = ExhaustiveScan.of(problem)
     scale = window_scale(problem.coeffs.arrays[2], problem.offset)
     h = problem.dense[0]
-    listed, ranks = scan.candidates(h, scale)
+    assert scan.scale(h) == scale
+    listed, ranks = scan.candidates(h)
     expected = full_scan_candidates(scan, h, scale)
     assert listed.dtype == expected.dtype
     assert np.array_equal(listed, expected)

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -407,6 +408,16 @@ def test_grid_point_on_protein_atom_rejected():
     }
     with pytest.raises(GraphBuildError, match="coincides with protein atom 1"):
         build_grid_graph(parse_complex(doc))
+
+
+def test_hand_built_coincident_grid_points_are_named(tiny4):
+    # A ComplexInput built directly skips parse_complex, which names the
+    # pair in the same words.
+    points = list(tiny4.grid_points)
+    points[1] = replace(points[1], position=points[0].position)
+    message = f"^grid points {points[0].id} and {points[1].id} coincide$"
+    with pytest.raises(GraphBuildError, match=message):
+        build_grid_graph(replace(tiny4, grid_points=points))
 
 
 @pytest.mark.parametrize(

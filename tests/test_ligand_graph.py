@@ -2,6 +2,7 @@
 
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,12 @@ def test_coincident_bonded_atoms_rejected():
     cx = make_complex([(0, 0, 0), (0, 0, 0), (1, 0, 0)], [(0, 1), (1, 2)])
     with pytest.raises(GraphBuildError, match="zero-length"):
         build_ligand_graph(cx)
+
+
+def test_hand_built_ligand_without_atoms_rejected(tiny4):
+    # A ComplexInput built directly skips parse_complex's checks.
+    with pytest.raises(GraphBuildError, match="^ligand has no atoms$"):
+        build_ligand_graph(replace(tiny4, ligand_atoms=[]))
 
 
 def test_single_atom_graph_is_empty():

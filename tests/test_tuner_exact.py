@@ -166,9 +166,9 @@ def assert_evaluations_match_docking(cx, gamma, lambda_vectors) -> list[str]:
     found = []
     for lambdas in lambda_vectors:
         problem = with_lambdas(base, lambdas)
-        h, scale, adjusted = enumerated.evaluate(lambdas)
+        h, adjusted = enumerated.evaluate(lambdas)
         assert same_bits(h, problem.dense[0])
-        assert scale == window_scale(problem.coeffs.arrays[2], problem.offset)
+        assert enumerated.scan.scale(h) == window_scale(problem.coeffs.arrays[2], problem.offset)
         try:
             report = dock(cx, replace(hp, lambdas=lambdas), sched, exact=True)
         except NoValidSolutionError:
