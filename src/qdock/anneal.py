@@ -517,10 +517,11 @@ def incremental_delta(problem: QuboProblem, assignment: Assignment, flip: int) -
             f"assignment has {len(bits)} bits, problem has {problem.n_vars} variables"
         )
     a, b, values = problem.coeffs.arrays
-    other = np.where(a == flip, b, a)
-    touched = ((a == flip) | (b == flip)) & ((a == b) | (bits[other] != 0))
+    touching = np.flatnonzero((a == flip) | (b == flip))
+    a, b = a[touching], b[touching]
+    active = touching[(a == b) | (bits[np.where(a == flip, b, a)] != 0)]
     sign = -1.0 if bits[flip] else 1.0
-    return sign * exact_sum(values[touched].tolist())
+    return sign * exact_sum(values[active].tolist())
 
 
 def import_samples(problem: QuboProblem, path) -> SampleSet:

@@ -60,6 +60,9 @@ DENSE_MAX_VARS = 12_000
 # Integer key types, and the integers a coefficient map's int64 ids can equal.
 _INTEGERS = (int, np.integer)
 _IDS = range(np.iinfo(np.intp).min, np.iinfo(np.intp).max + 1)
+# Entries per block when a map lists its entries or compares itself with
+# another: bounds the Python objects and gathered copies to a few MB.
+_BLOCK = 1 << 16
 
 
 class CoeffMap(Mapping):
@@ -68,14 +71,17 @@ class CoeffMap(Mapping):
     `arrays` holds the int64 ids a <= b and the float64 values, one entry
     per key, in the map's order: they are the map's only stored form, and
     must not change afterwards. Iteration, `keys()`, `items()` and
-    `values()` zip the arrays, giving Python ints and floats in map order.
-    A lookup (`[]`, `in`, `.get`) of a pair of integers is two binary
-    searches in a key index, sorted on the first such lookup and kept in a
-    slot, so `dict(view)` takes O(entries log entries); the pipeline never
-    looks a key up, and never builds the index. A key with another kind of
-    number (0.0, say) is matched by one mask over the arrays. `len` reads
-    the arrays, and so does `==` between two views: equal key sets, and
-    values equal as floats. A view and another mapping compare as dicts.
+    `values()` list the arrays `_BLOCK` entries at a time and zip each
+    block, giving Python ints and floats in map order while holding one
+    block of Python values, whatever the map's size. A lookup (`[]`, `in`,
+    `.get`) of a pair of integers is two binary searches in a key index,
+    sorted on the first such lookup and kept in a slot, so `dict(view)`
+    takes O(entries log entries); the pipeline never looks a key up, and
+    never builds the index. A key with another kind of number (0.0, say)
+    is matched by one mask over the arrays. `len` reads the arrays, and so
+    does `==` between two views: equal key sets, and values equal as
+    floats, compared a block at a time through each view's key order. A
+    view and another mapping compare as dicts.
     """
 
     __slots__ = ("arrays", "_index")
@@ -131,9 +137,19 @@ class CoeffMap(Mapping):
         at = lo + b[lo:hi].searchsorted(y)
         return order[at] if at < hi and b[at] == y else None
 
+    def _chain(self, pack, *columns: int):
+        """pack(*lists) chained over the blocks, where lists holds the given
+        arrays' next `_BLOCK` entries as Python lists. Nothing keeps a block
+        once its entries are listed, so one block is alive at a time."""
+        arrays = [self.arrays[k] for k in columns]
+        blocks = (
+            [x[start : start + _BLOCK].tolist() for x in arrays]
+            for start in range(0, len(self), _BLOCK)
+        )
+        return itertools.chain.from_iterable(itertools.starmap(pack, blocks))
+
     def __iter__(self):
-        a, b, _ = self.arrays
-        return zip(a.tolist(), b.tolist())
+        return self._chain(zip, 0, 1)
 
     def __len__(self) -> int:
         return len(self.arrays[2])
@@ -144,17 +160,17 @@ class CoeffMap(Mapping):
     def values(self):
         return _Values(self)
 
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        a, b, values = self.arrays
-        order = np.lexsort((b, a))
-        return a[order], b[order], values[order]
-
     def __eq__(self, other):
         if isinstance(other, CoeffMap):
             if len(self) != len(other):
                 return False
-            (a, b, values), (c, d, others) = self._sorted(), other._sorted()
-            return bool(np.array_equal(a, c) and np.array_equal(b, d) and (values == others).all())
+            # Entry k of each map in (a, b) order, one block of k at a time.
+            mine, theirs = np.lexsort(self.arrays[1::-1]), np.lexsort(other.arrays[1::-1])
+            return all(
+                (x.take(mine[start : start + _BLOCK]) == y.take(theirs[start : start + _BLOCK])).all()
+                for start in range(0, len(self), _BLOCK)
+                for x, y in zip(self.arrays, other.arrays)
+            )
         if not isinstance(other, Mapping):
             return NotImplemented
         return dict(self.items()) == (other if isinstance(other, dict) else dict(other.items()))
@@ -165,12 +181,12 @@ class CoeffMap(Mapping):
 
 class _Items(ItemsView):
     def __iter__(self):
-        return zip(self._mapping, self._mapping.arrays[2].tolist())
+        return self._mapping._chain(lambda a, b, values: zip(zip(a, b), values), 0, 1, 2)
 
 
 class _Values(ValuesView):
     def __iter__(self):
-        return iter(self._mapping.arrays[2].tolist())
+        return self._mapping._chain(iter, 2)
 
     def __contains__(self, value):
         return any(v is value or v == value for v in self)

@@ -17,13 +17,22 @@ may announce at most n_vars (n_vars + 1) / 2 entries, the number of
 upper-triangle slots.
 
 Both directions work on the coefficient map's (a, b, value) arrays.
-Export sorts the keys once, formats each distinct index and each distinct
-value (by bit pattern) once, and writes fixed-size row blocks. Import
-parses the body in one `np.loadtxt` pass, checks it with array masks and
-keeps the parsed columns, in file order, as the problem's map; when numpy
-or a mask rejects the body, a line-by-line scan finds the first bad line
-and raises its error, so every accepted file goes through the same array
-path.
+Export sorts the keys once, formats each distinct id and each distinct
+value (by bit pattern) once, and writes fixed-size row blocks, each
+gathered from a slice of the key order. Beyond the map it holds the
+order and the value index (8 bytes per entry each), the texts of the
+distinct ids and values, and one block of rows.
+
+Import reads the file once and parses the body in place, in one
+`np.loadtxt` pass over its bytes, and checks the line count, ranges and
+finiteness with array masks. It then copies the parsed columns out, in
+file order, as the problem's map, and frees the file's bytes and the
+rows before it looks for repeated keys through the key order, one block
+at a time. Its peak is the file's bytes plus the parsed rows (24 bytes
+per entry). When numpy or a mask rejects the body, a line-by-line scan
+finds the first bad line and raises its error, so every accepted file
+goes through the same array path; a repeated key in a body that passed
+every other check is the first bad line, and is named from the arrays.
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ from .qubo import CoeffMap, QuboProblem
 # Rows per formatted block: bounds the transient Python strings to a fixed
 # size, whatever the size of the problem.
 _BLOCK_ROWS = 1 << 16
+# Body bytes checked against the grammar's byte set at a time.
+_SCAN_BYTES = 1 << 20
 _ROW = np.dtype([("a", np.int64), ("b", np.int64), ("value", np.float64)])
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Every byte a valid body can hold; any other byte sends the body to the scan.
@@ -56,21 +67,27 @@ def export_qubo(problem: QuboProblem, path) -> None:
     a, b, values = problem.coeffs.arrays
     n = len(values)
     order = np.lexsort((b, a))
-    ids, id_of = np.unique(np.concatenate([a[order], b[order]]), return_inverse=True)
-    bits, value_of = np.unique(values[order].view(np.int64), return_inverse=True)
+    ids = np.union1d(_distinct(a), _distinct(b))
+    bits, value_of = np.unique(values.view(np.int64), return_inverse=True)
     id_text = np.array(list(map(str, ids.tolist())), dtype=object)
     value_text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"p qubo {problem.n_vars} {n}\n")
         for start in range(0, n, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
+            at = order[start : start + _BLOCK_ROWS]
             rows = zip(
-                id_text[id_of[:n][block]].tolist(),
-                id_text[id_of[n:][block]].tolist(),
-                value_text[value_of[block]].tolist(),
+                id_text[ids.searchsorted(a.take(at))].tolist(),
+                id_text[ids.searchsorted(b.take(at))].tolist(),
+                value_text[value_of.take(at)].tolist(),
             )
             handle.write("\n".join(map(" ".join, rows)))
             handle.write("\n")
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct entries of an int array, ascending, from one sorted copy."""
+    x = np.sort(x)
+    return x[np.append(True, x[1:] != x[:-1])] if len(x) else x
 
 
 def import_qubo(path) -> QuboProblem:
@@ -85,16 +102,24 @@ def import_qubo(path) -> QuboProblem:
         raise QuboFormatError(f"{path}: empty file, expected 'p qubo' header")
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    first, _, body = raw.partition(b"\n")
+    # The body is raw[start:]; it is never copied out of the file's bytes.
+    end = raw.find(b"\n")
+    end = len(raw) if end < 0 else end
+    start = end + 1
+    n_vars, n_entries = _parse_header(path, raw[:end].decode("utf-8", "replace"))
+
+    rows = _parse_rows(raw, start)
+    if rows is None or not _rows_valid(rows, raw, start, n_vars, n_entries):
+        _raise_first_error(path, raw[start:], n_vars, n_entries)
     del raw
-    n_vars, n_entries = _parse_header(path, first.decode("utf-8", "replace"))
+    a, b, values = [np.ascontiguousarray(rows[name]) for name in _ROW.names]
+    del rows
+    # Every other check has passed, so a repeated key is the first bad line.
+    repeat = _first_repeat(a, b)
+    if repeat is not None:
+        raise _duplicate(path, repeat + 2, int(a[repeat]), int(b[repeat]))
 
-    rows = _parse_rows(body)
-    if rows is None or not _rows_valid(rows, body, n_vars, n_entries):
-        _raise_first_error(path, body, n_vars, n_entries)
-    del body
-
-    coeffs = CoeffMap(rows["a"], rows["b"], rows["value"])
+    coeffs = CoeffMap(a, b, values)
     return QuboProblem(
         n_mol=1,
         n_grid=n_vars,
@@ -124,35 +149,55 @@ def _parse_header(path, line: str) -> tuple[int, int]:
     return n_vars, n_entries
 
 
-def _parse_rows(body: bytes) -> np.ndarray | None:
-    """The body's (a, b, value) rows in file order, or None when numpy
-    rejects a line. Blank lines are skipped here and caught by the line count."""
-    if body.translate(None, _BODY_BYTES):
-        return None
+def _parse_rows(raw: bytes, start: int) -> np.ndarray | None:
+    """The (a, b, value) rows of the body raw[start:] in file order, or None
+    when numpy rejects a line. Blank lines are skipped here and caught by
+    the line count."""
+    for at in range(start, len(raw), _SCAN_BYTES):
+        if raw[at : at + _SCAN_BYTES].translate(None, _BODY_BYTES):
+            return None
+    body = io.BytesIO(raw)  # shares raw's bytes
+    body.seek(start)
     with warnings.catch_warnings():
         # numpy 1.23-1.26 parse an id such as `1.0` as an integer and only
         # warn; the grammar rejects it.
         warnings.simplefilter("error", DeprecationWarning)
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            return np.loadtxt(io.BytesIO(body), dtype=_ROW, comments=None, ndmin=1, encoding="ascii")
+            return np.loadtxt(body, dtype=_ROW, comments=None, ndmin=1, encoding="ascii")
         except (ValueError, DeprecationWarning):
             return None
 
 
-def _rows_valid(rows: np.ndarray, body: bytes, n_vars: int, n_entries: int) -> bool:
-    """The line count and `_raise_first_error`'s range, finiteness,
-    duplicate and entry-count checks, as array masks over the parsed rows."""
+def _rows_valid(rows: np.ndarray, raw: bytes, start: int, n_vars: int, n_entries: int) -> bool:
+    """The line count and `_raise_first_error`'s range, finiteness and
+    entry-count checks, as array masks over the parsed rows."""
     a, b = rows["a"], rows["b"]
-    n_lines = body.count(b"\n") + (not body.endswith(b"\n")) if body else 0
+    n_lines = raw.count(b"\n", start) + (not raw.endswith(b"\n")) if len(raw) > start else 0
     if not len(rows) == n_lines == n_entries:
         return False
     in_range = (0 <= a) & (a <= b) & (b <= min(n_vars - 1, _INT64_MAX))
-    if not (in_range.all() and np.isfinite(rows["value"]).all()):
-        return False
+    return bool(in_range.all() and np.isfinite(rows["value"]).all())
+
+
+def _first_repeat(a: np.ndarray, b: np.ndarray) -> int | None:
+    """The position of the first row whose (a, b) key an earlier row holds,
+    or None. The stable key order lists each key's rows in file order, so a
+    repeat is a row whose key equals the one before it there; the order is
+    compared one block of rows at a time."""
     order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    return not ((a[1:] == a[:-1]) & (b[1:] == b[:-1])).any()
+    first = len(a)
+    for at in range(0, len(a), _BLOCK_ROWS):
+        block = order[at : at + _BLOCK_ROWS + 1]
+        later, earlier = block[1:], block[:-1]
+        repeat = (a.take(later) == a.take(earlier)) & (b.take(later) == b.take(earlier))
+        if repeat.any():
+            first = min(first, int(later[repeat].min()))
+    return first if first < len(a) else None
+
+
+def _duplicate(path, lineno: int, a: int, b: int) -> QuboFormatError:
+    return QuboFormatError(f"{path}:{lineno}: duplicate entry for ({a}, {b})")
 
 
 def _raise_first_error(path, body: bytes, n_vars: int, n_entries: int) -> NoReturn:
@@ -182,7 +227,7 @@ def _raise_first_error(path, body: bytes, n_vars: int, n_entries: int) -> NoRetu
         if not math.isfinite(value):
             raise QuboFormatError(f"{path}:{lineno}: non-finite coefficient {parts[2]!r}")
         if (a, b) in seen:
-            raise QuboFormatError(f"{path}:{lineno}: duplicate entry for ({a}, {b})")
+            raise _duplicate(path, lineno, a, b)
         seen.add((a, b))
     if len(seen) != n_entries:
         raise QuboFormatError(f"{path}: header announces {n_entries} entries, found {len(seen)}")

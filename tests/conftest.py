@@ -3,9 +3,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qdock import load_complex
+from qdock.qubo import CoeffMap
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -46,3 +48,18 @@ def index_mapping(problem, id_mapping):
         problem.atom_ids.index(aid): problem.grid_ids.index(gid)
         for aid, gid in id_mapping.items()
     }
+
+
+def shuffled_map(n: int) -> CoeffMap:
+    """A map of n distinct upper-triangle keys in shuffled order, shaped like
+    an assembled problem's: about n / 1000 + 1000 distinct ids, a third of
+    them at least 10**6, and about one distinct value per four entries,
+    among them -0.0, 0.0, 5e-324 and 1e16."""
+    rng = np.random.default_rng(21)
+    k = rng.permutation(n)
+    a = k // 1000 + 10**6 * (k % 3 == 0)
+    pool = np.round(rng.normal(size=n // 4 + 4), 6) * 10.0 ** rng.integers(-5, 5, n // 4 + 4)
+    pool[:4] = [-0.0, 0.0, 5e-324, 1e16]
+    values = pool[rng.integers(0, len(pool), n)]
+    values[:4] = pool[:4]
+    return CoeffMap(a, a + k % 1000, values)

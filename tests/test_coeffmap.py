@@ -18,9 +18,10 @@ from qdock import (
     one_hot_assignment,
     simulated_anneal,
 )
+from qdock import qubo
 from qdock.qubo import CoeffMap
 
-from conftest import PLANTED6_PLANTED, TINY4_PLANTED, index_mapping
+from conftest import PLANTED6_PLANTED, TINY4_PLANTED, index_mapping, shuffled_map
 
 UNIT_HP = Hyperparameters(lambdas=(1.0, 1.0, 1.0, 1.0, 1.0), gamma=25.0)
 
@@ -171,3 +172,31 @@ def test_energy_counts_any_nonzero_bit_as_set():
     coeffs = {(0, 1): 4.0, (1, 1): 1.0}
     problem = QuboProblem(n_mol=1, n_grid=2, coeffs=coeffs, term_coeffs={"imported": coeffs})
     assert energy(problem, Assignment(np.array([2, 255], dtype=np.uint8))).total == 5.0
+
+
+def test_views_list_entries_across_blocks():
+    view = shuffled_map(2 * qubo._BLOCK + 7)
+    a, b, values = view.arrays
+    keys = list(zip(a.tolist(), b.tolist()))
+    assert len(view) == 2 * qubo._BLOCK + 7
+    assert list(view) == keys and list(view.keys()) == keys
+    assert list(view.items()) == list(zip(keys, values.tolist()))
+    assert list(view.values()) == values.tolist()
+    assert all(type(x) is int and type(y) is int and type(v) is float for (x, y), v in view.items())
+
+
+def test_views_compare_across_blocks():
+    view = shuffled_map(2 * qubo._BLOCK + 7)
+    a, b, values = view.arrays
+    shuffled = np.random.default_rng(8).permutation(len(view))
+    assert view == CoeffMap(a[shuffled], b[shuffled], values[shuffled])
+    # Values compare as floats: -0.0 equals 0.0.
+    assert view == CoeffMap(a, b, np.where(values == 0.0, 0.0, values))
+    last = np.lexsort((b, a))[-1]  # the last entry of the last block compared
+    changed = values.copy()
+    changed[last] = np.nextafter(changed[last], np.inf)
+    assert view != CoeffMap(a, b, changed)
+    moved = b.copy()
+    moved[last] += 1
+    assert (a[last], moved[last]) not in view
+    assert view != CoeffMap(a, moved, values)

@@ -1,5 +1,6 @@
 """Coordinate-list QUBO files: export format and exact round-trip."""
 
+import collections
 import math
 import tracemalloc
 import warnings
@@ -21,9 +22,10 @@ from qdock import (
     parse_complex,
 )
 
+from qdock import qubofile
 from qdock.qubo import DENSE_MAX_VARS
 
-from conftest import PLANTED6, TINY4
+from conftest import PLANTED6, TINY4, shuffled_map
 from test_properties import qubos
 from test_qubo import complex_docs, hyperparameters
 
@@ -446,3 +448,83 @@ def test_dense_view_refuses_past_its_limit(tmp_path, n_vars):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+# ------------------------------------------------------------ row blocks
+
+def map_problem(cmap):
+    a, b, _ = cmap.arrays
+    n_vars = int(b.max()) + 1
+    return QuboProblem(n_mol=1, n_grid=n_vars, coeffs=cmap, term_coeffs={"imported": cmap})
+
+
+def reference_export(problem):
+    """The coordinate file written line by line over the sorted keys."""
+    entries = sorted(problem.coeffs.items())
+    lines = [f"p qubo {problem.n_vars} {len(entries)}\n"]
+    lines += [f"{a} {b} {v!r}\n" for (a, b), v in entries]
+    return "".join(lines).encode("utf-8")
+
+
+def test_export_and_import_across_blocks(tmp_path):
+    problem = map_problem(shuffled_map(2 * qubofile._BLOCK_ROWS + 7))
+    path = tmp_path / "blocks.qubo"
+    export_qubo(problem, path)
+    text = path.read_bytes()
+    assert text == reference_export(problem)
+    for ending in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(text.replace(b"\n", ending))
+        back = import_qubo(path)
+        assert back.n_vars == problem.n_vars and back.coeffs == problem.coeffs
+        assert [v.hex() for v in back.coeffs.values()] == [v.hex() for _, v in sorted(problem.coeffs.items())]
+
+
+def test_first_duplicate_named_across_blocks(tmp_path):
+    problem = map_problem(shuffled_map(2 * qubofile._BLOCK_ROWS + 7))
+    header, *lines = reference_export(problem).decode().splitlines(keepends=True)
+    # The first block's last entry comes back in the second block, so the
+    # two copies straddle the blocks of the key order; a copy of the last
+    # entry goes near the top, so the last line is a repeat too. The first
+    # line that repeats an earlier one is the error.
+    block = qubofile._BLOCK_ROWS
+    lines.insert(block + 5, lines[block - 1])
+    lines.insert(1, lines[-1])
+    path = tmp_path / "repeats.qubo"
+    path.write_text(f"p qubo {problem.n_vars} {len(lines)}\n" + "".join(lines))
+    a, b, _ = lines[block].split()
+    line = block + 8
+    with pytest.raises(QuboFormatError, match=rf"repeats\.qubo:{line}: duplicate entry for \({a}, {b}\)$"):
+        import_qubo(path)
+    assert outcome(import_qubo, path) == outcome(reference_import, path)
+    # In one block, the repeat of the larger key comes first in the file.
+    path.write_text("p qubo 3 4\n1 1 1.0\n0 0 1.0\n1 1 2.0\n0 0 3.0\n")
+    with pytest.raises(QuboFormatError, match=r"repeats\.qubo:4: duplicate entry for \(1, 1\)$"):
+        import_qubo(path)
+
+
+def traced_peak(work) -> int:
+    """The most bytes that work() holds at once beyond what existed before."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_listing_exporting_and_importing_hold_bounded_memory(tmp_path):
+    """Listing a map holds one block of Python values whatever its size, and
+    export and import a fixed number of bytes per entry. Measured on numpy
+    2.4 and Python 3.11: items() peaked at 5.5 MiB over 200,000 entries and
+    6.5 MiB over 800,000; on the 800,000-entry map, export at 51 bytes per
+    entry and import at 53 (the file's bytes and the parsed rows). Listing
+    whole columns at once took 79.5 MiB over 800,000 entries, and export
+    held 106 bytes per entry and import 75 when they gathered whole sorted
+    copies."""
+    for n in (200_000, 800_000):
+        cmap = shuffled_map(n)
+        assert traced_peak(lambda: collections.deque(cmap.items(), maxlen=0)) < 8 * 2**20
+    problem = map_problem(cmap)
+    path = tmp_path / "large.qubo"
+    assert traced_peak(lambda: export_qubo(problem, path)) < 64 * n
+    assert traced_peak(lambda: import_qubo(path)) < 64 * n
