@@ -31,7 +31,10 @@ zero entries dropped. Those arrays and the summed map's are the model:
 `QuboProblem.dense`, the coordinate file, `incremental_delta` and
 `active_sums` (behind every energy, SA's start energies too) read them
 directly. Each coefficient map is a read-only `CoeffMap` view over its
-arrays, which stores nothing else.
+arrays, which stores nothing else. The summed map's arrays are the stored
+form of the geom entries and the penalty keys: the geom map is a slice
+of them, and the penalty map slices the keys beside its own values, so
+each of those entries is stored once.
 """
 
 from __future__ import annotations
@@ -69,16 +72,19 @@ class CoeffMap(Mapping):
     """Read-only (a, b) -> value map over parallel arrays.
 
     `arrays` holds the int64 ids a <= b and the float64 values, one entry
-    per key, in the map's order: they are the map's only stored form, and
-    must not change afterwards. Iteration, `keys()`, `items()` and
-    `values()` list the arrays `_BLOCK` entries at a time and zip each
+    per key, in the map's order: they are the map's only stored form. They
+    are non-writeable views of the arrays given, uncopied where those are
+    contiguous and of the right type, so maps may share memory (a built
+    problem's geom and penalty maps are slices of its `coeffs`); the caller
+    must not change those arrays afterwards. Iteration, `keys()`, `items()`
+    and `values()` list the arrays `_BLOCK` entries at a time and zip each
     block, giving Python ints and floats in map order while holding one
     block of Python values, whatever the map's size. A lookup (`[]`, `in`,
     `.get`) of a pair of integers is two binary searches in a key index,
     sorted on the first such lookup and kept in a slot, so `dict(view)`
     takes O(entries log entries); the pipeline never looks a key up, and
-    never builds the index. A key with another kind of number (0.0, say)
-    is matched by one mask over the arrays. `len` reads the arrays, and so
+    never builds the index. A key with another kind of number (0.0, say) is
+    matched by one mask over the arrays. `len` reads the arrays, and so
     does `==` between two views: equal key sets, and values equal as
     floats, compared a block at a time through each view's key order. A
     view and another mapping compare as dicts.
@@ -87,17 +93,16 @@ class CoeffMap(Mapping):
     __slots__ = ("arrays", "_index")
 
     def __init__(self, a, b, values):
-        self.arrays = (
-            np.ascontiguousarray(a, dtype=np.intp),
-            np.ascontiguousarray(b, dtype=np.intp),
-            np.ascontiguousarray(values, dtype=np.float64),
-        )
+        self.arrays = (_read_only(a, np.intp), _read_only(b, np.intp), _read_only(values, np.float64))
         self._index = None
 
     @classmethod
     def nonzero(cls, a: np.ndarray, b: np.ndarray, values: np.ndarray) -> "CoeffMap":
-        """The entries of (a, b, value) arrays whose value is not zero."""
+        """The entries of (a, b, value) arrays whose value is not zero; the
+        arrays themselves, uncopied, when none is zero."""
         keep = values != 0.0
+        if keep.all():
+            return cls(a, b, values)
         return cls(a[keep], b[keep], values[keep])
 
     @classmethod
@@ -179,6 +184,14 @@ class CoeffMap(Mapping):
         return f"CoeffMap({len(self)} entries)"
 
 
+def _read_only(x, dtype) -> np.ndarray:
+    """A non-writeable view of x as a contiguous array of dtype (a copy only
+    where x is not one already); x itself keeps its flags."""
+    view = np.ascontiguousarray(x, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 class _Items(ItemsView):
     def __iter__(self):
         return self._mapping._chain(lambda a, b, values: zip(zip(a, b), values), 0, 1, 2)
@@ -248,8 +261,10 @@ class QuboProblem:
 
     Coefficient keys are (a, b) with a <= b; a == b entries are linear.
     `coeffs` is always the entrywise sum of `term_coeffs`. Each map is a
-    `CoeffMap`: its (a, b, value) arrays are the model. A plain dict given
-    for `coeffs` or a term becomes a view of its keys and values.
+    `CoeffMap`: its (a, b, value) arrays are the model. In a built problem
+    `coeffs` is the stored form, and the geom and penalty maps are views
+    into it (the penalty map with its own values). A plain dict given for
+    `coeffs` or a term becomes a view of its keys and values.
     Problems built from a complex carry the decode context (atom/grid ids,
     grid positions, experimental coordinates) and the raw tables
     `with_lambdas` weights; imported or hand-built ones only coefficients.
@@ -461,20 +476,27 @@ def with_lambdas(problem: QuboProblem, lambdas) -> QuboProblem:
     `weighted_linear` gives the tables and the linear coefficients. Each
     term's map drops the zero products (-0.0 at lambda 0 too). The summed
     map is the nonzero geom entries, then every penalty key with the linear
-    coefficients on its diagonal. Raises GraphBuildError naming the first
-    non-finite coefficient, or a non-finite offset.
+    coefficients on its diagonal. Its arrays are the only stored copy of
+    the geom entries and of the penalty keys: the geom map is a slice of
+    all three, and the penalty map slices the keys and keeps its own
+    values. Raises GraphBuildError naming the first non-finite coefficient,
+    or a non-finite offset.
     """
     a, b, values = problem.term_coeffs["penalty"].arrays
-    linear = a == b
-    variables = np.arange(problem.n_vars)
+    geom = problem.term_coeffs["geom"].arrays
     diagonal, tables = weighted_linear(problem, lambdas, {})
-    term_coeffs = {name: problem.term_coeffs[name] for name in ("geom", "penalty")}
+    summed = values.copy()
+    summed[a == b] = diagonal
+    coeffs = CoeffMap(*(np.concatenate(pair) for pair in zip(geom, (a, b, summed))))
+    n_geom = len(geom[2])
+    key_a, key_b, coeff_values = coeffs.arrays
+    term_coeffs = {
+        "geom": CoeffMap(key_a[:n_geom], key_b[:n_geom], coeff_values[:n_geom]),
+        "penalty": CoeffMap(key_a[n_geom:], key_b[n_geom:], values),
+    }
+    variables = np.arange(problem.n_vars)
     for name, table in zip(PHYSCHEM_TERMS, tables):
         term_coeffs[name] = CoeffMap.nonzero(variables, variables, table)
-    summed = values.copy()
-    summed[linear] = diagonal
-    geom = term_coeffs["geom"].arrays
-    coeffs = CoeffMap(*(np.concatenate(pair) for pair in zip(geom, (a, b, summed))))
     _reject_non_finite(*coeffs.arrays, term_coeffs)
     if not math.isfinite(problem.offset):
         raise GraphBuildError(f"non-finite QUBO penalty offset {problem.offset!r}")

@@ -23,24 +23,31 @@ gathered from a slice of the key order. Beyond the map it holds the
 order and the value index (8 bytes per entry each), the texts of the
 distinct ids and values, and one block of rows.
 
-Import reads the file once and parses the body in place, in one
-`np.loadtxt` pass over its bytes, and checks the line count, ranges and
-finiteness with array masks. It then copies the parsed columns out, in
-file order, as the problem's map, and frees the file's bytes and the
-rows before it looks for repeated keys through the key order, one block
-at a time. Its peak is the file's bytes plus the parsed rows (24 bytes
-per entry). When numpy or a mask rejects the body, a line-by-line scan
-finds the first bad line and raises its error, so every accepted file
-goes through the same array path; a repeated key in a body that passed
-every other check is the first bad line, and is named from the arrays.
+Import streams the file: it reads fixed-size blocks, normalises their
+line ends and cuts them into chunks that end at a line end (a `\\r` at
+the end of a read waits for the next, which may start with `\\n`). Each
+chunk is parsed by `np.loadtxt` and checked with array masks (its line
+count, ranges and finiteness) straight into (a, b, value) arrays sized
+from the header's entry count, which become the problem's map; it then
+looks for repeated keys through the key order, one block at a time. It
+holds the arrays (24 bytes per entry) and one chunk, its lines and its
+rows, then the key order (8 bytes per entry). A count that the body's
+bytes cannot hold (each line takes at least 6) sizes no arrays. When
+numpy, a mask or the count rejects the body, the file is read again
+whole and a line-by-line scan finds the first bad line and raises its
+error, so every accepted file goes through the same array path; a
+repeated key in a body that passed every other check is the first bad
+line, and is named from the arrays.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import re
 import warnings
+from collections.abc import Iterator
 from typing import NoReturn
 
 import numpy as np
@@ -51,8 +58,11 @@ from .qubo import CoeffMap, QuboProblem
 # Rows per formatted block: bounds the transient Python strings to a fixed
 # size, whatever the size of the problem.
 _BLOCK_ROWS = 1 << 16
-# Body bytes checked against the grammar's byte set at a time.
-_SCAN_BYTES = 1 << 20
+# Bytes read from the file at a time: import holds one line-aligned chunk
+# of the body, its lines and its rows beside the parsed arrays.
+_READ_BYTES = 1 << 18
+# Bytes of the shortest body line, `0 0 0` and its line end.
+_MIN_LINE = 6
 _ROW = np.dtype([("a", np.int64), ("b", np.int64), ("value", np.float64)])
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Every byte a valid body can hold; any other byte sends the body to the scan.
@@ -93,27 +103,33 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 def import_qubo(path) -> QuboProblem:
     """Parse a coordinate file back into a coefficient-only problem."""
     try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
+        handle = open(path, "rb")
     except FileNotFoundError:
         raise QuboFormatError(f"QUBO file not found: {path}") from None
-
-    if not raw:
-        raise QuboFormatError(f"{path}: empty file, expected 'p qubo' header")
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    # The body is raw[start:]; it is never copied out of the file's bytes.
-    end = raw.find(b"\n")
-    end = len(raw) if end < 0 else end
-    start = end + 1
-    n_vars, n_entries = _parse_header(path, raw[:end].decode("utf-8", "replace"))
-
-    rows = _parse_rows(raw, start)
-    if rows is None or not _rows_valid(rows, raw, start, n_vars, n_entries):
-        _raise_first_error(path, raw[start:], n_vars, n_entries)
-    del raw
-    a, b, values = [np.ascontiguousarray(rows[name]) for name in _ROW.names]
-    del rows
+    with handle:
+        if not handle.seekable():
+            # A pipe: the size guard and the line scan need a file that seeks.
+            handle = io.BytesIO(handle.read())
+        size = handle.seek(0, io.SEEK_END)
+        handle.seek(0)
+        chunks = _line_chunks(handle)
+        first = next(chunks, b"")
+        if not first:
+            raise QuboFormatError(f"{path}: empty file, expected 'p qubo' header")
+        end = first.find(b"\n")
+        end = len(first) if end < 0 else end
+        n_vars, n_entries = _parse_header(path, first[:end].decode("utf-8", "replace"))
+        # The body holds at most size - end - 1 bytes, and n_entries lines
+        # take at least _MIN_LINE n_entries - 1 of them.
+        arrays = None
+        if _MIN_LINE * n_entries <= size - end:
+            arrays = _parse_body(itertools.chain([first[end + 1 :]], chunks), n_vars, n_entries)
+        if arrays is None:
+            handle.seek(0)
+            raw = _normalise(handle.read())
+            end = raw.find(b"\n")
+            _raise_first_error(path, raw[end + 1 :] if end >= 0 else b"", n_vars, n_entries)
+    a, b, values = arrays
     # Every other check has passed, so a repeated key is the first bad line.
     repeat = _first_repeat(a, b)
     if repeat is not None:
@@ -127,6 +143,53 @@ def import_qubo(path) -> QuboProblem:
         term_coeffs={"imported": coeffs},
         offset=0.0,
     )
+
+
+def _normalise(raw: bytes) -> bytes:
+    """raw with every `\\r\\n` and lone `\\r` made `\\n`."""
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
+
+
+def _line_chunks(handle) -> Iterator[bytes]:
+    """The file's bytes, line ends normalised, in chunks that each end at a
+    line end; the last may lack one. Each chunk is the rest of the line the
+    previous one cut, then one read's bytes up to their last line end. A
+    read that ends in `\\r` holds it back, since the next may start with
+    `\\n`; reads without a line end are joined to the next one that has."""
+    parts = [b""]
+    while True:
+        data = handle.read(_READ_BYTES)
+        parts.append(data)
+        if data and b"\n" not in data and b"\r" not in data:
+            continue  # within a line longer than a read
+        buf = b"".join(parts)
+        held = b"\r" if data and buf.endswith(b"\r") else b""
+        buf = _normalise(buf[: len(buf) - len(held)])
+        cut = buf.rfind(b"\n") + 1 if data else len(buf)
+        if cut:
+            yield buf[:cut]
+        if not data:
+            return
+        parts = [buf[cut:] + held]
+
+
+def _parse_body(chunks, n_vars: int, n_entries: int) -> tuple[np.ndarray, ...] | None:
+    """The body's (a, b, value) arrays in file order, each chunk parsed and
+    checked into arrays sized from the header, or None as soon as numpy, a
+    mask or the line count rejects it."""
+    a, b = np.empty(n_entries, np.int64), np.empty(n_entries, np.int64)
+    values = np.empty(n_entries)
+    filled = 0
+    for chunk in chunks:
+        if not chunk:
+            continue
+        rows = _parse_rows(chunk)
+        if rows is None or not _rows_valid(rows, chunk, n_vars) or len(rows) > n_entries - filled:
+            return None
+        stop = filled + len(rows)
+        a[filled:stop], b[filled:stop], values[filled:stop] = rows["a"], rows["b"], rows["value"]
+        filled = stop
+    return (a, b, values) if filled == n_entries else None
 
 
 def _parse_header(path, line: str) -> tuple[int, int]:
@@ -149,32 +212,31 @@ def _parse_header(path, line: str) -> tuple[int, int]:
     return n_vars, n_entries
 
 
-def _parse_rows(raw: bytes, start: int) -> np.ndarray | None:
-    """The (a, b, value) rows of the body raw[start:] in file order, or None
-    when numpy rejects a line. Blank lines are skipped here and caught by
-    the line count."""
-    for at in range(start, len(raw), _SCAN_BYTES):
-        if raw[at : at + _SCAN_BYTES].translate(None, _BODY_BYTES):
-            return None
-    body = io.BytesIO(raw)  # shares raw's bytes
-    body.seek(start)
+def _parse_rows(chunk: bytes) -> np.ndarray | None:
+    """The (a, b, value) rows of a chunk of the body in file order, or None
+    when it holds a byte outside the grammar or numpy rejects a line. Blank
+    lines are skipped here and caught by the line count."""
+    if chunk.translate(None, _BODY_BYTES):
+        return None
+    # numpy walks any input but a path line by line; a list of str lines
+    # is the quickest such input.
+    lines = chunk.decode("ascii").split("\n")
     with warnings.catch_warnings():
         # numpy 1.23-1.26 parse an id such as `1.0` as an integer and only
         # warn; the grammar rejects it.
         warnings.simplefilter("error", DeprecationWarning)
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            return np.loadtxt(body, dtype=_ROW, comments=None, ndmin=1, encoding="ascii")
+            return np.loadtxt(lines, dtype=_ROW, comments=None, ndmin=1)
         except (ValueError, DeprecationWarning):
             return None
 
 
-def _rows_valid(rows: np.ndarray, raw: bytes, start: int, n_vars: int, n_entries: int) -> bool:
-    """The line count and `_raise_first_error`'s range, finiteness and
-    entry-count checks, as array masks over the parsed rows."""
+def _rows_valid(rows: np.ndarray, chunk: bytes, n_vars: int) -> bool:
+    """A row per line of the chunk, and `_raise_first_error`'s range and
+    finiteness checks, as array masks over the parsed rows."""
     a, b = rows["a"], rows["b"]
-    n_lines = raw.count(b"\n", start) + (not raw.endswith(b"\n")) if len(raw) > start else 0
-    if not len(rows) == n_lines == n_entries:
+    if len(rows) != chunk.count(b"\n") + (not chunk.endswith(b"\n")):
         return False
     in_range = (0 <= a) & (a <= b) & (b <= min(n_vars - 1, _INT64_MAX))
     return bool(in_range.all() and np.isfinite(rows["value"]).all())

@@ -110,6 +110,29 @@ def test_plain_dicts_are_wrapped_as_arrays():
     assert QuboProblem(n_mol=1, n_grid=2, coeffs=problem.coeffs, term_coeffs={}).coeffs is problem.coeffs
 
 
+def test_views_are_read_only_and_share_the_summed_arrays(planted6):
+    problem = build_full(planted6, UNIT_HP)
+    for view in views(problem):
+        for x in view.arrays:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[:1] = 0
+    # The summed map is the one stored copy of the geom entries and of the
+    # penalty keys; the penalty map keeps only its values.
+    geom, penalty = problem.term_coeffs["geom"].arrays, problem.term_coeffs["penalty"].arrays
+    for k in range(3):
+        assert np.shares_memory(geom[k], problem.coeffs.arrays[k])
+    for k in range(2):
+        assert np.shares_memory(penalty[k], problem.coeffs.arrays[k])
+    assert not np.shares_memory(penalty[2], problem.coeffs.arrays[2])
+    # The flag is set on the map's own views: the caller's arrays stay writeable.
+    a, b, values = np.arange(3), np.arange(3), np.ones(3)
+    view = CoeffMap(a, b, values)
+    assert np.shares_memory(view.arrays[2], values) and values.flags.writeable
+    # Without a zero value, `nonzero` keeps the arrays it was given.
+    assert CoeffMap.nonzero(a, b, values).arrays[0].base is a
+
+
 def test_views_list_entries_without_lookups(tiny4, monkeypatch):
     view = build_full(tiny4, UNIT_HP).coeffs
     a, b, values = view.arrays

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,6 +432,31 @@ def test_built_problem_carries_its_raw_tables(tiny4, tmp_path):
     assert with_lambdas(built, (1.0,) * 5).coeffs == built.coeffs
     export_qubo(built, tmp_path / "out.qubo")
     assert import_qubo(tmp_path / "out.qubo").physchem_raw is None
+
+
+def test_built_problem_stores_each_entry_once():
+    """The summed map's arrays are the one stored copy of the geom entries
+    and the penalty keys, so a built problem holds 24 bytes per summed entry
+    (two ids and a value), 8 per penalty value, the physicochemical tables,
+    and a little for its decode context and Python objects. Storing the
+    geom and penalty maps beside the summed map held 4.4 MB more than that
+    here (9.7 MB in all)."""
+    lattice = [(1.5 * x, 1.5 * y, 1.5 * z) for x in range(6) for y in range(6) for z in range(3)]
+    cx = chain_complex(8, lattice, spacing=1.3)
+    hp = Hyperparameters(lambdas=(0.01,) * 5)
+    build_full(cx, hp)  # first-call allocations (caches, imports) are not the problem's
+    tracemalloc.start()
+    try:
+        problem = build_full(cx, hp)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tables = sum(raw.nbytes for raw in problem.physchem_raw.values()) + sum(
+        x.nbytes for name in PHYSCHEM_TERMS for x in problem.term_coeffs[name].arrays
+    )
+    assert len(problem.term_coeffs["geom"]) > 100_000
+    bound = 24 * len(problem.coeffs) + 8 * len(problem.term_coeffs["penalty"]) + tables
+    assert held < bound + 2**17
 
 
 # SHA-256 of `export_qubo` bytes, recorded before the term maps were built
