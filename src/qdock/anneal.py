@@ -269,8 +269,11 @@ def simulated_anneal(
 
     All reads run as one seeded batch; n_threads is accepted for
     compatibility and changes neither the results nor the execution.
+    Raises CoefficientOverflowError before annealing where the problem's
+    `window_scale` passes the float range, as `brute_force` does.
     """
     started = time.perf_counter()
+    window_scale(problem.coeffs.arrays[2], problem.offset)
     t_initial, t_final = resolve_temperatures(problem, sched)
     temps = _temperature_ladder(t_initial, t_final, sched.n_sweeps)
     best_states = _anneal_reads(problem, sched.seed, sched.n_reads, temps)
@@ -466,8 +469,8 @@ def window_scale(values: np.ndarray, offset: float) -> float:
     """Error-window scale of a problem, the rule `ExhaustiveScan.scale`
     applies: fsum of its |coefficients|, plus |offset| (the fsum of two
     values is their rounded sum). Raises CoefficientOverflowError past the
-    float range."""
-    return exact_sum((exact_sum(np.abs(values).tolist()), abs(offset)))
+    float range. A memoryview hands fsum the floats without a list of them."""
+    return exact_sum((exact_sum(memoryview(np.abs(values))), abs(offset)))
 
 
 def state_rows(states: np.ndarray, n: int) -> np.ndarray:

@@ -30,21 +30,19 @@ matrix and the grid color vectors, and kept as (a, b, value) arrays with
 zero entries dropped. Those arrays and the summed map's are the model:
 `QuboProblem.dense`, the coordinate file, `incremental_delta` and
 `active_sums` (behind every energy, SA's start energies too) read them
-directly. Each coefficient map is a read-only `CoeffMap` view over its
-arrays, which stores nothing else. The summed map's arrays are the stored
-form of the geom entries and the penalty keys: the geom map is a slice
-of them, and the penalty map slices the keys beside its own values, so
-each of those entries is stored once.
+directly. Each coefficient map is a read-only `CoeffMap` of its arrays,
+which stores nothing else and has no key lookup. The summed map's arrays
+are the stored form of the geom entries and the penalty keys: the geom
+map is a slice of them, and the penalty map slices the keys beside its
+own values, so each of those entries is stored once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from numbers import Number
 
 import numpy as np
 
@@ -60,41 +58,31 @@ PHYSCHEM_TERMS = ("el", "vdw", "hba", "hbd", "hydro")
 # header may announce any count, and a larger matrix can be granted lazily
 # and exhaust memory only later.
 DENSE_MAX_VARS = 12_000
-# Integer key types, and the integers a coefficient map's int64 ids can equal.
-_INTEGERS = (int, np.integer)
-_IDS = range(np.iinfo(np.intp).min, np.iinfo(np.intp).max + 1)
 # Entries per block when a map lists its entries or compares itself with
 # another: bounds the Python objects and gathered copies to a few MB.
 _BLOCK = 1 << 16
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 
-class CoeffMap(Mapping):
-    """Read-only (a, b) -> value map over parallel arrays.
+class CoeffMap:
+    """Read-only (a, b) -> value map held as parallel arrays.
 
     `arrays` holds the int64 ids a <= b and the float64 values, one entry
     per key, in the map's order: they are the map's only stored form. They
     are non-writeable views of the arrays given, uncopied where those are
     contiguous and of the right type, so maps may share memory (a built
     problem's geom and penalty maps are slices of its `coeffs`); the caller
-    must not change those arrays afterwards. Iteration, `keys()`, `items()`
-    and `values()` list the arrays `_BLOCK` entries at a time and zip each
-    block, giving Python ints and floats in map order while holding one
-    block of Python values, whatever the map's size. A lookup (`[]`, `in`,
-    `.get`) of a pair of integers is two binary searches in a key index,
-    sorted on the first such lookup and kept in a slot, so `dict(view)`
-    takes O(entries log entries); the pipeline never looks a key up, and
-    never builds the index. A key with another kind of number (0.0, say) is
-    matched by one mask over the arrays. `len` reads the arrays, and so
-    does `==` between two views: equal key sets, and values equal as
-    floats, compared a block at a time through each view's key order. A
-    view and another mapping compare as dicts.
+    must not change those arrays afterwards. Every qdock consumer reads the
+    arrays; beside them a map has `len`, `items()`, which lists the entries
+    as Python ints and floats in map order and holds one `_BLOCK` of them
+    at a time, and `==`, which compares two maps' key sets and float values
+    a block at a time in each map's key order (a dict compares as a dict).
     """
 
-    __slots__ = ("arrays", "_index")
+    __slots__ = ("arrays",)
 
     def __init__(self, a, b, values):
         self.arrays = (_read_only(a, np.intp), _read_only(b, np.intp), _read_only(values, np.float64))
-        self._index = None
 
     @classmethod
     def nonzero(cls, a: np.ndarray, b: np.ndarray, values: np.ndarray) -> "CoeffMap":
@@ -106,64 +94,26 @@ class CoeffMap(Mapping):
         return cls(a[keep], b[keep], values[keep])
 
     @classmethod
-    def wrap(cls, mapping: Mapping) -> "CoeffMap":
-        """A view of a plain {(a, b): value} map's keys and values."""
+    def wrap(cls, mapping) -> "CoeffMap":
+        """A map of a plain {(a, b): value} dict's keys and values. An id
+        that is not an integer, or not one an int64 holds, reads as -1,
+        which names no variable."""
         if isinstance(mapping, CoeffMap):
             return mapping
         n = len(mapping)
-        keys = np.fromiter(itertools.chain.from_iterable(mapping), np.intp, 2 * n).reshape(n, 2)
+        ids = map(_variable_id, itertools.chain.from_iterable(mapping))
+        keys = np.fromiter(ids, np.intp, 2 * n).reshape(n, 2)
         return cls(keys[:, 0], keys[:, 1], np.fromiter(mapping.values(), np.float64, n))
-
-    def __getitem__(self, key):
-        hash(key)  # an unhashable key raises TypeError, as with a dict
-        if isinstance(key, tuple) and len(key) == 2:
-            x, y = key
-            at = None
-            if isinstance(x, _INTEGERS) and isinstance(y, _INTEGERS):
-                at = self._find(int(x), int(y))
-            elif isinstance(x, Number) and isinstance(y, Number):
-                a, b, _ = self.arrays
-                hit = np.flatnonzero((a == x) & (b == y))
-                at = hit[0] if len(hit) else None
-            if at is not None:
-                return float(self.arrays[2][at])
-        raise KeyError(key)
-
-    def _find(self, x: int, y: int):
-        """The array position of key (x, y), or None."""
-        if x not in _IDS or y not in _IDS:
-            return None
-        if self._index is None:
-            a, b, _ = self.arrays
-            order = np.lexsort((b, a))
-            self._index = order, a[order], b[order]
-        order, a, b = self._index
-        lo, hi = a.searchsorted(x), a.searchsorted(x, "right")
-        at = lo + b[lo:hi].searchsorted(y)
-        return order[at] if at < hi and b[at] == y else None
-
-    def _chain(self, pack, *columns: int):
-        """pack(*lists) chained over the blocks, where lists holds the given
-        arrays' next `_BLOCK` entries as Python lists. Nothing keeps a block
-        once its entries are listed, so one block is alive at a time."""
-        arrays = [self.arrays[k] for k in columns]
-        blocks = (
-            [x[start : start + _BLOCK].tolist() for x in arrays]
-            for start in range(0, len(self), _BLOCK)
-        )
-        return itertools.chain.from_iterable(itertools.starmap(pack, blocks))
-
-    def __iter__(self):
-        return self._chain(zip, 0, 1)
 
     def __len__(self) -> int:
         return len(self.arrays[2])
 
     def items(self):
-        return _Items(self)
-
-    def values(self):
-        return _Values(self)
+        a, b, values = self.arrays
+        for start in range(0, len(self), _BLOCK):
+            # No name keeps a block's lists, so one block is alive at a time.
+            block = slice(start, start + _BLOCK)
+            yield from zip(zip(a[block].tolist(), b[block].tolist()), values[block].tolist())
 
     def __eq__(self, other):
         if isinstance(other, CoeffMap):
@@ -176,12 +126,19 @@ class CoeffMap(Mapping):
                 for start in range(0, len(self), _BLOCK)
                 for x, y in zip(self.arrays, other.arrays)
             )
-        if not isinstance(other, Mapping):
+        if not isinstance(other, dict):
             return NotImplemented
-        return dict(self.items()) == (other if isinstance(other, dict) else dict(other.items()))
+        return dict(self.items()) == other
 
     def __repr__(self) -> str:
         return f"CoeffMap({len(self)} entries)"
+
+
+def _variable_id(x) -> int:
+    """x as an int where it is an integer an int64 holds, else -1."""
+    if isinstance(x, (int, np.integer)) and 0 <= int(x) <= _INTP_MAX:
+        return int(x)
+    return -1
 
 
 def _read_only(x, dtype) -> np.ndarray:
@@ -190,19 +147,6 @@ def _read_only(x, dtype) -> np.ndarray:
     view = np.ascontiguousarray(x, dtype=dtype).view()
     view.flags.writeable = False
     return view
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return self._mapping._chain(lambda a, b, values: zip(zip(a, b), values), 0, 1, 2)
-
-
-class _Values(ValuesView):
-    def __iter__(self):
-        return self._mapping._chain(iter, 2)
-
-    def __contains__(self, value):
-        return any(v is value or v == value for v in self)
 
 
 @dataclass(frozen=True)
@@ -262,9 +206,10 @@ class QuboProblem:
     Coefficient keys are (a, b) with a <= b; a == b entries are linear.
     `coeffs` is always the entrywise sum of `term_coeffs`. Each map is a
     `CoeffMap`: its (a, b, value) arrays are the model. In a built problem
-    `coeffs` is the stored form, and the geom and penalty maps are views
-    into it (the penalty map with its own values). A plain dict given for
-    `coeffs` or a term becomes a view of its keys and values.
+    `coeffs` is the stored form, and the geom and penalty maps are slices
+    of it (the penalty map with its own values). A plain dict given for
+    `coeffs` or a term becomes a `CoeffMap` of its keys and values. A map
+    with a key that is not integers 0 <= a <= b < n_vars raises ValueError.
     Problems built from a complex carry the decode context (atom/grid ids,
     grid positions, experimental coordinates) and the raw tables
     `with_lambdas` weights; imported or hand-built ones only coefficients.
@@ -285,8 +230,23 @@ class QuboProblem:
     physchem_raw: dict[str, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.coeffs = CoeffMap.wrap(self.coeffs)
-        self.term_coeffs = {name: CoeffMap.wrap(cmap) for name, cmap in self.term_coeffs.items()}
+        self.coeffs = self._checked("coeffs", self.coeffs)
+        self.term_coeffs = {
+            name: self._checked(f"term {name!r}", cmap) for name, cmap in self.term_coeffs.items()
+        }
+
+    def _checked(self, label: str, mapping) -> CoeffMap:
+        """`mapping` as a CoeffMap. Raises ValueError naming `label` and its
+        first key whose ids are not integers 0 <= a <= b < n_vars; a valid
+        map costs one min, one max and one boolean per entry."""
+        cmap = CoeffMap.wrap(mapping)
+        a, b, _ = cmap.arrays
+        n = self.n_vars
+        if not len(a) or (a.min() >= 0 and b.max() < n and (a <= b).all()):
+            return cmap
+        k = int(np.flatnonzero((a < 0) | (a > b) | (b >= n))[0])
+        key = (int(a[k]), int(b[k])) if cmap is mapping else next(itertools.islice(mapping, k, None))
+        raise ValueError(f"{label} key {key!r} is not (a, b) with integers 0 <= a <= b < {n}")
 
     @property
     def n_vars(self) -> int:

@@ -420,7 +420,7 @@ def problems_with_edge_values(draw):
     n = problem.n_vars
     slots = [(a, b) for a in range(n) for b in range(a, n)]
     extra = draw(st.dictionaries(st.sampled_from(slots), st.sampled_from(EDGE_VALUES)))
-    coeffs = {**problem.coeffs, **extra}
+    coeffs = {**dict(problem.coeffs.items()), **extra}
     return toy_problem(coeffs, n_vars=n)
 
 
@@ -430,7 +430,7 @@ def assert_exact_round_trip(problem, folder):
     back = import_qubo(first)
     export_qubo(back, second)
     assert back.n_vars == problem.n_vars
-    assert list(back.coeffs) == sorted(problem.coeffs)
+    assert [key for key, _ in back.coeffs.items()] == sorted(key for key, _ in problem.coeffs.items())
     assert all(type(a) is type(b) is int and type(v) is float for (a, b), v in back.coeffs.items())
     assert {k: v.hex() for k, v in back.coeffs.items()} == {
         k: float(v).hex() for k, v in problem.coeffs.items()
@@ -576,7 +576,7 @@ def test_export_and_import_across_blocks(tmp_path):
         path.write_bytes(text.replace(b"\n", ending))
         back = import_qubo(path)
         assert back.n_vars == problem.n_vars and back.coeffs == problem.coeffs
-        assert [v.hex() for v in back.coeffs.values()] == [v.hex() for _, v in sorted(problem.coeffs.items())]
+        assert [v.hex() for _, v in back.coeffs.items()] == [v.hex() for _, v in sorted(problem.coeffs.items())]
 
 
 def test_first_duplicate_named_across_blocks(tmp_path):
