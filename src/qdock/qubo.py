@@ -97,11 +97,13 @@ class CoeffMap:
     def wrap(cls, mapping) -> "CoeffMap":
         """A map of a plain {(a, b): value} dict's keys and values. An id
         that is not an integer, or not one an int64 holds, reads as -1,
-        which names no variable."""
+        which names no variable, and so do both ids of a key that is not a
+        pair."""
         if isinstance(mapping, CoeffMap):
             return mapping
         n = len(mapping)
-        ids = map(_variable_id, itertools.chain.from_iterable(mapping))
+        pairs = (key if isinstance(key, tuple) and len(key) == 2 else (-1, -1) for key in mapping)
+        ids = map(_variable_id, itertools.chain.from_iterable(pairs))
         keys = np.fromiter(ids, np.intp, 2 * n).reshape(n, 2)
         return cls(keys[:, 0], keys[:, 1], np.fromiter(mapping.values(), np.float64, n))
 

@@ -111,10 +111,13 @@ def test_plain_dicts_are_wrapped_as_arrays():
     assert [key for key, _ in numpy_ids.coeffs.items()] == [(0, 1)]
 
 
-@pytest.mark.parametrize("key", [(0.5, 1), (-1, 0), (0, 5), (1, 0), (2**70, 1)])
+@pytest.mark.parametrize(
+    "key", [(0.5, 1), (-1, 0), (0, 5), (1, 0), (2**70, 1), (0, 1, 1), (0,), (0, 1, 2), "01", 1]
+)
 def test_hand_built_keys_must_be_variable_pairs(key):
     # Unchecked, 0.5 would truncate to 0, -1 would read the last bit and 5
-    # would index past the dense arrays.
+    # would index past the dense arrays; a key of three ids would be read
+    # as its first two, and the ids of the keys after a short one would shift.
     message = f"term 'imported' key {key!r} is not (a, b) with integers 0 <= a <= b < 2"
     with pytest.raises(ValueError, match=re.escape(message)):
         QuboProblem(n_mol=1, n_grid=2, coeffs={}, term_coeffs={"imported": {(0, 0): 1.0, key: 1.0}})

@@ -127,6 +127,17 @@ def test_malformed_headers_rejected(tmp_path):
         import_qubo(write(tmp_path, "p qubo two 1\n0 0 1.0\n"))
     with pytest.raises(QuboFormatError, match="negative counts"):
         import_qubo(write(tmp_path, "p qubo -2 0\n"))
+    # The header has the body's grammar: ASCII fields separated by spaces
+    # or tabs, and ASCII decimal counts.
+    malformed = ["p qubo ١٠ 0", "p qubo 2 ٠", "p\x85qubo 2 0", "p qubo\xa02 0", "p qubo 2 0\x0c"]
+    non_integer = ["p qubo 1_0 0", "p qubo 2 0x0", "p qubo 2.0 0", "p qubo 2 1e0"]
+    for error, headers in [("malformed header", malformed), ("non-integer counts in header", non_integer)]:
+        for header in headers:
+            path = write(tmp_path, header + "\n")
+            with pytest.raises(QuboFormatError) as err:
+                import_qubo(path)
+            assert str(err.value) == f"{path}:1: {error} {header!r}"
+    assert import_qubo(write(tmp_path, "p\tqubo  +2 \t0\n")).n_vars == 2
 
 
 def test_malformed_entries_rejected(tmp_path):
@@ -322,8 +333,9 @@ def assert_matches_reference_parser(folder, case):
     got = outcome(import_qubo, path)
     want = outcome(reference_import, path)
     if n_entries > n_vars * (n_vars + 1) // 2:
-        # The one intended departure: a count no body can meet is refused at
-        # the header, before the body is read.
+        # An intended departure: a count no body can meet is refused at the
+        # header, before the body is read. The other is the header grammar
+        # (`test_malformed_headers_rejected`), which these headers meet.
         assert want[0] == "error"
         assert got[0] == "error" and f"{path}:1: header announces" in got[1], got
     else:
@@ -375,12 +387,13 @@ def test_read_boundaries_change_nothing(tmp_path, name):
         "blank line starts a read": cut == b"\n\n",
     }[name]
     with mock.patch.object(qubofile, "_READ_BYTES", read_bytes):
-        chunks = list(qubofile._line_chunks(io.BytesIO(raw)))
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=None)
+        chunks = list(qubofile._line_chunks(text))
         path = tmp_path / "chunks.qubo"
         path.write_bytes(raw)
         got = outcome(import_qubo, path)
-    assert len(chunks) > 1 and b"".join(chunks) == normalised(raw)
-    assert all(chunk.endswith(b"\n") for chunk in chunks[:-1])
+    assert len(chunks) > 1 and "".join(chunks) == normalised(raw).decode()
+    assert all(chunk.endswith("\n") for chunk in chunks[:-1])
     assert got == outcome(reference_import, path) == outcome(import_qubo, path)
 
 
@@ -473,7 +486,8 @@ def test_count_beyond_upper_triangle_rejected_at_header(tmp_path):
 def test_header_count_beyond_the_body_sizes_no_arrays(tmp_path):
     # 10**12 entries fit in the upper triangle but not in an 8-byte body
     # (each line takes at least 6 bytes), so no 24 TB arrays are asked for:
-    # the line scan names the count.
+    # the arrays hold the one line the body can, and the count check names
+    # the count.
     path = write(tmp_path, "p qubo 100000000 1000000000000\n0 0 1.0\n")
     tracemalloc.start()
     try:
@@ -621,7 +635,9 @@ def test_listing_exporting_and_importing_hold_bounded_memory(tmp_path):
     repeat check). Listing whole columns at once took 79.5 MiB over 800,000
     entries; export held 106 bytes per entry and import 75 when they
     gathered whole sorted copies, and import 53 when it held the file's
-    bytes beside the parsed rows."""
+    bytes beside the parsed rows. Rejecting the file with `nan` on its
+    last line held 35 bytes per entry, and 277 when a rejected body was
+    read again whole and scanned line by line with a set of its keys."""
     for n in (200_000, 800_000):
         cmap = shuffled_map(n)
         assert traced_peak(lambda: collections.deque(cmap.items(), maxlen=0)) < 8 * 2**20
@@ -629,3 +645,11 @@ def test_listing_exporting_and_importing_hold_bounded_memory(tmp_path):
     path = tmp_path / "large.qubo"
     assert traced_peak(lambda: export_qubo(problem, path)) < 64 * n
     assert traced_peak(lambda: import_qubo(path)) < 40 * n
+    raw = path.read_bytes()
+    path.write_bytes(raw[: raw.rstrip(b"\n").rfind(b" ") + 1] + b"nan\n")
+
+    def reject():
+        with pytest.raises(QuboFormatError, match=rf"large\.qubo:{n + 1}: non-finite coefficient 'nan'$"):
+            import_qubo(path)
+
+    assert traced_peak(reject) < 40 * n
