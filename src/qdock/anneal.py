@@ -11,7 +11,8 @@ how they are computed.
 
 Each read's start energy comes from `qubo.active_sums`, the kernel that
 scores every sample, and its local fields f = h + x Q_sym (Q_sym is the
-symmetric, zero-diagonal coupling matrix) from its own active rows.
+symmetric, zero-diagonal coupling matrix) from its own active rows; each
+solve builds h and Q_sym by `_dense` and drops them when it returns.
 Proposing a flip of v then costs one gather, dE = (1 - 2 x_v) f_v, and
 only an accepted flip touches the fields: f += (1 - 2 x_v) Q_sym[v] for
 that read, as in dwave-neal's sampler.
@@ -47,11 +48,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SampleFormatError
+from .errors import QdockError, SampleFormatError
 from .qubo import Assignment, QuboProblem, active_sums, energies, exact_sum
 
 BRUTE_FORCE_MAX_VARS = 24
 BRUTE_FORCE_KEEP = 32
+# Most variables `_dense` builds its n x n coupling matrix for: 1.15 GB at
+# this size (a 30 x 300 pocket has 9,000). A file header may announce any
+# count, and a larger matrix can be granted lazily and exhaust memory later.
+DENSE_MAX_VARS = 12_000
 # The split scan's cross-table values held at once (8 MB of float64), its
 # bound's blocks of low-half states per row, and its most window hits.
 _CHUNK_ENTRIES = 1 << 20
@@ -158,6 +163,34 @@ def _temperature_ladder(t_initial: float, t_final: float, n_sweeps: int) -> np.n
     return t_initial * (t_final / t_initial) ** exponents
 
 
+def _dense(problem: QuboProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Linear vector h and symmetric zero-diagonal coupling matrix.
+
+    Built anew from the arrays of `coeffs` per call. Keys are unique, so
+    index assignment places each coefficient exactly once. Raises
+    QdockError, before allocating anything, past `DENSE_MAX_VARS`
+    variables, and when the n x n matrix cannot be allocated.
+    """
+    n = problem.n_vars
+    if n > DENSE_MAX_VARS:
+        raise QdockError(f"a QUBO with {n} variables exceeds DENSE_MAX_VARS = "
+                         f"{DENSE_MAX_VARS}: its {n} x {n} coupling matrix "
+                         f"would take {8 * n * n} bytes")
+    a, b, values = problem.coeffs.arrays
+    linear = a == b
+    try:
+        h = np.zeros(n)
+        q_sym = np.zeros((n, n))
+    except MemoryError:
+        raise QdockError(f"cannot allocate the {n} x {n} coupling matrix "
+                         f"({8 * n * n} bytes) of a QUBO with {n} variables") from None
+    h[a[linear]] = values[linear]
+    pair = ~linear
+    q_sym[a[pair], b[pair]] = values[pair]
+    q_sym[b[pair], a[pair]] = values[pair]
+    return h, q_sym
+
+
 def _anneal_reads(
     problem: QuboProblem, seed: int, n_reads: int, temps: np.ndarray
 ) -> np.ndarray:
@@ -175,10 +208,11 @@ def _anneal_reads(
     A read's state changes only at its own flips, so each decision is the
     one a step-by-step sweep would make.
     """
-    h, q_sym = problem.dense
+    h, q_sym = _dense(problem)
     n = problem.n_vars
-    rngs = [np.random.default_rng([seed, r]) for r in range(n_reads)]
+    # Before the generators, so an impossible read count fails at once.
     bits = np.empty((n_reads, n), dtype=np.uint8)
+    rngs = [np.random.default_rng([seed, r]) for r in range(n_reads)]
     for k, rng in enumerate(rngs):
         bits[k] = rng.integers(0, 2, size=n, dtype=np.uint8)
 
@@ -228,14 +262,8 @@ def _anneal_reads(
                 sign = signs_flat[flat]
                 delta = sign * fields_flat[flat]
                 signs_flat[flat] = -sign
-                # Row by row in place: f + (+-1) q is exactly f +- q, and no
-                # (rows, n) temporaries are made.
-                variables = flat - rows * n
-                for row, var, up in zip(rows.tolist(), variables.tolist(), (sign > 0).tolist()):
-                    if up:
-                        fields[row] += q_sym[var]
-                    else:
-                        fields[row] -= q_sym[var]
+                # f + (+-1) q is exactly f +- q.
+                fields[rows] += sign[:, None] * q_sym[flat - rows * n]
                 running[rows] += delta
                 improved = rows[running[rows] < best_energy[rows]]
                 if improved.size:
@@ -341,7 +369,7 @@ class ExhaustiveScan:
             raise ValueError(
                 f"brute_force supports at most {BRUTE_FORCE_MAX_VARS} variables, problem has {n}"
             )
-        q_upper = np.triu(problem.dense[1], 1)
+        q_upper = np.triu(_dense(problem)[1], 1)
         shifts = np.arange(n, dtype=np.uint32)
         lo, hi = slice(0, n // 2), slice(n // 2, n)
 
@@ -497,7 +525,7 @@ def brute_force(problem: QuboProblem, keep: int = BRUTE_FORCE_KEEP) -> SampleSet
     listing is truncated to `keep` samples; the search itself is complete.
     """
     started = time.perf_counter()
-    states, _ = ExhaustiveScan.of(problem).candidates(problem.dense[0])
+    states, _ = ExhaustiveScan.of(problem).candidates(_dense(problem)[0])
     result = _sample_set(
         problem,
         state_rows(states, problem.n_vars),

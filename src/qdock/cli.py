@@ -449,6 +449,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc.filename}: {exc.strerror}\n")
         return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -28,13 +28,14 @@ and so does the exact tuner.
 Each term is computed as arrays over the ligand edges, the grid distance
 matrix and the grid color vectors, and kept as (a, b, value) arrays with
 zero entries dropped. Those arrays and the summed map's are the model:
-`QuboProblem.dense`, the coordinate file, `incremental_delta` and
-`active_sums` (behind every energy, SA's start energies too) read them
-directly. Each coefficient map is a read-only `CoeffMap` of its arrays,
-which stores nothing else and has no key lookup. The summed map's arrays
-are the stored form of the geom entries and the penalty keys: the geom
-map is a slice of them, and the penalty map slices the keys beside its
-own values, so each of those entries is stored once.
+the solvers' n x n matrix (built per solve in `anneal`), the coordinate
+file, `incremental_delta` and `active_sums` (behind every energy, SA's
+start energies too) read them directly. Each coefficient map is a
+read-only `CoeffMap` of its arrays, which stores nothing else and has no
+key lookup. The summed map's arrays are the stored form of the geom
+entries and the penalty keys: the geom map is a slice of them, and the
+penalty map slices the keys beside its own values, so each of those
+entries is stored once.
 """
 
 from __future__ import annotations
@@ -42,22 +43,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-from .errors import CoefficientOverflowError, GraphBuildError, QdockError
+from .errors import CoefficientOverflowError, GraphBuildError
 from .grid import GridGraph, build_grid_graph
 from .ligand import LigandGraph, build_ligand_graph
 from .model import ComplexInput
 
 TERM_NAMES = ("geom", "penalty", "el", "vdw", "hba", "hbd", "hydro")
 PHYSCHEM_TERMS = ("el", "vdw", "hba", "hbd", "hydro")
-# Most variables `QuboProblem.dense` builds its n x n coupling matrix for:
-# 1.15 GB at this size (a 30 x 300 pocket has 9,000 variables). A file
-# header may announce any count, and a larger matrix can be granted lazily
-# and exhaust memory only later.
-DENSE_MAX_VARS = 12_000
 # Entries per block when a map lists its entries or compares itself with
 # another: bounds the Python objects and gathered copies to a few MB.
 _BLOCK = 1 << 16
@@ -266,34 +261,6 @@ class QuboProblem:
 
     def has_decode_context(self) -> bool:
         return self.grid_positions is not None
-
-    @cached_property
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """Linear vector h and symmetric zero-diagonal coupling matrix.
-
-        Built once from the arrays of `coeffs`. Keys are unique, so index
-        assignment places each coefficient exactly once. Raises QdockError,
-        before allocating anything, past `DENSE_MAX_VARS` variables, and
-        when the n x n matrix cannot be allocated.
-        """
-        n = self.n_vars
-        if n > DENSE_MAX_VARS:
-            raise QdockError(f"a QUBO with {n} variables exceeds DENSE_MAX_VARS = "
-                             f"{DENSE_MAX_VARS}: its {n} x {n} coupling matrix "
-                             f"would take {8 * n * n} bytes")
-        a, b, values = self.coeffs.arrays
-        linear = a == b
-        try:
-            h = np.zeros(n)
-            q_sym = np.zeros((n, n))
-        except MemoryError:
-            raise QdockError(f"cannot allocate the {n} x {n} coupling matrix "
-                             f"({8 * n * n} bytes) of a QUBO with {n} variables") from None
-        h[a[linear]] = values[linear]
-        pair = ~linear
-        q_sym[a[pair], b[pair]] = values[pair]
-        q_sym[b[pair], a[pair]] = values[pair]
-        return h, q_sym
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,7 @@ from qdock import (
     one_hot_assignment,
     simulated_anneal,
 )
-from qdock.anneal import BRUTE_FORCE_MAX_VARS, resolve_temperatures
-from qdock.qubo import DENSE_MAX_VARS
+from qdock.anneal import BRUTE_FORCE_MAX_VARS, DENSE_MAX_VARS, _dense, resolve_temperatures
 
 from conftest import PLANTED6_PLANTED, index_mapping
 
@@ -280,6 +280,24 @@ def test_more_sweeps_do_not_hurt_median_quality(planted6):
     assert median_best(2000) <= median_best(50)
 
 
+def test_solve_leaves_the_problem_as_it_was():
+    """A solve builds its n x n matrix and drops it: the problem holds no
+    more afterwards than before (the matrix alone is 32 MB here)."""
+    n = 2000
+    coeffs = {(v, v): -1.0 for v in range(n)}
+    coeffs.update({(v, v + 1): 2.0 for v in range(n - 1)})
+    problem = toy(coeffs, n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = simulated_anneal(problem, AnnealSchedule(n_reads=1, n_sweeps=1))
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 1
+    assert after - before < 1 << 20
+
+
 # -------------------------------------------------------- incremental delta
 
 def test_incremental_delta_matches_energy_difference(tiny4, planted6):
@@ -324,7 +342,7 @@ def test_incremental_delta_past_the_dense_limit():
     problem = toy({(0, 0): 1.5, (0, n - 1): -4.0, (7, n - 1): 0.25, (n - 1, n - 1): 2.0,
                    (3, 7): 0.125}, n)
     with pytest.raises(QdockError, match="DENSE_MAX_VARS"):
-        problem.dense
+        _dense(problem)
     bits = np.zeros(n, dtype=np.uint8)
     bits[[0, 7]] = 1
     for flip in (0, 3, 5, 7, n - 1):

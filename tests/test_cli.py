@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -252,6 +253,30 @@ def test_qubo_past_the_dense_limit_exits_naming_it(capsys, tmp_path):
     code, out, err = run(capsys, ["solve", "--qubo", str(wide)])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "DENSE_MAX_VARS" in err and "40000" in err
+
+
+def _cap_address_space():
+    """Run the child under a 4 GB address-space limit, so an allocation no
+    host could hold fails at once on any overcommit setting."""
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("reads, sweeps", [(1, 10**11), (10**11, 1)])
+def test_impossible_reads_or_sweeps_exit_without_traceback(reads, sweeps):
+    """A temperature ladder of 10^11 sweeps, or bits for 10^11 reads, cannot
+    be allocated: one error line at once, before a generator per read."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdock.cli", "dock", "--complex", str(PLANTED6), "--gamma", "5",
+         "--reads", str(reads), "--sweeps", str(sweeps)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
 
 
 def test_module_entry_point_runs():

@@ -19,6 +19,7 @@ from qdock import (
     simulated_anneal,
 )
 from qdock import qubo
+from qdock.anneal import _dense
 from qdock.qubo import CoeffMap
 
 from conftest import PLANTED6_PLANTED, TINY4_PLANTED, index_mapping, shuffled_map
@@ -103,7 +104,7 @@ def test_plain_dicts_are_wrapped_as_arrays():
     a, b, values = problem.coeffs.arrays
     assert a.tolist() == [0, 0] and b.tolist() == [0, 1] and values.tolist() == [1.0, -2.5]
     assert len(problem.coeffs) == 2
-    h, q_sym = problem.dense
+    h, q_sym = _dense(problem)
     assert h.tolist() == [1.0, 0.0] and q_sym.tolist() == [[0.0, -2.5], [-2.5, 0.0]]
     assert energy(problem, one_hot_assignment(problem, {0: 1})).total == 0.0
     assert QuboProblem(n_mol=1, n_grid=2, coeffs=problem.coeffs, term_coeffs={}).coeffs is problem.coeffs

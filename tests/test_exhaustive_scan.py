@@ -20,7 +20,7 @@ from qdock import (
     parse_complex,
 )
 from qdock import anneal
-from qdock.anneal import ExhaustiveScan, cross_rows, window_scale
+from qdock.anneal import ExhaustiveScan, _dense, cross_rows, window_scale
 
 from test_dockeval import mismatched_complex
 from test_qubo import complex_docs
@@ -50,7 +50,7 @@ def assert_lists_full_scan(problem):
     the scan, its listing and the listed states' placement ranks."""
     scan = ExhaustiveScan.of(problem)
     scale = window_scale(problem.coeffs.arrays[2], problem.offset)
-    h = problem.dense[0]
+    h = _dense(problem)[0]
     assert scan.scale(h) == scale
     listed, ranks = scan.candidates(h)
     expected = full_scan_candidates(scan, h, scale)
@@ -224,7 +224,6 @@ def test_brute_force_at_the_cap_stays_small():
     of rows at a time."""
     problem = build_full(chain_24(), Hyperparameters(lambdas=(0.2,) * 5, gamma=5.0))
     assert problem.n_vars == 24
-    problem.dense  # built once, outside the measured call
     tracemalloc.start()
     try:
         result = brute_force(problem)

@@ -68,12 +68,25 @@ def reference_temperatures(problem, sched):
     return [t_initial * (t_final / t_initial) ** (k / steps) for k in range(sched.n_sweeps)]
 
 
+def reference_matrices(problem):
+    """Linear vector h and symmetric coupling matrix Q_sym, placed entry by
+    entry from `coeffs.items()` rather than taken from the solver."""
+    n = problem.n_vars
+    h, q_sym = np.zeros(n), np.zeros((n, n))
+    for (a, b), value in problem.coeffs.items():
+        if a == b:
+            h[a] = value
+        else:
+            q_sym[a, b] = q_sym[b, a] = value
+    return h, q_sym
+
+
 def reference_anneal(problem, sched):
     """Read-by-read Metropolis annealing that rescores every proposal from
     the variable's full row, consuming each read's RNG stream in the same
     order as `simulated_anneal`; returns each read's best bits."""
     n = problem.n_vars
-    h, q_sym = problem.dense
+    h, q_sym = reference_matrices(problem)
     bests = []
     for read in range(sched.n_reads):
         rng = np.random.default_rng([sched.seed, read])
@@ -217,7 +230,7 @@ def local_field_reference(problem, sched):
     v as (1 - 2 x_v) f_v from its local fields f, which only an accepted
     flip updates, f += (1 - 2 x_v) Q_sym[v]. Returns each read's best bits."""
     n = problem.n_vars
-    h, q_sym = problem.dense
+    h, q_sym = reference_matrices(problem)
     bests = []
     for read in range(sched.n_reads):
         rng = np.random.default_rng([sched.seed, read])

@@ -38,6 +38,7 @@ from qdock.qubo import (
     assemble,
     with_lambdas,
 )
+from qdock.anneal import _dense
 from qdock.qubofile import export_qubo, import_qubo
 
 from conftest import PLANTED6_DECOY, PLANTED6_PLANTED, TINY4_PLANTED, index_mapping
@@ -498,8 +499,7 @@ def test_dense_view_places_each_coefficient(tiny4, tmp_path):
     export_qubo(built, tmp_path / "tiny4.qubo")
     empty = QuboProblem(n_mol=1, n_grid=3, coeffs={}, term_coeffs={"imported": {}})
     for problem in (built, import_qubo(tmp_path / "tiny4.qubo"), empty):
-        h, q_sym = problem.dense
-        assert problem.dense is problem.dense
+        h, q_sym = _dense(problem)
         n = problem.n_vars
         assert h.shape == (n,) and q_sym.shape == (n, n)
         placed_h = np.zeros(n, dtype=bool)

@@ -27,7 +27,7 @@ from qdock import (
 )
 
 from qdock import qubofile
-from qdock.qubo import DENSE_MAX_VARS
+from qdock.anneal import DENSE_MAX_VARS, _dense
 
 from conftest import PLANTED6, TINY4, shuffled_map
 from test_properties import qubos
@@ -557,7 +557,7 @@ def test_dense_view_refuses_past_its_limit(tmp_path, n_vars):
     tracemalloc.start()
     try:
         with pytest.raises(QdockError, match=f"exceeds DENSE_MAX_VARS = {DENSE_MAX_VARS}"):
-            problem.dense
+            _dense(problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

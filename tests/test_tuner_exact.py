@@ -21,7 +21,7 @@ from qdock import (
     parse_complex,
 )
 from qdock import dockeval
-from qdock.anneal import window_scale
+from qdock.anneal import _dense, window_scale
 from qdock.dockeval import TUNER_WEIGHTS, _EnumeratedComplex
 from qdock.qubo import assemble, with_lambdas
 
@@ -167,7 +167,7 @@ def assert_evaluations_match_docking(cx, gamma, lambda_vectors) -> list[str]:
     for lambdas in lambda_vectors:
         problem = with_lambdas(base, lambdas)
         h, adjusted = enumerated.evaluate(lambdas)
-        assert same_bits(h, problem.dense[0])
+        assert same_bits(h, _dense(problem)[0])
         assert enumerated.scan.scale(h) == window_scale(problem.coeffs.arrays[2], problem.offset)
         try:
             report = dock(cx, replace(hp, lambdas=lambdas), sched, exact=True)
