@@ -15,7 +15,11 @@ problem: it weights the tables with `qubo.weighted_linear` and hands only
 the linear vector to the scan, which sizes its own window; it redoes only
 the scan (usually a small part of its 2^n table) and the listing, and
 scores each listed state by one rule, reporting what `dock(exact=True)`
-would down to the tie order (see `_EnumeratedComplex`).
+would down to the tie order (see `_EnumeratedComplex`). On both paths a
+complex is solved once per distinct `_solve_key` of the lambdas, which
+zeroes the weight of each term whose raw table is all zero: such a weight
+cannot change the problem, so a repeated key reuses the first solve's
+adjusted RMSD and every trace entry stays what docking would give.
 """
 
 from __future__ import annotations
@@ -262,7 +266,9 @@ class _EnumeratedComplex:
     `with_lambdas` raise the GraphBuildError that assembling raises. The
     first valid state among the `BRUTE_FORCE_KEEP` lowest (stable order,
     so ties keep the listing order) is the pose `dock` reports; its
-    adjusted RMSD is computed once per placement.
+    adjusted RMSD is computed once per placement. `greedy_tune` calls
+    `evaluate` once per distinct `_solve_key`: lambdas with one key give
+    bit-identical weighted tables, so the same `h` and adjusted RMSD.
     """
 
     def __init__(self, base: QuboProblem):
@@ -337,6 +343,19 @@ def _mean(values: list[float | None]) -> tuple[float | None, int]:
     return math.fsum(kept) / len(kept), len(values) - len(kept)
 
 
+def _solve_key(base: QuboProblem, lambdas) -> tuple:
+    """The lambdas with the weight of each term whose raw table has no
+    nonzero entry set to 0.0. `weighted_linear` zeroes a table wherever
+    its raw table is zero and `CoeffMap.nonzero` drops zero products, so
+    lambdas with one key give bit-identical tables, linear vectors and
+    coefficient maps, and so the same solve. A weight of -0.0 keys as the
+    0.0 it equals: its products are zeros, which the maps drop and which
+    leave the sums onto the nonzero penalty diagonal unchanged."""
+    return tuple(
+        lam if base.physchem_raw[name].any() else 0.0 for name, lam in zip(PHYSCHEM_TERMS, lambdas)
+    )
+
+
 def greedy_tune(
     dataset: list[ComplexInput],
     sched: AnnealSchedule,
@@ -364,6 +383,12 @@ def greedy_tune(
     (scan tables, valid placements with their geom and penalty terms, and
     per-weight tables and sums) evaluates the lambdas without building a
     problem, redoing only the scan and the listing.
+
+    Each complex is solved once per distinct `_solve_key` of the lambdas
+    for the length of the call. A weight on a term whose raw table is all
+    zero changes no table, linear vector or coefficient map, so a repeated
+    key reuses the stored adjusted RMSD (or None) of the solve that the
+    same problem gave, and the trace, means and lambdas do not change.
     """
     if not dataset:
         raise ValueError("tuner needs a non-empty dataset")
@@ -374,25 +399,29 @@ def greedy_tune(
     complexes = []
     for cx in dataset:
         base = build_full(cx, zero)
-        complexes.append((cx, base, _EnumeratedComplex(base) if exact else None))
+        complexes.append((cx, base, _EnumeratedComplex(base) if exact else None, {}))
 
     current = [0.0] * 5
     trace: list[dict] = []
     selection_order: list[dict] = []
 
+    def solve(cx, base, enumerated, lambdas):
+        if exact:
+            return enumerated.evaluate(lambdas)[1]
+        try:
+            report = _solve_and_report(with_lambdas(base, lambdas), sched, False, cx.name)
+        except NoValidSolutionError:
+            return None
+        return report.adjusted_rmsd
+
     def evaluate(lambdas, interaction, weight):
         lambdas = replace(hp_template, lambdas=tuple(lambdas)).lambdas
         values = []
-        for cx, base, enumerated in complexes:
-            if exact:
-                values.append(enumerated.evaluate(lambdas)[1])
-                continue
-            try:
-                report = _solve_and_report(with_lambdas(base, lambdas), sched, False, cx.name)
-            except NoValidSolutionError:
-                values.append(None)
-            else:
-                values.append(report.adjusted_rmsd)
+        for cx, base, enumerated, solved in complexes:
+            key = _solve_key(base, lambdas)
+            if key not in solved:
+                solved[key] = solve(cx, base, enumerated, lambdas)
+            values.append(solved[key])
         mean, excluded = _mean(values)
         trace.append(
             {

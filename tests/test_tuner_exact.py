@@ -1,8 +1,10 @@
 """The exact tuner scores every evaluation from one pose enumeration per
-complex; its documents must equal those of docking each complex exactly."""
+complex, and both tuners solve a complex once per distinct solve key; their
+documents must equal those of docking each complex at every evaluation."""
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -22,10 +24,10 @@ from qdock import (
 )
 from qdock import dockeval
 from qdock.anneal import _dense, window_scale
-from qdock.dockeval import TUNER_WEIGHTS, _EnumeratedComplex
-from qdock.qubo import assemble, with_lambdas
+from qdock.dockeval import TUNER_WEIGHTS, _EnumeratedComplex, _solve_key
+from qdock.qubo import PHYSCHEM_TERMS, assemble, build_full, with_lambdas
 
-from test_dockeval import matched_chain, mismatched_complex
+from test_dockeval import TUNED_PAIR_SCHEDULE, matched_chain, mismatched_complex
 from test_qubo import complex_docs, same_bits
 
 
@@ -59,16 +61,15 @@ def inert_chain():
     return parse_complex(doc)
 
 
-def tuner_documents(dataset, gamma):
-    """`greedy_tune(exact=True)` and an exact re-dock of every complex at the
-    tuned lambdas, as `qdock tune --exact --out` writes them."""
-    sched = AnnealSchedule()
-    result = greedy_tune(dataset, sched, hp_template=Hyperparameters(gamma=gamma), exact=True)
+def tuner_documents(dataset, gamma, sched=AnnealSchedule(), exact=True):
+    """`greedy_tune` and a re-dock of every complex at the tuned lambdas with
+    the same solver and schedule, as `qdock tune --out` writes them."""
+    result = greedy_tune(dataset, sched, hp_template=Hyperparameters(gamma=gamma), exact=exact)
     tuned = Hyperparameters(lambdas=result.lambdas, gamma=gamma)
     documents = [result.to_dict()]
     for cx in dataset:
         try:
-            report = dock(cx, tuned, sched, exact=True)
+            report = dock(cx, tuned, sched, exact=exact)
         except NoValidSolutionError as exc:
             report = exc.report
         documents.append(report.to_dict())
@@ -109,11 +110,43 @@ TUNER_CASES = {
 }
 
 
+# The same documents from the SA tuner and an SA re-dock, both at
+# TUNED_PAIR_SCHEDULE, recorded while every evaluation annealed each
+# complex.
+SA_TUNER_CASES = {
+    # planted6 has no charges or H-bond flags, so its el, hba and hbd tables
+    # are zero.
+    "planted6-matched": (
+        lambda planted6, tiny4: [planted6, matched_chain()],
+        5.0,
+        "dc1615a305db414c1eee8b69cff505bc7714df33696133c839b48578c084a78e",
+    ),
+    # Every one of tiny4's five tables is nonzero.
+    "tiny4": (
+        lambda planted6, tiny4: [tiny4],
+        5.0,
+        "3faeb72a3b4fa8afd4b8cf913549c74335eca017ab7bd39346f2eea4702f6a9e",
+    ),
+}
+
+
+def documents_digest(documents) -> str:
+    return hashlib.sha256(json.dumps(documents, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(TUNER_CASES))
 def test_tuner_documents_match_recorded_digest(case, planted6):
     make_dataset, gamma, recorded = TUNER_CASES[case]
-    text = json.dumps(tuner_documents(make_dataset(planted6), gamma), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == recorded
+    assert documents_digest(tuner_documents(make_dataset(planted6), gamma)) == recorded
+
+
+@pytest.mark.parametrize("case", sorted(SA_TUNER_CASES))
+def test_sa_tuner_documents_match_recorded_digest(case, planted6, tiny4):
+    make_dataset, gamma, recorded = SA_TUNER_CASES[case]
+    documents = tuner_documents(
+        make_dataset(planted6, tiny4), gamma, TUNED_PAIR_SCHEDULE, exact=False
+    )
+    assert documents_digest(documents) == recorded
 
 
 def test_exact_tuner_reports_overflow_like_assemble(planted6):
@@ -240,3 +273,95 @@ def test_tuner_trace_matches_exact_docking(docs, gamma):
         assert entry["excluded"] == len(dataset) - len(values)
         event(f"{entry['excluded']} of {len(dataset)} excluded")
         assert entry["mean_adjusted_rmsd"] == (sum(values) / len(values) if values else None)
+
+
+@st.composite
+def docs_with_inert_ligands(draw):
+    """Small complexes with some of the ligand's charges and flags cleared
+    on every atom, which zeroes the el, hba, hbd or hydro table."""
+    doc = draw(
+        complex_docs().filter(
+            lambda doc: len(doc["ligand"]["atoms"]) * len(doc["grid_points"]) <= 18
+        )
+    )
+    fields = ["charge", "hbond_acceptor", "hbond_donor", "hydrophobic"]
+    cleared = draw(st.sets(st.sampled_from(fields)))
+    for atom in doc["ligand"]["atoms"]:
+        atom.update(dict.fromkeys(cleared, 0))
+    return doc
+
+
+KEY_WEIGHTS = [0.0, -0.0, *TUNER_WEIGHTS, 1e3]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    doc=docs_with_inert_ligands(),
+    gamma=st.sampled_from([1e-6, 0.1, 5.0]),
+    first=st.tuples(*[st.sampled_from(KEY_WEIGHTS)] * 5),
+    data=st.data(),
+)
+def test_lambdas_with_one_solve_key_give_one_solve(doc, gamma, first, data):
+    """Lambdas that differ only on terms whose raw table is all zero, or in
+    the sign of a zero weight, share the tuner's key: the problem
+    `with_lambdas` builds at them is the same bit for bit, and so are the
+    exact tuner's linear vector and adjusted RMSD."""
+    hp = Hyperparameters(gamma=gamma)
+    cx = parse_complex(doc)
+    base = assemble(build_ligand_graph(cx), build_grid_graph(cx), hp)
+    # Change one weight at a time wherever the key allows it.
+    key, second = _solve_key(base, first), first
+    for t in range(5):
+        trial = (*second[:t], data.draw(st.sampled_from(KEY_WEIGHTS)), *second[t + 1 :])
+        if _solve_key(base, trial) == key:
+            second = trial
+    event(f"{sum(not base.physchem_raw[name].any() for name in PHYSCHEM_TERMS)} zero tables")
+    event(f"{sum(repr(x) != repr(y) for x, y in zip(first, second))} weights differ")
+    try:
+        problems = [with_lambdas(base, lambdas) for lambdas in (first, second)]
+    except GraphBuildError:
+        event("non-finite coefficient")
+        for lambdas in (first, second):
+            with pytest.raises(GraphBuildError):
+                with_lambdas(base, lambdas)
+        return
+    # same_bits compares bytes, so -0.0 and 0.0 differ.
+    one, other = problems
+    assert all(same_bits(x, y) for x, y in zip(one.coeffs.arrays, other.coeffs.arrays))
+    assert one.term_coeffs == other.term_coeffs
+    enumerated = _EnumeratedComplex(base)
+    (h_one, adjusted_one), (h_other, adjusted_other) = map(enumerated.evaluate, (first, second))
+    assert same_bits(h_one, h_other)
+    assert adjusted_one == adjusted_other
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "sa"])
+def test_tuner_solves_each_complex_once_per_solve_key(monkeypatch, planted6, tiny4, exact):
+    """planted6's el, hba and hbd tables are zero, so its trace repeats
+    keys and it is solved fewer times than the trace is long; every one of
+    tiny4's tables is nonzero, so it is solved at every trace entry."""
+    solves = Counter()
+    if exact:
+        evaluate = _EnumeratedComplex.evaluate
+
+        def counted(self, lambdas):
+            solves[tuple(self.base.grid_ids)] += 1
+            return evaluate(self, lambdas)
+
+        monkeypatch.setattr(_EnumeratedComplex, "evaluate", counted)
+    else:
+        anneal = dockeval.simulated_anneal
+
+        def counted(problem, sched):
+            solves[tuple(problem.grid_ids)] += 1
+            return anneal(problem, sched)
+
+        monkeypatch.setattr(dockeval, "simulated_anneal", counted)
+    hp = Hyperparameters(gamma=5.0)
+    sched = AnnealSchedule(n_reads=2, n_sweeps=5, seed=3)
+    trace = greedy_tune([planted6, tiny4], sched, hp_template=hp, exact=exact).trace
+    bases = [build_full(cx, hp) for cx in (planted6, tiny4)]
+    keys = [{_solve_key(base, entry["lambdas"]) for entry in trace} for base in bases]
+    assert all(bases[1].physchem_raw[name].any() for name in PHYSCHEM_TERMS)
+    assert len(keys[0]) < len(trace) == len(keys[1])
+    assert solves == {tuple(base.grid_ids): len(k) for base, k in zip(bases, keys)}
