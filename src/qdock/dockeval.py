@@ -389,6 +389,9 @@ def greedy_tune(
     zero changes no table, linear vector or coefficient map, so a repeated
     key reuses the stored adjusted RMSD (or None) of the solve that the
     same problem gave, and the trace, means and lambdas do not change.
+    Only a ligand that lacks an interaction type has such a term; a
+    complex whose five raw tables are all nonzero is solved at every
+    evaluation.
     """
     if not dataset:
         raise ValueError("tuner needs a non-empty dataset")

@@ -61,7 +61,7 @@ def inert_chain():
     return parse_complex(doc)
 
 
-def tuner_documents(dataset, gamma, sched=AnnealSchedule(), exact=True):
+def tuner_documents(dataset, gamma, sched, exact):
     """`greedy_tune` and a re-dock of every complex at the tuned lambdas with
     the same solver and schedule, as `qdock tune --out` writes them."""
     result = greedy_tune(dataset, sched, hp_template=Hyperparameters(gamma=gamma), exact=exact)
@@ -77,76 +77,67 @@ def tuner_documents(dataset, gamma, sched=AnnealSchedule(), exact=True):
 
 
 # SHA-256 of the sorted-key JSON of the tuner result and its re-dock
-# reports, recorded while every evaluation still assembled and
-# brute-forced each complex.
+# reports, from the exact tuner (recorded while every evaluation still
+# assembled and brute-forced each complex) or from the SA tuner at
+# TUNED_PAIR_SCHEDULE (recorded while every evaluation annealed each
+# complex).
 TUNER_CASES = {
     # The matched chain never moves; planted6 adopts hydro at 0.2.
     "planted6-matched": (
-        lambda planted6: [planted6, matched_chain()],
+        lambda planted6, tiny4: [planted6, matched_chain()],
         5.0,
+        True,
         "8bae968316482e90f62063099abfb08fc6e56353feaedd38e704d97a2fcfbfe1",
     ),
     # Each inert pose ties exactly with its reverse; the listing order
     # decides which one, and so its RMSD, is reported.
     "planted6-inert": (
-        lambda planted6: [planted6, inert_chain()],
+        lambda planted6, tiny4: [planted6, inert_chain()],
         5.0,
+        True,
         "e2d5de06fa3f1913978465f2c5488fe6c5b7ae0afa6082f29de93352f762ac57",
     ),
     # The mismatched complex's lowest states are invalid window hits, which
     # sort ahead of its best valid pose.
     "mismatched-weak": (
-        lambda planted6: [mismatched_complex(), matched_chain()],
+        lambda planted6, tiny4: [mismatched_complex(), matched_chain()],
         0.1,
+        True,
         "c4bb3ea4c7b36f93f68beeddf5bccd1d1f66c67c10090b70a527873a08e5f48f",
     ),
     # At gamma 1e-6, 32 invalid states sort ahead of every valid pose of the
     # mismatched complex, so each evaluation excludes it.
     "mismatched-excluded": (
-        lambda planted6: [mismatched_complex(), matched_chain()],
+        lambda planted6, tiny4: [mismatched_complex(), matched_chain()],
         1e-6,
+        True,
         "ff664e7795bbfe9dc3b3a3ad6bb8b5f51f268db884a44ff236a81ce4528ec265",
     ),
-}
-
-
-# The same documents from the SA tuner and an SA re-dock, both at
-# TUNED_PAIR_SCHEDULE, recorded while every evaluation annealed each
-# complex.
-SA_TUNER_CASES = {
     # planted6 has no charges or H-bond flags, so its el, hba and hbd tables
     # are zero.
-    "planted6-matched": (
+    "sa-planted6-matched": (
         lambda planted6, tiny4: [planted6, matched_chain()],
         5.0,
+        False,
         "dc1615a305db414c1eee8b69cff505bc7714df33696133c839b48578c084a78e",
     ),
     # Every one of tiny4's five tables is nonzero.
-    "tiny4": (
+    "sa-tiny4": (
         lambda planted6, tiny4: [tiny4],
         5.0,
+        False,
         "3faeb72a3b4fa8afd4b8cf913549c74335eca017ab7bd39346f2eea4702f6a9e",
     ),
 }
 
 
-def documents_digest(documents) -> str:
-    return hashlib.sha256(json.dumps(documents, sort_keys=True).encode()).hexdigest()
-
-
 @pytest.mark.parametrize("case", sorted(TUNER_CASES))
-def test_tuner_documents_match_recorded_digest(case, planted6):
-    make_dataset, gamma, recorded = TUNER_CASES[case]
-    assert documents_digest(tuner_documents(make_dataset(planted6), gamma)) == recorded
-
-
-@pytest.mark.parametrize("case", sorted(SA_TUNER_CASES))
-def test_sa_tuner_documents_match_recorded_digest(case, planted6, tiny4):
-    make_dataset, gamma, recorded = SA_TUNER_CASES[case]
-    documents = tuner_documents(
-        make_dataset(planted6, tiny4), gamma, TUNED_PAIR_SCHEDULE, exact=False
-    )
-    assert documents_digest(documents) == recorded
+def test_tuner_documents_match_recorded_digest(case, planted6, tiny4):
+    make_dataset, gamma, exact, recorded = TUNER_CASES[case]
+    sched = AnnealSchedule() if exact else TUNED_PAIR_SCHEDULE
+    documents = tuner_documents(make_dataset(planted6, tiny4), gamma, sched, exact)
+    text = json.dumps(documents, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == recorded
 
 
 def test_exact_tuner_reports_overflow_like_assemble(planted6):
