@@ -175,10 +175,10 @@ def report_from_samples(
     problem: QuboProblem, sample_set: SampleSet, name: str
 ) -> DockingReport:
     """Score the lowest-energy valid sample; keep the overall best on record."""
+    overall_best = sample_set.best  # raises ValueError for an empty set
     decoded = [(s, decode(s.assignment, problem)) for s in sample_set]
     n_valid = sum(1 for _, d in decoded if isinstance(d, Pose))
     rate = n_valid / len(decoded)
-    overall_best = sample_set.best
     metadata = {
         "solver": sample_set.metadata.get("solver"),
         "gamma": problem.gamma,
@@ -249,8 +249,8 @@ class _EnumeratedComplex:
     Geometry, the penalty, gamma, the scales, the raw tables and the decode
     context do not depend on the lambdas. So the `ExhaustiveScan` of the
     zero-lambda problem and each placement's geom and penalty energies are
-    prepared once per complex, and each term's weighted table and
-    per-placement sums once per (term, weight).
+    prepared once per complex, and each term's per-placement sums once per
+    (term, weight); `weighted_linear` weights the tables afresh each time.
 
     `evaluate` builds no problem and keeps no copy of the coefficients.
     Every variable has a penalty diagonal entry and geom has none, so the
@@ -276,7 +276,6 @@ class _EnumeratedComplex:
         self.scan = ExhaustiveScan.of(base)
         self.rows = state_rows(self.scan.placements, base.n_vars)
         self.fixed = _lambda_free(base, self.rows)
-        self.tables: dict = {}
         self.sums: dict = {}
         self.adjusted: dict[int, float] = {}
 
@@ -285,7 +284,7 @@ class _EnumeratedComplex:
         `lambdas`, and the adjusted RMSD `dock(exact=True)` reports there,
         or None where it raises NoValidSolutionError."""
         base = self.base
-        h, tables = weighted_linear(base, lambdas, self.tables)
+        h, tables = weighted_linear(base, lambdas)
         if not np.isfinite(h).all():
             with_lambdas(base, lambdas)  # raises the GraphBuildError
         states, placement = self.scan.candidates(h)
@@ -381,7 +380,7 @@ def greedy_tune(
     does. The SA path re-weights that problem with `with_lambdas` and
     anneals. With exact=True each complex's prepared `_EnumeratedComplex`
     (scan tables, valid placements with their geom and penalty terms, and
-    per-weight tables and sums) evaluates the lambdas without building a
+    per-weight sums) evaluates the lambdas without building a
     problem, redoing only the scan and the listing.
 
     Each complex is solved once per distinct `_solve_key` of the lambdas

@@ -15,10 +15,11 @@ Hamiltonian assembly never touches protein atoms again:
   angle condition reduces to a distance window (see hbond_donor_count);
 * hydrophobic contact count: hydrophobic protein atoms within 4.5 A.
 
-Edge weights are the complete pairwise distance matrix. Each coloring takes
-one point or an (n, 3) array of points, measures each point-atom distance
-once, and gives one value (an LJ row) per point, the same bit for bit either
-way. The Coulomb potential adds atoms one at a time in ascending id order.
+Edge weights are the complete pairwise distance matrix. `build_grid_graph`
+measures the point-atom distances to the id-sorted protein once per grid;
+each coloring reads them, for one point or an (n, 3) array, and gives one
+value (an LJ row) per point, the same bit for bit either way. The Coulomb
+potential adds atoms one at a time in ascending id order.
 """
 
 from __future__ import annotations
@@ -63,45 +64,36 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _point_atom_distances(points, protein: list[ProteinAtom]):
-    """The protein sorted by id and the (..., n_atoms) point-atom distances; raises
-    GraphBuildError for the first coincident pair, points in input order, atoms by id."""
+    """The protein sorted by id and the (..., n_atoms) distances from one point
+    or an (n, 3) array of points to its atoms, in that order."""
     atoms = sorted(protein, key=lambda a: a.id)
     atom_positions = np.array([a.position for a in atoms], dtype=float).reshape(len(atoms), 3)
     delta = np.asarray(points, dtype=float)[..., None, :] - atom_positions
-    r = np.sqrt(_dot(delta, delta))
-    clashes = np.argwhere(r < MIN_POINT_SEPARATION)
-    if len(clashes):
-        first = tuple(clashes[0])
-        raise GraphBuildError(
-            f"grid point coincides with protein atom {atoms[first[-1]].id} (r = {r[first]:.2e} A)"
-        )
-    return atoms, r
+    return atoms, np.sqrt(_dot(delta, delta))
 
 
-def coulomb_potential(points, protein: list[ProteinAtom], dielectric: float):
-    """Electrostatic potential at one point or an (n, 3) array of points, kcal/(mol*e).
+def coulomb_potential(atoms: list[ProteinAtom], r, dielectric: float):
+    """Electrostatic potential at the points `r` measures, kcal/(mol*e).
 
     The prefactor is applied per atom before summing, so the potential of a
     protein split into disjoint parts is the sum of the parts' potentials.
     Atoms are added one at a time in ascending id order, so splitting off
     the highest-id atom is exact bit for bit.
     """
-    atoms, r = _point_atom_distances(points, protein)
     terms = COULOMB_CONSTANT / dielectric * np.array([a.charge for a in atoms], dtype=float) / r
     # cumsum folds left like `total += term` from total = 0.0
     return np.cumsum(np.insert(terms, 0, 0.0, axis=-1), axis=-1)[..., -1][()]
 
 
-def lj_vector(points, protein: list[ProteinAtom], table: AtomTypeTable) -> np.ndarray:
+def lj_vector(atoms: list[ProteinAtom], r, table: AtomTypeTable) -> np.ndarray:
     """Lennard-Jones 8-4 energy for every ligand atom type: (n_types,) at
-    one point, (n, n_types) at an (n, 3) array of points.
+    one point, (n, n_types) at n points.
 
     Cross parameters use Lorentz-Berthelot mixing: geometric mean for the
     well depth, arithmetic mean for the minimum position. Per-atom
     contributions are clamped to LJ_CONTRIBUTION_CAP before summation so a
     near-clash cannot blow up the coefficient range.
     """
-    atoms, r = _point_atom_distances(points, protein)
     types = np.array([a.type_index for a in atoms], dtype=int)
     # (n_types, n_atoms) mixed parameters
     eps_mix = np.sqrt(np.outer(table.epsilon, table.epsilon[types]))
@@ -124,12 +116,11 @@ def _dha_angle_deg(donor: np.ndarray, hydrogens: np.ndarray, acceptor_points) ->
     return np.where((nd < 1e-12) | (na < 1e-12), np.nan, phi)
 
 
-def hbond_acceptor_count(points, protein: list[ProteinAtom]):
-    """Protein donors that could hydrogen-bond to an acceptor at one point or an (n, 3) array.
+def hbond_acceptor_count(points, atoms: list[ProteinAtom], r):
+    """Protein donors that could hydrogen-bond to an acceptor at `points`, which `r` measures.
 
     The angles of every (donor, hydrogen) pair are measured in one pass; a donor
     counts at a point within its distance gate where any of its pairs is in the window."""
-    atoms, r = _point_atom_distances(points, protein)
     in_range = r < HBOND_DISTANCE_MAX
     donors = [k for k, atom in enumerate(atoms) if atom.hbond_role.is_donor]
     for k in donors:
@@ -150,8 +141,8 @@ def hbond_acceptor_count(points, protein: list[ProteinAtom]):
     return (angled & in_range[..., donors]).sum(axis=-1)
 
 
-def hbond_donor_count(points, protein: list[ProteinAtom]):
-    """Protein acceptors a donor at one point or an (n, 3) array could reach.
+def hbond_donor_count(atoms: list[ProteinAtom], r):
+    """Protein acceptors a donor at the points `r` measures could reach.
 
     The ligand model has no explicit hydrogens, so the hydrogen is free to
     sit anywhere at VIRTUAL_H_BOND_LENGTH from the point. Placing it on the
@@ -159,14 +150,12 @@ def hbond_donor_count(points, protein: list[ProteinAtom]):
     the angle condition is satisfiable exactly when the acceptor lies
     beyond that radius; only the distance window remains.
     """
-    atoms, r = _point_atom_distances(points, protein)
     acceptor = np.array([a.hbond_role.is_acceptor for a in atoms], dtype=bool)
     return (acceptor & (VIRTUAL_H_BOND_LENGTH < r) & (r < HBOND_DISTANCE_MAX)).sum(axis=-1)
 
 
-def hydrophobic_count(points, protein: list[ProteinAtom]):
-    """Hydrophobic protein atoms within HYDROPHOBIC_DISTANCE_MAX of one point or an (n, 3) array."""
-    atoms, r = _point_atom_distances(points, protein)
+def hydrophobic_count(atoms: list[ProteinAtom], r):
+    """Hydrophobic protein atoms within HYDROPHOBIC_DISTANCE_MAX of the points `r` measures."""
     hydrophobic = np.array([a.hydrophobic for a in atoms], dtype=bool)
     return (hydrophobic & (r < HYDROPHOBIC_DISTANCE_MAX)).sum(axis=-1)
 
@@ -174,10 +163,10 @@ def hydrophobic_count(points, protein: list[ProteinAtom]):
 def build_grid_graph(complex_input: ComplexInput) -> GridGraph:
     """Assemble the complete pocket grid graph with all colorings. Raises
     GraphBuildError naming the first pair of coincident grid points (as
-    `parse_complex` does, for a complex built without it), or the first
-    grid point whose Coulomb potential or Lennard-Jones row is not finite."""
+    `parse_complex` does, for a complex built without it), the first grid
+    point (in input order) on a protein atom (by id) and that atom, or the
+    first grid point whose Coulomb potential or Lennard-Jones row is not finite."""
     points = complex_input.grid_points
-    protein = complex_input.protein
     n = len(points)
     positions = np.array([p.position for p in points], dtype=float).reshape(n, 3)
 
@@ -187,11 +176,19 @@ def build_grid_graph(complex_input: ComplexInput) -> GridGraph:
     if len(coincident):
         a, b = (points[k].id for k in coincident[0])
         raise GraphBuildError(f"grid points {a} and {b} coincide")
+    atoms, r = _point_atom_distances(positions, complex_input.protein)
+    clashes = np.argwhere(r < MIN_POINT_SEPARATION)
+    if len(clashes):
+        k, j = clashes[0]
+        raise GraphBuildError(
+            f"grid point {points[k].id} coincides with protein atom {atoms[j].id} "
+            f"(r = {r[k, j]:.2e} A)"
+        )
 
     # An extreme dielectric or type table overflows these; the check names the point.
     with np.errstate(over="ignore", invalid="ignore"):
-        coulomb = coulomb_potential(positions, protein, complex_input.dielectric)
-        lj = lj_vector(positions, protein, complex_input.type_table)
+        coulomb = coulomb_potential(atoms, r, complex_input.dielectric)
+        lj = lj_vector(atoms, r, complex_input.type_table)
     bad = np.flatnonzero(~(np.isfinite(coulomb) & np.isfinite(lj).all(axis=-1)))
     if len(bad):
         kind = "Lennard-Jones energy" if np.isfinite(coulomb[bad[0]]) else "Coulomb potential"
@@ -203,7 +200,7 @@ def build_grid_graph(complex_input: ComplexInput) -> GridGraph:
         dist=dist,
         coulomb=coulomb,
         lj=lj,
-        hb_acceptor=hbond_acceptor_count(positions, protein),
-        hb_donor=hbond_donor_count(positions, protein),
-        hydrophobic=hydrophobic_count(positions, protein),
+        hb_acceptor=hbond_acceptor_count(positions, atoms, r),
+        hb_donor=hbond_donor_count(atoms, r),
+        hydrophobic=hydrophobic_count(atoms, r),
     )

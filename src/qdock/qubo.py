@@ -370,9 +370,7 @@ def _reject_non_finite(a, b, values: np.ndarray, term_coeffs: dict[str, CoeffMap
         )
 
 
-def weighted_linear(
-    problem: QuboProblem, lambdas, tables: dict
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def weighted_linear(problem: QuboProblem, lambdas) -> tuple[np.ndarray, list[np.ndarray]]:
     """The linear coefficients at `lambdas` and each physicochemical term's
     table, from the problem's penalty diagonal (in variable order) and
     `physchem_raw` tables and scales.
@@ -381,19 +379,15 @@ def weighted_linear(
     0.0 elsewhere, in variable order. The linear vector is the penalty
     diagonal plus the tables one by one in PHYSCHEM_TERMS order, which
     fixes the rounding of every linear coefficient. Extreme weights can
-    overflow to non-finite values; the caller checks them. `tables` holds
-    each table under (term, lambda): a caller that weights the same
-    problem again passes the same dict and reuses them.
+    overflow to non-finite values; the caller checks them.
     """
     a, b, values = problem.term_coeffs["penalty"].arrays
     raw, diagonal, weighted = problem.physchem_raw, values[a == b], []
     with np.errstate(over="ignore", invalid="ignore"):
         for name, scale, lam in zip(PHYSCHEM_TERMS, problem.scales, lambdas):
-            if (name, lam) not in tables:
-                product = raw[name] * (scale * lam)
-                tables[name, lam] = np.where(raw[name] != 0.0, product, 0.0).ravel()
-            diagonal += tables[name, lam]
-            weighted.append(tables[name, lam])
+            table = np.where(raw[name] != 0.0, raw[name] * (scale * lam), 0.0).ravel()
+            diagonal += table
+            weighted.append(table)
     return diagonal, weighted
 
 
@@ -413,7 +407,7 @@ def with_lambdas(problem: QuboProblem, lambdas) -> QuboProblem:
     """
     a, b, values = problem.term_coeffs["penalty"].arrays
     geom = problem.term_coeffs["geom"].arrays
-    diagonal, tables = weighted_linear(problem, lambdas, {})
+    diagonal, tables = weighted_linear(problem, lambdas)
     summed = values.copy()
     summed[a == b] = diagonal
     coeffs = CoeffMap(*(np.concatenate(pair) for pair in zip(geom, (a, b, summed))))

@@ -14,6 +14,7 @@ from qdock import (
     InvalidAssignment,
     NoValidSolutionError,
     Pose,
+    SampleSet,
     adjusted_rmsd,
     brute_force,
     build_full,
@@ -313,6 +314,12 @@ def test_report_without_valid_samples_raises_with_context(tmp_path):
     assert report.valid_solution_rate == 0.0
     assert report.n_samples == 3
     assert report.total_energy == external.best.energy
+
+
+def test_report_from_empty_sample_set_raises_value_error(tiny4):
+    problem = build_full(tiny4, TINY4_HP)
+    with pytest.raises(ValueError, match="^empty sample set$"):
+        report_from_samples(problem, SampleSet(samples=[]), name="tiny4")
 
 
 def test_dock_single_atom_single_point():

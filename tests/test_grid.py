@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qdock import GraphBuildError, build_grid_graph, parse_complex
+from qdock import GraphBuildError, build_grid_graph, grid, parse_complex
 from qdock.model import (
     COULOMB_CONSTANT,
     AtomTypeTable,
@@ -22,6 +22,7 @@ from qdock.grid import (
     HYDROPHOBIC_DISTANCE_MAX,
     LJ_CONTRIBUTION_CAP,
     VIRTUAL_H_BOND_LENGTH,
+    _point_atom_distances,
     coulomb_potential,
     hbond_acceptor_count,
     hbond_donor_count,
@@ -50,7 +51,7 @@ ORIGIN = np.zeros(3)
 
 def test_unit_charge_at_prefactor_distance():
     protein = [atom(1, (COULOMB_CONSTANT, 0, 0), charge=1.0)]
-    assert coulomb_potential(ORIGIN, protein, 1.0) == 1.0
+    assert coulomb_potential(*_point_atom_distances(ORIGIN, protein), 1.0) == 1.0
 
 
 def test_opposite_charges_equidistant_cancel_exactly():
@@ -58,7 +59,7 @@ def test_opposite_charges_equidistant_cancel_exactly():
         atom(1, (2.0, 0, 0), charge=0.37),
         atom(2, (-2.0, 0, 0), charge=-0.37),
     ]
-    assert coulomb_potential(ORIGIN, protein, 4.0) == 0.0
+    assert coulomb_potential(*_point_atom_distances(ORIGIN, protein), 4.0) == 0.0
 
 
 def test_coulomb_matches_brute_sum():
@@ -76,9 +77,9 @@ def test_coulomb_matches_brute_sum():
             expected += (
                 COULOMB_CONSTANT / dielectric * a.charge / math.dist(point, a.position)
             )
-        assert coulomb_potential(point, protein, dielectric) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert coulomb_potential(
+            *_point_atom_distances(point, protein), dielectric
+        ) == pytest.approx(expected, rel=1e-12)
 
 
 def test_coulomb_sign_flip_antisymmetry_exact():
@@ -93,8 +94,8 @@ def test_coulomb_sign_flip_antisymmetry_exact():
             atom(a.id, a.position, charge=-a.charge) for a in protein
         ]
         point = rng.uniform(-1.0, 1.0, 3)
-        v = coulomb_potential(point, protein, 2.0)
-        assert coulomb_potential(point, flipped, 2.0) == -v
+        v = coulomb_potential(*_point_atom_distances(point, protein), 2.0)
+        assert coulomb_potential(*_point_atom_distances(point, flipped), 2.0) == -v
 
 
 def test_coulomb_superposition_prefix_plus_singleton_exact():
@@ -108,9 +109,9 @@ def test_coulomb_superposition_prefix_plus_singleton_exact():
         point = rng.uniform(-1.0, 1.0, 3)
         # The sum is a left fold in ascending id order, so splitting off the
         # final atom must be exact, with no tolerance at all.
-        whole = coulomb_potential(point, protein, 1.5)
-        prefix = coulomb_potential(point, protein[:-1], 1.5)
-        last = coulomb_potential(point, protein[-1:], 1.5)
+        whole = coulomb_potential(*_point_atom_distances(point, protein), 1.5)
+        prefix = coulomb_potential(*_point_atom_distances(point, protein[:-1]), 1.5)
+        last = coulomb_potential(*_point_atom_distances(point, protein[-1:]), 1.5)
         assert whole == prefix + last
 
 
@@ -124,15 +125,15 @@ def test_coulomb_superposition_arbitrary_split():
         ]
         point = rng.uniform(-1.0, 1.0, 3)
         k = int(rng.integers(1, n))
-        whole = coulomb_potential(point, protein, 1.0)
-        split = coulomb_potential(point, protein[:k], 1.0) + coulomb_potential(
-            point, protein[k:], 1.0
-        )
+        whole = coulomb_potential(*_point_atom_distances(point, protein), 1.0)
+        split = coulomb_potential(
+            *_point_atom_distances(point, protein[:k]), 1.0
+        ) + coulomb_potential(*_point_atom_distances(point, protein[k:]), 1.0)
         assert split == pytest.approx(whole, rel=1e-13, abs=1e-13)
 
 
 def test_empty_protein_zero_potential():
-    assert coulomb_potential(ORIGIN, [], 1.0) == 0.0
+    assert coulomb_potential(*_point_atom_distances(ORIGIN, []), 1.0) == 0.0
 
 
 # ----------------------------------------------------------- Lennard-Jones
@@ -140,21 +141,22 @@ def test_empty_protein_zero_potential():
 def test_lj_at_minimum_equals_negative_well_depth():
     table = AtomTypeTable(epsilon=np.array([0.25]), r_min=np.array([2.0]))
     protein = [atom(1, (2.0, 0, 0))]
-    value = lj_vector(ORIGIN, protein, table)
+    value = lj_vector(*_point_atom_distances(ORIGIN, protein), table)
     assert value.shape == (1,)
     assert value[0] == pytest.approx(-0.25, rel=1e-12)
 
     # Same property at a non-dyadic minimum distance.
     table = AtomTypeTable(epsilon=np.array([0.3]), r_min=np.array([1.7]))
     protein = [atom(1, (1.7, 0, 0))]
-    assert lj_vector(ORIGIN, protein, table)[0] == pytest.approx(-0.3, rel=1e-12)
+    value = lj_vector(*_point_atom_distances(ORIGIN, protein), table)[0]
+    assert value == pytest.approx(-0.3, rel=1e-12)
 
 
 def test_lj_tail_vanishes_at_ten_minima():
     eps, rmin = 0.2, 1.8
     table = AtomTypeTable(epsilon=np.array([eps]), r_min=np.array([rmin]))
     protein = [atom(1, (10.0 * rmin, 0, 0))]
-    value = float(lj_vector(ORIGIN, protein, table)[0])
+    value = float(lj_vector(*_point_atom_distances(ORIGIN, protein), table)[0])
     ratio4 = (rmin / (10.0 * rmin)) ** 4
     assert value == pytest.approx(eps * (ratio4 * ratio4 - 2.0 * ratio4), rel=1e-12)
     assert abs(value) < 2.1e-4 * eps
@@ -168,7 +170,7 @@ def test_lorentz_berthelot_mixing_worked_example():
     assert (1.5 + 2.5) / 2.0 == 2.0
     table = AtomTypeTable(epsilon=np.array([0.1, 0.4]), r_min=np.array([1.5, 2.5]))
     protein = [atom(1, (2.0, 0, 0), type_index=1)]
-    value = lj_vector(ORIGIN, protein, table)
+    value = lj_vector(*_point_atom_distances(ORIGIN, protein), table)
     assert value[0] == -0.2
     # Type-1 self term at r = 2.0 sits inside its R_min = 2.5 minimum; the
     # ratio 1.25 is dyadic, so the repulsive value is reproducible exactly.
@@ -179,10 +181,10 @@ def test_lorentz_berthelot_mixing_worked_example():
 def test_lj_clash_is_clamped():
     table = AtomTypeTable(epsilon=np.array([0.25]), r_min=np.array([2.0]))
     protein = [atom(1, (0.01, 0, 0))]
-    assert lj_vector(ORIGIN, protein, table)[0] == LJ_CONTRIBUTION_CAP
+    assert lj_vector(*_point_atom_distances(ORIGIN, protein), table)[0] == LJ_CONTRIBUTION_CAP
     # Two clashing atoms: clamp applies per atom, then contributions add.
     protein = [atom(1, (0.01, 0, 0)), atom(2, (0, 0.01, 0))]
-    assert lj_vector(ORIGIN, protein, table)[0] == 2.0 * LJ_CONTRIBUTION_CAP
+    assert lj_vector(*_point_atom_distances(ORIGIN, protein), table)[0] == 2.0 * LJ_CONTRIBUTION_CAP
 
 
 def test_lj_matches_brute_formula():
@@ -199,7 +201,7 @@ def test_lj_matches_brute_formula():
             for k in range(n)
         ]
         point = rng.uniform(-0.5, 0.5, 3)
-        got = lj_vector(point, protein, table)
+        got = lj_vector(*_point_atom_distances(point, protein), table)
         for t in range(n_types):
             expected = 0.0
             for a in protein:
@@ -234,21 +236,24 @@ def donor_with_angle(phi_deg, da_target=3.0):
 
 
 def test_acceptor_count_geometry_window():
+    def count(donor):
+        return hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [donor]))
+
     # 3.0 A donor with a 150 degree D-H-A angle binds.
-    assert hbond_acceptor_count(ORIGIN, [donor_with_angle(150.0)]) == 1
+    assert count(donor_with_angle(150.0)) == 1
     # Same angle, donor pushed out to 4.0 A: distance gate fails.
-    assert hbond_acceptor_count(ORIGIN, [donor_with_angle(150.0, da_target=4.0)]) == 0
+    assert count(donor_with_angle(150.0, da_target=4.0)) == 0
     # 20 degree angle at 3.0 A: angle gate fails.
-    assert hbond_acceptor_count(ORIGIN, [donor_with_angle(20.0)]) == 0
+    assert count(donor_with_angle(20.0)) == 0
     # Just inside and just outside the 130 degree bound.
-    assert hbond_acceptor_count(ORIGIN, [donor_with_angle(131.0)]) == 1
-    assert hbond_acceptor_count(ORIGIN, [donor_with_angle(129.0)]) == 0
+    assert count(donor_with_angle(131.0)) == 1
+    assert count(donor_with_angle(129.0)) == 0
 
 
 def test_acceptor_angle_bounds_are_strict():
     # H exactly on the D-A segment: angle is exactly 180 degrees, excluded.
     donor = atom(1, (3.0, 0, 0), role=HBondRole.DONOR, hydrogens=[(2.0, 0, 0)])
-    assert hbond_acceptor_count(ORIGIN, [donor]) == 0
+    assert hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [donor])) == 0
 
 
 def test_acceptor_counts_atom_once_with_multiple_hydrogens():
@@ -260,40 +265,41 @@ def test_acceptor_counts_atom_once_with_multiple_hydrogens():
         role=HBondRole.DONOR,
         hydrogens=[bad_h, good.donor_hydrogens[0]],
     )
-    assert hbond_acceptor_count(ORIGIN, [donor]) == 1
+    assert hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [donor])) == 1
     both_good = atom(
         2,
         good.position,
         role=HBondRole.DONOR,
         hydrogens=[good.donor_hydrogens[0], good.donor_hydrogens[0] + 1e-6],
     )
-    assert hbond_acceptor_count(ORIGIN, [both_good]) == 1
+    assert hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [both_good])) == 1
 
 
 def test_acceptor_ignores_non_donor_roles():
     acceptor_only = atom(1, (2.5, 0, 0), role=HBondRole.ACCEPTOR)
-    assert hbond_acceptor_count(ORIGIN, [acceptor_only]) == 0
+    assert hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [acceptor_only])) == 0
 
 
 def test_donor_without_hydrogens_warns_and_skips():
     bare = atom(1, (2.5, 0, 0), role=HBondRole.DONOR)
     with pytest.warns(UserWarning, match="no explicit hydrogens"):
-        assert hbond_acceptor_count(ORIGIN, [bare]) == 0
+        assert hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [bare])) == 0
 
 
 # --------------------------------------------------------- H-bond donor
 
 def test_donor_count_distance_window():
-    def acceptor_at(r):
-        return atom(1, (r, 0, 0), role=HBondRole.ACCEPTOR)
+    def count(r):
+        acceptor = atom(1, (r, 0, 0), role=HBondRole.ACCEPTOR)
+        return hbond_donor_count(*_point_atom_distances(ORIGIN, [acceptor]))
 
-    assert hbond_donor_count(ORIGIN, [acceptor_at(2.9)]) == 1
-    assert hbond_donor_count(ORIGIN, [acceptor_at(3.6)]) == 0
-    assert hbond_donor_count(ORIGIN, [acceptor_at(0.8)]) == 0
+    assert count(2.9) == 1
+    assert count(3.6) == 0
+    assert count(0.8) == 0
     # Window bounds are strict on both sides.
-    assert hbond_donor_count(ORIGIN, [acceptor_at(VIRTUAL_H_BOND_LENGTH)]) == 0
-    assert hbond_donor_count(ORIGIN, [acceptor_at(HBOND_DISTANCE_MAX)]) == 0
-    assert hbond_donor_count(ORIGIN, [acceptor_at(1.0000001)]) == 1
+    assert count(VIRTUAL_H_BOND_LENGTH) == 0
+    assert count(HBOND_DISTANCE_MAX) == 0
+    assert count(1.0000001) == 1
 
 
 def test_dual_role_atom_counts_for_both_directions():
@@ -303,17 +309,19 @@ def test_dual_role_atom_counts_for_both_directions():
         role=HBondRole.DONOR_ACCEPTOR,
         hydrogens=[(1.0, 0, 0)],  # H on the segment: 180 degrees, no acceptor hit
     )
-    assert hbond_donor_count(ORIGIN, [dual]) == 1
-    assert hbond_acceptor_count(ORIGIN, [dual]) == 0
+    assert hbond_donor_count(*_point_atom_distances(ORIGIN, [dual])) == 1
+    assert hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [dual])) == 0
 
 
 # ---------------------------------------------------------- hydrophobic
 
 def test_hydrophobic_count_gate():
-    assert hydrophobic_count(ORIGIN, [atom(1, (4.4, 0, 0), hydrophobic=True)]) == 1
-    assert hydrophobic_count(ORIGIN, [atom(1, (1.0, 0, 0), hydrophobic=False)]) == 0
+    near = atom(1, (4.4, 0, 0), hydrophobic=True)
+    assert hydrophobic_count(*_point_atom_distances(ORIGIN, [near])) == 1
+    polar = atom(1, (1.0, 0, 0), hydrophobic=False)
+    assert hydrophobic_count(*_point_atom_distances(ORIGIN, [polar])) == 0
     boundary = atom(1, (HYDROPHOBIC_DISTANCE_MAX, 0, 0), hydrophobic=True)
-    assert hydrophobic_count(ORIGIN, [boundary]) == 0
+    assert hydrophobic_count(*_point_atom_distances(ORIGIN, [boundary])) == 0
 
 
 def test_hydrophobic_count_three_of_five():
@@ -328,7 +336,7 @@ def test_hydrophobic_count_three_of_five():
         1 for a in protein if math.dist(ORIGIN, a.position) < HYDROPHOBIC_DISTANCE_MAX
     )
     assert expected == 3
-    assert hydrophobic_count(ORIGIN, protein) == 3
+    assert hydrophobic_count(*_point_atom_distances(ORIGIN, protein)) == 3
 
 
 def test_counts_monotone_under_atom_addition():
@@ -349,9 +357,9 @@ def test_counts_monotone_under_atom_addition():
                 )
             )
             cur = (
-                hbond_acceptor_count(point, protein),
-                hbond_donor_count(point, protein),
-                hydrophobic_count(point, protein),
+                hbond_acceptor_count(point, *_point_atom_distances(point, protein)),
+                hbond_donor_count(*_point_atom_distances(point, protein)),
+                hydrophobic_count(*_point_atom_distances(point, protein)),
             )
             assert all(c >= p for c, p in zip(cur, prev))
             prev = cur
@@ -406,8 +414,24 @@ def test_grid_point_on_protein_atom_rejected():
         "grid_points": [{"id": 7, "position": [1.0, 2.0, 3.0]}],
         "type_table": {"epsilon": [0.2], "r_min": [1.5]},
     }
-    with pytest.raises(GraphBuildError, match="coincides with protein atom 1"):
+    with pytest.raises(GraphBuildError, match="coincides with protein atom 1") as excinfo:
         build_grid_graph(parse_complex(doc))
+    assert "grid point 7" in str(excinfo.value)
+
+
+def test_grid_graph_measures_point_atom_distances_once(tiny4, monkeypatch):
+    # Every coloring and the clash check read the one matrix.
+    calls = []
+    measure = grid._point_atom_distances
+
+    def counted(*args):
+        calls.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(grid, "_point_atom_distances", counted)
+    graph = build_grid_graph(tiny4)
+    assert len(calls) == 1
+    assert graph.n_points == len(tiny4.grid_points)
 
 
 def test_hand_built_coincident_grid_points_are_named(tiny4):
@@ -558,19 +582,19 @@ def test_grid_colorings_do_not_depend_on_batch():
     )
     graph = build_grid_graph(cx)
     batch = {
-        "coulomb": coulomb_potential(points, protein, cx.dielectric),
-        "lj": lj_vector(points, protein, table),
-        "hb_acceptor": hbond_acceptor_count(points, protein),
-        "hb_donor": hbond_donor_count(points, protein),
-        "hydrophobic": hydrophobic_count(points, protein),
+        "coulomb": coulomb_potential(*_point_atom_distances(points, protein), cx.dielectric),
+        "lj": lj_vector(*_point_atom_distances(points, protein), table),
+        "hb_acceptor": hbond_acceptor_count(points, *_point_atom_distances(points, protein)),
+        "hb_donor": hbond_donor_count(*_point_atom_distances(points, protein)),
+        "hydrophobic": hydrophobic_count(*_point_atom_distances(points, protein)),
     }
     for j, point in enumerate(points):
         single = {
-            "coulomb": coulomb_potential(point, protein, cx.dielectric),
-            "lj": lj_vector(point, protein, table),
-            "hb_acceptor": hbond_acceptor_count(point, protein),
-            "hb_donor": hbond_donor_count(point, protein),
-            "hydrophobic": hydrophobic_count(point, protein),
+            "coulomb": coulomb_potential(*_point_atom_distances(point, protein), cx.dielectric),
+            "lj": lj_vector(*_point_atom_distances(point, protein), table),
+            "hb_acceptor": hbond_acceptor_count(point, *_point_atom_distances(point, protein)),
+            "hb_donor": hbond_donor_count(*_point_atom_distances(point, protein)),
+            "hydrophobic": hydrophobic_count(*_point_atom_distances(point, protein)),
         }
         for name, value in single.items():
             assert np.array_equal(value, batch[name][j]), name
@@ -592,5 +616,6 @@ def test_grid_colorings_do_not_depend_on_batch():
 
     bare = atom(1, points[0] + np.array([2.5, 0.0, 0.0]), role=HBondRole.DONOR)
     with pytest.warns(UserWarning, match="donor protein atom 1 has no explicit hydrogens"):
-        batch_with_bare = hbond_acceptor_count(points, protein + [bare])
+        with_bare = _point_atom_distances(points, protein + [bare])
+        batch_with_bare = hbond_acceptor_count(points, *with_bare)
     assert np.array_equal(batch_with_bare, batch["hb_acceptor"])
