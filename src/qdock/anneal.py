@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -80,6 +81,10 @@ class AnnealSchedule:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_reads", "n_sweeps", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_reads < 1 or self.n_sweeps < 1:
             raise ValueError("n_reads and n_sweeps must be at least 1")
         if self.seed < 0:

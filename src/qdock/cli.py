@@ -104,9 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="five interaction weights: el,vdw,hba,hbd,hydro")
             p.add_argument("--gamma", type=float, help="constraint penalty weight")
         if schedule:
-            p.add_argument("--reads", type=_positive_int, help="annealing restarts (default 100)")
-            p.add_argument("--sweeps", type=_positive_int, help="sweeps per read (default 2000)")
-            p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+            p.add_argument("--reads", type=_positive_int,
+                           help=f"annealing restarts (default {AnnealSchedule.n_reads})")
+            p.add_argument("--sweeps", type=_positive_int,
+                           help=f"sweeps per read (default {AnnealSchedule.n_sweeps})")
+            p.add_argument("--seed", type=int, help=f"RNG seed (default {AnnealSchedule.seed})")
         if solver_choice:
             p.add_argument("--exact", action="store_true", default=None,
                            help="solve by exhaustive enumeration instead of annealing")
@@ -189,16 +191,16 @@ def _require(args, config, parser, key, flag):
 
 
 def _hyperparameters(args, config) -> Hyperparameters:
-    lambdas = _setting(args, config, "lambdas", (0.0, 0.0, 0.0, 0.0, 0.0))
+    lambdas = _setting(args, config, "lambdas", Hyperparameters.lambdas)
     gamma = _setting(args, config, "gamma")
     return Hyperparameters(lambdas=tuple(lambdas), gamma=gamma)
 
 
 def _schedule(args, config) -> AnnealSchedule:
     return AnnealSchedule(
-        n_reads=_setting(args, config, "reads", 100),
-        n_sweeps=_setting(args, config, "sweeps", 2000),
-        seed=_setting(args, config, "seed", 0),
+        n_reads=_setting(args, config, "reads", AnnealSchedule.n_reads),
+        n_sweeps=_setting(args, config, "sweeps", AnnealSchedule.n_sweeps),
+        seed=_setting(args, config, "seed", AnnealSchedule.seed),
     )
 
 

@@ -162,10 +162,10 @@ def hydrophobic_count(atoms: list[ProteinAtom], r):
 
 def build_grid_graph(complex_input: ComplexInput) -> GridGraph:
     """Assemble the complete pocket grid graph with all colorings. Raises
-    GraphBuildError naming the first pair of coincident grid points (as
-    `parse_complex` does, for a complex built without it), the first grid
-    point (in input order) on a protein atom (by id) and that atom, or the
-    first grid point whose Coulomb potential or Lennard-Jones row is not finite."""
+    GraphBuildError naming the first pair of coincident grid points, the
+    first grid point (in input order) on a protein atom (by id) and that
+    atom, or the first grid point whose Coulomb potential or Lennard-Jones
+    row is not finite."""
     points = complex_input.grid_points
     n = len(points)
     positions = np.array([p.position for p in points], dtype=float).reshape(n, 3)

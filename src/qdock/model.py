@@ -201,6 +201,13 @@ def _field(entry: dict, key: str, where: str, kind=float):
     return _number(_required(entry, key, where), where, kind, key)
 
 
+def _type_index(entry: dict, where: str, table: AtomTypeTable) -> int:
+    index = _field(entry, "type_index", where, int)
+    if not 0 <= index < table.n_types:
+        raise ComplexFormatError(f"{where}: type_index {index} outside table of size {table.n_types}")
+    return index
+
+
 def _position(entry: dict, where: str) -> np.ndarray:
     return _as_vec3(_required(entry, "position", where), where, "position")
 
@@ -214,7 +221,8 @@ def _check_unique_ids(items, kind: str) -> None:
 
 
 def parse_complex(doc: dict, name: str = "") -> ComplexInput:
-    """Build and validate a ComplexInput from an already-decoded JSON document."""
+    """Build and validate a ComplexInput from an already-decoded JSON document.
+    This checks the document; the graph builders check its geometry."""
     if not isinstance(doc, dict):
         raise ComplexFormatError("top level must be a JSON object")
     for key in ("protein", "ligand", "grid_points", "type_table"):
@@ -253,15 +261,11 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
             id=_field(entry, "id", where, int),
             position=_position(entry, where),
             charge=_field(entry, "charge", where),
-            type_index=_field(entry, "type_index", where, int),
+            type_index=_type_index(entry, where, table),
             hbond_role=HBondRole(role),
             hydrophobic=bool(_flag(entry, "hydrophobic", where, False)),
             donor_hydrogens=hydrogens,
         )
-        if not 0 <= atom.type_index < table.n_types:
-            raise ComplexFormatError(
-                f"{where}: type_index {atom.type_index} outside table of size {table.n_types}"
-            )
         if atom.hbond_role.is_donor and not hydrogens:
             raise ComplexFormatError(
                 f"{where}: donor role requires at least one explicit hydrogen"
@@ -282,15 +286,11 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
             id=_field(entry, "id", where, int),
             position=_position(entry, where),
             charge=_field(entry, "charge", where),
-            type_index=_field(entry, "type_index", where, int),
+            type_index=_type_index(entry, where, table),
             hbond_acceptor=_flag(entry, "hbond_acceptor", where, 0),
             hbond_donor=_flag(entry, "hbond_donor", where, 0),
             hydrophobic=_flag(entry, "hydrophobic", where, 0),
         )
-        if not 0 <= atom.type_index < table.n_types:
-            raise ComplexFormatError(
-                f"{where}: type_index {atom.type_index} outside table of size {table.n_types}"
-            )
         ligand_atoms.append(atom)
     if not ligand_atoms:
         raise ComplexFormatError("ligand must have at least one atom")
@@ -319,12 +319,6 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
             )
         )
     _check_unique_ids(grid_points, "grid")
-    positions = np.array([g.position for g in grid_points]).reshape(-1, 3)
-    gaps = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
-    coincident = np.argwhere(np.triu(gaps < 1e-6, k=1))
-    if len(coincident):
-        a, b = (grid_points[k].id for k in coincident[0])
-        raise ComplexFormatError(f"grid points {a} and {b} coincide")
 
     if len(ligand_atoms) > len(grid_points):
         raise InfeasibleComplexError(

@@ -282,22 +282,18 @@ def build_distortion(lig: LigandGraph, grid: GridGraph) -> tuple[np.ndarray, ...
     return a.ravel(), b.ravel(), (mismatch * mismatch).ravel()
 
 
-def _penalty_entries(n_mol: int, n_grid: int, gamma: float) -> tuple[np.ndarray, ...]:
-    """Penalty entries as (a, b, value) arrays: each atom's diagonal
-    (-gamma) and then its row couplings j < j' (2 gamma), then each point's
-    column couplings i < i' (2 gamma). The diagonal is in variable order."""
+def build_penalty(n_mol: int, n_grid: int, gamma: float) -> tuple[CoeffMap, float]:
+    """Constraint-penalty term map and its constant offset. The map holds
+    each atom's diagonal (-gamma) and then its row couplings j < j'
+    (2 gamma), then each point's column couplings i < i' (2 gamma). The
+    diagonal is in variable order."""
     points = np.arange(n_grid)
     j, jp = np.triu_indices(n_grid, 1)
     i, ip = np.triu_indices(n_mol, 1)
     rows = np.arange(n_mol)[:, None] * n_grid
     a = np.append(rows + np.append(points, j), i * n_grid + points[:, None])
     b = np.append(rows + np.append(points, jp), ip * n_grid + points[:, None])
-    return a, b, np.where(a == b, -gamma, 2.0 * gamma)
-
-
-def build_penalty(n_mol: int, n_grid: int, gamma: float) -> tuple[CoeffMap, float]:
-    """Constraint-penalty term map and its constant offset."""
-    return CoeffMap.nonzero(*_penalty_entries(n_mol, n_grid, gamma)), gamma * n_mol
+    return CoeffMap.nonzero(a, b, np.where(a == b, -gamma, 2.0 * gamma)), gamma * n_mol
 
 
 def build_physchem_raw(lig: LigandGraph, grid: GridGraph) -> dict[str, np.ndarray]:
@@ -433,7 +429,7 @@ def assemble(lig: LigandGraph, grid: GridGraph, hp: Hyperparameters) -> QuboProb
     n_mol, n_grid = lig.n_atoms, grid.n_points
     geom_a, geom_b, geom_values = build_distortion(lig, grid)
     gamma = resolve_gamma(hp, geom_values)
-    penalty = CoeffMap(*_penalty_entries(n_mol, n_grid, gamma))
+    penalty, offset = build_penalty(n_mol, n_grid, gamma)
     geom = CoeffMap.nonzero(geom_a, geom_b, geom_values)
     raw = build_physchem_raw(lig, grid)
     scales = resolve_scales(hp, geom_values, raw)
@@ -443,7 +439,7 @@ def assemble(lig: LigandGraph, grid: GridGraph, hp: Hyperparameters) -> QuboProb
         n_grid=n_grid,
         coeffs={},
         term_coeffs={"geom": geom, "penalty": penalty},
-        offset=gamma * n_mol,
+        offset=offset,
         gamma=gamma,
         scales=scales,
         atom_ids=[atom.id for atom in lig.atoms],

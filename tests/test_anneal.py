@@ -75,6 +75,14 @@ def test_schedule_defaults_and_validation():
         AnnealSchedule(t_initial=0.0)
     with pytest.raises(ValueError, match=">= t_final"):
         AnnealSchedule(t_initial=1.0, t_final=2.0)
+    # Counts and the seed are integers, checked before their ranges.
+    for name, value in [
+        ("n_sweeps", 2.5), ("n_reads", 2.5), ("n_reads", True), ("seed", 1.5),
+        ("n_reads", "3"), ("n_sweeps", 0.0), ("seed", False),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            AnnealSchedule(**{name: value})
+    assert AnnealSchedule(n_reads=np.int64(3), n_sweeps=np.int32(4), seed=np.uint8(5)).n_sweeps == 4
 
 
 def test_temperature_resolution():

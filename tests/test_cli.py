@@ -233,6 +233,35 @@ def test_grid_with_non_finite_colouring_exits_without_output(tmp_path, capsys):
     assert not out.exists() and "NaN" not in stdout
 
 
+COINCIDENT_ARGS = {
+    "grid": [],
+    "build": ["--out", "{tmp}/p.qubo"],
+    "export": ["--out", "{tmp}/p.qubo"],
+    "dock": ["--exact", "--gamma", "5"],
+    "tune": ["--exact", "--gamma", "5"],
+    "report": ["--samples", "{tmp}/samples.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COINCIDENT_ARGS))
+def test_coincident_grid_points_exit_naming_them(tmp_path, capsys, command):
+    """tiny4 with grid point 102 moved onto 101: the document parses, and
+    every command that builds the grid prints one error line naming both."""
+    doc = json.loads(TINY4.read_text())
+    doc["grid_points"][1]["position"] = doc["grid_points"][0]["position"]
+    bad = tmp_path / "set" / "tiny4-coincident.json"
+    bad.parent.mkdir()
+    bad.write_text(json.dumps(doc))
+    (tmp_path / "samples.json").write_text("[]")
+    source = ["--dataset", str(bad.parent)] if command == "tune" else ["--complex", str(bad)]
+    extra = [arg.format(tmp=tmp_path) for arg in COINCIDENT_ARGS[command]]
+    code, out, err = run(capsys, [command, *source, *extra])
+    assert (code, out, err) == (1, "", "error: grid points 101 and 102 coincide\n")
+    assert not (tmp_path / "p.qubo").exists()
+    code, out, err = run(capsys, ["graph", "--complex", str(bad)])
+    assert code == 0 and err == "" and json.loads(out)["n_atoms"] == len(doc["ligand"]["atoms"])
+
+
 def test_unallocatable_qubo_exits_without_traceback(tmp_path):
     huge = tmp_path / "huge.qubo"
     huge.write_text("p qubo 100000000 0\n")

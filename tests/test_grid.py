@@ -435,8 +435,8 @@ def test_grid_graph_measures_point_atom_distances_once(tiny4, monkeypatch):
 
 
 def test_hand_built_coincident_grid_points_are_named(tiny4):
-    # A ComplexInput built directly skips parse_complex, which names the
-    # pair in the same words.
+    # The builder checks the geometry of every complex, parsed or built in
+    # Python; parse_complex measures no grid points.
     points = list(tiny4.grid_points)
     points[1] = replace(points[1], position=points[0].position)
     message = f"^grid points {points[0].id} and {points[1].id} coincide$"

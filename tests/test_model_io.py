@@ -10,9 +10,11 @@ import pytest
 
 from qdock import (
     ComplexFormatError,
+    GraphBuildError,
     Hyperparameters,
     InfeasibleComplexError,
     build_full,
+    build_grid_graph,
     load_complex,
     parse_complex,
 )
@@ -238,6 +240,17 @@ def test_type_index_out_of_range_rejected():
     with pytest.raises(ComplexFormatError, match="type_index 7"):
         parse_complex(doc)
 
+    # The index is read with the id, position and charge, before the flags.
+    doc = minimal_doc()
+    doc["ligand"]["atoms"][0].update(type_index=3, hydrophobic=2)
+    doc["protein"] = [{"id": 2, "position": [5.0, 0.0, 0.0], "charge": 0.0, "type_index": 3,
+                       "hydrophobic": 2}]
+    for where in ("protein[0]", "ligand.atoms[0]"):
+        message = f"^{re.escape(where)}: type_index 3 outside table of size 1$"
+        with pytest.raises(ComplexFormatError, match=message):
+            parse_complex(doc)
+        doc["protein"] = []
+
 
 def test_flags_must_be_binary():
     doc = minimal_doc()
@@ -318,13 +331,16 @@ def test_bond_invariants():
 
 
 def test_coincident_grid_points_rejected():
+    # parse_complex checks the document; the grid builder, which measures
+    # the points, names the pair within its tolerance.
     doc = minimal_doc()
     doc["grid_points"] = [
         {"id": 10, "position": [1.0, 0.0, 0.0]},
         {"id": 11, "position": [1.0, 0.0, 1e-9]},
     ]
-    with pytest.raises(ComplexFormatError, match="coincide"):
-        parse_complex(doc)
+    complex_input = parse_complex(doc)
+    with pytest.raises(GraphBuildError, match="^grid points 10 and 11 coincide$"):
+        build_grid_graph(complex_input)
 
 
 def test_more_ligand_atoms_than_grid_points_infeasible():
