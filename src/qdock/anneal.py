@@ -2,12 +2,12 @@
 
 Annealing runs n_reads independent restarts as one seeded batch. Each
 read owns an RNG stream seeded from (seed, read index) and consumes it in
-a fixed order — initial bitstring, then per sweep one variable
-permutation and one block of uniforms. One sweep proposes a single-bit
-flip for every variable in the read's permuted order with acceptance
-min(1, exp(-dE/T)) on a geometric temperature ladder. The n_threads
-argument is kept for compatibility; it changes neither the results nor
-how they are computed.
+a fixed order — initial bitstring, then per sweep, until the read
+retires (see below), one variable permutation and one block of uniforms.
+One sweep proposes a single-bit flip for every variable in the read's
+permuted order with acceptance min(1, exp(-dE/T)) on a geometric
+temperature ladder. The n_threads argument is kept for compatibility; it
+changes neither the results nor how they are computed.
 
 Each read's start energy comes from `qubo.active_sums`, the kernel that
 scores every sample, and its local fields f = h + x Q_sym (Q_sym is the
@@ -30,6 +30,16 @@ times as the busiest read flips, not once per step. The late, cold
 sweeps, where almost every proposal is rejected, cost the first pass and
 little more.
 
+A read retires for good at the start of the first sweep in which every
+proposal it could make has -dE/T below -800: exp of that is 0.0, which no
+uniform in [0, 1) is below, and on a ladder whose temperatures never rise
+its fields, state and best energy are fixed from then on. A retired read
+draws, prices and flips nothing more, and annealing stops once every read
+has retired. Nothing reads its generator again, so every sample is the
+one a read that went on drawing would give. On the dock-sa benchmark's
+problems (20 reads x 200 sweeps) about two thirds of the read-sweeps are
+retired.
+
 All three solvers turn bit rows into a SampleSet through `_sample_set`:
 SA's best state per read, brute force's candidate listing (see
 `brute_force`) and external bitstrings in file order. The rows are scored
@@ -43,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -66,13 +77,29 @@ _MAX_HITS = 65536
 TEMPERATURE_FLOOR = 1e-6
 # Steps a read prices ahead per event-loop iteration.
 _WINDOW = 64
+# A read retires once every -dE/T it could propose lies below this. exp
+# rounds to 0.0 below about -745.13, and no uniform in [0, 1) is below 0.0;
+# later temperatures are no higher, so its -dE/T only fall further, and
+# the margin absorbs the ladder's rounding.
+_RETIRE_BELOW = -800.0
+
+
+def _finite_positive(value) -> bool:
+    """A real, not a bool, that converts to a finite positive float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return 0.0 < float(value) < math.inf
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
 class AnnealSchedule:
     """Annealing parameters; None temperatures are sized from the problem
     (t_initial = largest |coefficient|, t_final = 1e-3 x smallest nonzero
-    |coefficient|, floored at 1e-6)."""
+    |coefficient|, floored at 1e-6). A given temperature is a finite
+    positive real (not a bool), and t_initial >= t_final."""
 
     n_reads: int = 100
     n_sweeps: int = 2000
@@ -89,10 +116,10 @@ class AnnealSchedule:
             raise ValueError("n_reads and n_sweeps must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.t_initial is not None and not self.t_initial > 0:
-            raise ValueError("t_initial must be positive")
-        if self.t_final is not None and not self.t_final > 0:
-            raise ValueError("t_final must be positive")
+        for name in ("t_initial", "t_final"):
+            value = getattr(self, name)
+            if value is not None and not _finite_positive(value):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if (
             self.t_initial is not None
             and self.t_final is not None
@@ -212,6 +239,13 @@ def _anneal_reads(
     step after its flip, or where its span ended if the span held none.
     A read's state changes only at its own flips, so each decision is the
     one a step-by-step sweep would make.
+
+    Before a sweep's draws, each active read's largest -dE/T over all n
+    variables, the values its pricing would compute, is compared with
+    `_RETIRE_BELOW`; a read below it can accept no flip at this or any
+    later (no hotter) temperature, so it leaves the active reads for good,
+    without drawing this sweep's permutation and uniforms. The remaining
+    sweeps are skipped once no read is active.
     """
     h, q_sym = _dense(problem)
     n = problem.n_vars
@@ -242,16 +276,21 @@ def _anneal_reads(
     steps = np.zeros((n_reads, width), dtype=np.intp)
     unifs = np.full((n_reads, width), 2.0)
     steps_flat, unifs_flat = steps.reshape(-1), unifs.reshape(-1)
-    reads = np.arange(n_reads)
+    active = np.arange(n_reads)
     for temperature in temps:
+        # Retire each read none of whose proposals can be accepted again.
+        peak = (-(signs[active] * fields[active]) / temperature).max(axis=1)
+        active = active[~(peak < _RETIRE_BELOW)]
+        if not active.size:
+            break
         # The same streams as rng.permutation(n) and rng.random(n).
-        for k, rng in enumerate(rngs):
+        for k in active:
             row = steps[k, :n]
             row[:] = entries[k]
-            rng.shuffle(row)
-            rng.random(out=unifs[k, :n])
+            rngs[k].shuffle(row)
+            rngs[k].random(out=unifs[k, :n])
         # at: each live read's next step to price.
-        live, at, span = reads, np.zeros(n_reads, dtype=np.intp), n
+        live, at, span = active, np.zeros(active.size, dtype=np.intp), n
         while live.size:
             ahead = (live * width + at)[:, None] + np.arange(span)
             flat = steps_flat[ahead]
@@ -434,14 +473,15 @@ class ExhaustiveScan:
         the scan computes in the row lies below it. The cap `low` starts
         as a value the scan computes, the minimum of the row with the
         lowest bound, so it is never below the scanned minimum, and a row
-        whose bound exceeds low + eps holds no hit. The other rows are
-        scored in chunks of `cross_rows`, which reproduce the full table's
-        values bit for bit, and `low` falls to the scanned minimum on the
-        way. Each chunk's states within low + eps, pruned to the 65,536
-        lowest, are all that outlives it, so the call holds one chunk of
-        the table at a time. The hits find their ranks by a binary search
-        of the sorted placements, and the placements no hit took are
-        picked by a mask.
+        whose bound exceeds low + eps holds no hit. That row is scored only
+        this once. The other rows that can hold a hit are scored in chunks
+        of `cross_rows`, which reproduce the full table's values bit for
+        bit, and `low` falls to the scanned minimum on the way. Each
+        chunk's states within low + eps, pruned to the 65,536 lowest (ties
+        to the lower state index), are all that outlives it, so the call
+        holds one chunk of the table at a time. The hits find their ranks
+        by a binary search of the sorted placements, and the placements no
+        hit took are picked by a mask.
         """
         # First, so a sum past the float range raises before any product overflows.
         eps = 1e-9 * max(self.scale(h), 1.0)
@@ -454,11 +494,14 @@ class ExhaustiveScan:
 
         first = bound.argmin()
         _, product = next(cross_rows(self.bits_hi, self.cross, first[None]))
-        low = ((product[0] + energy_hi[first]) + energy_lo).min()
+        scored = (product[0] + energy_hi[first]) + energy_lo
+        low = scored.min()
+        bound[first] = np.inf
         rows = np.flatnonzero(bound <= low + eps)
 
-        states = np.zeros(0, dtype=np.int64)
-        values = np.zeros(0)
+        states = np.flatnonzero(scored <= low + eps)
+        values = scored[states]
+        states |= first << n_lo
         for start, product in cross_rows(self.bits_hi, self.cross, rows):
             chunk = rows[start:start + len(product)]
             product += energy_hi[chunk, None]
@@ -468,9 +511,9 @@ class ExhaustiveScan:
             states = np.concatenate([states, (chunk[near // n_cols] << n_lo) | (near % n_cols)])
             values = np.concatenate([values, product.ravel()[near]])
             if len(states) > _MAX_HITS:
-                lowest = np.sort(np.argsort(values, kind="stable")[:_MAX_HITS])
+                lowest = np.lexsort((states, values))[:_MAX_HITS]
                 states, values = states[lowest], values[lowest]
-        hits = states[values <= low + eps]
+        hits = np.sort(states[values <= low + eps])
         at = np.searchsorted(self.sorted_placements[:-1], hits)
         ranks = np.where(self.sorted_placements[at] == hits, self.placement_order[at], -1)
         unhit = np.ones(len(self.placements), dtype=bool)

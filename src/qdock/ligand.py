@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GraphBuildError
+from .grid import MIN_POINT_SEPARATION
 from .model import ComplexInput, LigandAtom
 
 
@@ -52,7 +53,8 @@ def build_ligand_graph(complex_input: ComplexInput) -> LigandGraph:
     """Build the extended ligand graph from a validated complex.
 
     Edges are indexed by position in the atom list, not by atom id. Raises
-    GraphBuildError for a disconnected bond graph or coincident atoms.
+    GraphBuildError for a disconnected bond graph, or for an edge shorter
+    than `grid.MIN_POINT_SEPARATION`, the grid points' rule.
     """
     atoms = complex_input.ligand_atoms
     n = len(atoms)
@@ -108,9 +110,10 @@ def build_ligand_graph(complex_input: ComplexInput) -> LigandGraph:
 
     def distance(i: int, j: int) -> float:
         d = float(np.linalg.norm(atoms[i].position - atoms[j].position))
-        if d <= 0.0:
+        if d < MIN_POINT_SEPARATION:
             raise GraphBuildError(
-                f"zero-length edge between ligand atoms {atoms[i].id} and {atoms[j].id}"
+                f"zero-length edge between ligand atoms {atoms[i].id} and {atoms[j].id} "
+                f"(d = {d:.2e} A)"
             )
         return d
 

@@ -1,7 +1,9 @@
 """Shared fixtures for the test suite."""
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,3 +65,29 @@ def shuffled_map(n: int) -> CoeffMap:
     values = pool[rng.integers(0, len(pool), n)]
     values[:4] = pool[:4]
     return CoeffMap(a, a + k % 1000, values)
+
+
+@contextmanager
+def recorded_rng_calls():
+    """Wrap `np.random.default_rng`, as `qdock.anneal` calls it, and yield
+    one list per generator made, in order of creation: the names of the
+    methods called on that generator, in call order."""
+    make = np.random.default_rng
+    logs = []
+
+    class Recorder:
+        def __init__(self, seed):
+            self._rng, self._log = make(seed), []
+            logs.append(self._log)
+
+        def __getattr__(self, name):
+            method = getattr(self._rng, name)
+
+            def call(*args, **kwargs):
+                self._log.append(name)
+                return method(*args, **kwargs)
+
+            return call
+
+    with mock.patch("qdock.anneal.np.random.default_rng", Recorder):
+        yield logs

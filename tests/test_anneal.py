@@ -30,7 +30,8 @@ from qdock import (
 )
 from qdock.anneal import BRUTE_FORCE_MAX_VARS, DENSE_MAX_VARS, _dense, resolve_temperatures
 
-from conftest import PLANTED6_PLANTED, index_mapping
+from conftest import PLANTED6_PLANTED, index_mapping, recorded_rng_calls
+from test_properties import local_field_reference, reference_document
 
 
 def toy(coeffs, n_vars, offset=0.0):
@@ -83,6 +84,15 @@ def test_schedule_defaults_and_validation():
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             AnnealSchedule(**{name: value})
     assert AnnealSchedule(n_reads=np.int64(3), n_sweeps=np.int32(4), seed=np.uint8(5)).n_sweeps == 4
+    # Temperatures are finite positive reals, checked before their order.
+    for name in ("t_initial", "t_final"):
+        for value in [math.inf, math.nan, True, "3", 0.0, -1.0, 10**400]:
+            with pytest.raises(ValueError, match=rf"^{name} must be a finite positive number, got "):
+                AnnealSchedule(**{name: value})
+    with pytest.raises(ValueError, match=r"^t_initial must be a finite positive number, got inf$"):
+        AnnealSchedule(t_initial=math.inf, t_final=2.0)
+    sched = AnnealSchedule(t_initial=np.float32(2.0), t_final=1)
+    assert resolve_temperatures(toy({(0, 0): 1.0}, 1), sched) == (2.0, 1.0)
 
 
 def test_temperature_resolution():
@@ -253,6 +263,23 @@ def test_reads_do_not_depend_on_batch_size(planted6):
         by_read = {sample.read: sample.to_dict() for sample in large}
         assert sorted(sample.read for sample in small) == [0, 1, 2]
         assert all(sample.to_dict() == by_read[sample.read] for sample in small)
+
+
+def test_retired_reads_draw_nothing_more(planted6):
+    # Each read is wrapped from its first draw. A read retires at the start
+    # of the first sweep in which every proposal has -dE/T below -800; from
+    # then on it makes no shuffle or random call, and the samples are the
+    # never-retiring reference's.
+    problem = build_full(planted6, Hyperparameters(lambdas=(0, 0, 0, 0, 0.05), gamma=5.0))
+    sched = AnnealSchedule(n_reads=8, n_sweeps=200, seed=3)
+    retired_at = []
+    expected = reference_document(problem, sched, local_field_reference(problem, sched, retired_at))
+    with recorded_rng_calls() as logs:
+        assert simulated_anneal(problem, sched).to_dict() == expected
+    assert len(logs) == sched.n_reads
+    for log, sweeps in zip(logs, retired_at):
+        assert log == ["integers"] + ["shuffle", "random"] * sweeps
+    assert max(retired_at) < sched.n_sweeps and len(set(retired_at)) > 1
 
 
 def test_seed_changes_exploration(planted6):

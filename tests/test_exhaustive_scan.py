@@ -130,6 +130,26 @@ def test_bounded_scan_truncates_all_zero_problem(chunk):
     assert np.array_equal(listed, np.arange(65536))
 
 
+@pytest.mark.parametrize("chunk", [1 << 20, 1 << 16, 64])
+@pytest.mark.parametrize(
+    "coeffs, n, expected",
+    [
+        # Every state is a hit and the states with variable 3 set lie 1e-10
+        # lower, so row 2 has the lowest bound and is scored first.
+        ({(3, 3): -1e-10}, 4, np.arange(16)),
+        # Every state with x0 = 0 or x19 = 1 scores exactly 0, the minimum.
+        # Row 512 (x19 = 1) bounds at -1, pairing its least cross value with
+        # its least E_lo, and is scored first; the 65,536 lowest state
+        # indices among the tied hits all lie below it.
+        ({(0, 0): 1.0, (0, 19): -1.0}, 20, 2 * np.arange(65536)),
+    ],
+)
+def test_bounded_scan_lists_by_state_index_past_a_first_row_above_row_zero(coeffs, n, expected, chunk):
+    with mock.patch.object(anneal, "_CHUNK_ENTRIES", chunk):
+        _, listed, _ = assert_lists_full_scan(toy(coeffs, n))
+    assert np.array_equal(listed, expected)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_bounded_scan_on_tiny_problems(n):
     rng = np.random.default_rng(40 + n)

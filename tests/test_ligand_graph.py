@@ -234,6 +234,23 @@ def test_coincident_bonded_atoms_rejected():
         build_ligand_graph(cx)
 
 
+def test_edges_shorter_than_the_grid_separation_rejected():
+    # The grid points' rule, grid.MIN_POINT_SEPARATION: below 1e-6 A an
+    # edge is rejected naming both atoms and its length.
+    cx = make_complex([(0, 0, 0), (1e-12, 0, 0), (1, 0, 0)], [(0, 1), (1, 2)])
+    with pytest.raises(
+        GraphBuildError, match=r"^zero-length edge between ligand atoms 1 and 2 \(d = 1\.00e-12 A\)$"
+    ):
+        build_ligand_graph(cx)
+    # A bond-angle edge between two atoms bonded to a third.
+    cx = make_complex([(0, 0, 0), (1, 0, 0), (0, 0, 0)], [(0, 1), (1, 2)])
+    with pytest.raises(GraphBuildError, match=r"ligand atoms 1 and 3 \(d = 0\.00e\+00 A\)$"):
+        build_ligand_graph(cx)
+    # Exactly 1e-6 A apart is accepted, as it is for grid points.
+    (edge,) = build_ligand_graph(make_complex([(0, 0, 0), (1e-6, 0, 0)], [(0, 1)])).edges
+    assert edge.dist == 1e-6
+
+
 def test_hand_built_ligand_without_atoms_rejected(tiny4):
     # A ComplexInput built directly skips parse_complex's checks.
     with pytest.raises(GraphBuildError, match="^ligand has no atoms$"):

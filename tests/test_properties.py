@@ -24,6 +24,7 @@ from qdock import (
 from qdock import qubo
 from qdock.anneal import _WINDOW, _sample_set, resolve_temperatures
 
+from conftest import recorded_rng_calls
 from test_qubo import complex_docs, hyperparameters
 
 coefficient = st.one_of(
@@ -224,11 +225,16 @@ def test_generated_samples_do_not_depend_on_thread_count(doc, hp, seed, n_reads,
     assert simulated_anneal(problem, sched, n_threads=2).to_dict() == lone
 
 
-def local_field_reference(problem, sched):
+def local_field_reference(problem, sched, retired_at=None):
     """One read at a time and one proposal at a time: each read draws the
     RNG stream of `simulated_anneal` in the same order and prices a flip of
     v as (1 - 2 x_v) f_v from its local fields f, which only an accepted
-    flip updates, f += (1 - 2 x_v) Q_sym[v]. Returns each read's best bits."""
+    flip updates, f += (1 - 2 x_v) Q_sym[v]. Returns each read's best bits.
+
+    It never retires a read: every read draws and prices every sweep. A
+    list passed as `retired_at` gets, per read, the first sweep at whose
+    start every -dE/T of the read lies below -800, where SA retires it
+    (n_sweeps for a read that never gets there)."""
     n = problem.n_vars
     h, q_sym = reference_matrices(problem)
     bests = []
@@ -240,7 +246,11 @@ def local_field_reference(problem, sched):
         )
         fields = h + q_sym[np.flatnonzero(bits)].sum(axis=0)
         best, best_bits = current, bits.copy()
-        for temperature in reference_temperatures(problem, sched):
+        retired = sched.n_sweeps
+        for sweep, temperature in enumerate(reference_temperatures(problem, sched)):
+            gains = -((1.0 - 2.0 * bits) * fields) / temperature
+            if retired == sched.n_sweeps and n and gains.max() < -800.0:
+                retired = sweep
             order = rng.permutation(n)
             uniforms = rng.random(n)
             for var, u in zip(order, uniforms):
@@ -253,6 +263,8 @@ def local_field_reference(problem, sched):
                     if current < best:
                         best, best_bits = current, bits.copy()
         bests.append(best_bits)
+        if retired_at is not None:
+            retired_at.append(retired)
     return bests
 
 
@@ -317,6 +329,62 @@ def test_annealer_matches_local_field_reference_across_window_edges(n, kind, n_r
     )
     expected = reference_document(problem, sched, local_field_reference(problem, sched))
     assert simulated_anneal(problem, sched).to_dict() == expected
+
+
+def assert_retires_as_reference(problem, sched):
+    """SA's document equals the never-retiring reference's, and each read
+    draws one permutation and one block of uniforms per sweep up to the
+    sweep the reference names for it, and nothing after. Returns those
+    sweeps."""
+    retired_at = []
+    expected = reference_document(problem, sched, local_field_reference(problem, sched, retired_at))
+    with recorded_rng_calls() as logs:
+        assert simulated_anneal(problem, sched).to_dict() == expected
+    assert logs == [["integers"] + ["shuffle", "random"] * sweeps for sweeps in retired_at]
+    return retired_at
+
+
+def test_auto_ladder_retires_generated_reads_at_different_sweeps():
+    n_sweeps = 40
+    seen = []
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(problem=generated_problem("complex"), seed=st.integers(0, 2**16))
+    def check(problem, seed):
+        sched = AnnealSchedule(n_reads=6, n_sweeps=n_sweeps, seed=seed)
+        seen.append(assert_retires_as_reference(problem, sched))
+
+    check()
+    # Some complex has reads that retire at different sweeps, before the last.
+    assert any(len(set(sweeps)) > 1 and min(sweeps) < n_sweeps for sweeps in seen)
+
+
+@pytest.mark.parametrize("n", [_WINDOW - 1, 2 * _WINDOW + 1])
+def test_reads_that_all_retire_early_end_the_anneal(n):
+    # At the cold temperature every field is odd, so a read at a local
+    # minimum has -dE/T <= -1000 for every proposal.
+    problem = odd_field_qubo(n, 3)
+    _, cold = resolve_temperatures(problem, AnnealSchedule())
+    sched = AnnealSchedule(n_reads=4, n_sweeps=30, t_initial=cold, t_final=cold, seed=n)
+    assert max(assert_retires_as_reference(problem, sched)) < sched.n_sweeps - 1
+
+
+@pytest.mark.parametrize(
+    "coefficient, t_initial, t_final, retired",
+    [
+        # -dE/T = -799.8, -799.93, -800.07, -800.2: retired at the third sweep.
+        (1.0, 1 / 799.8, 1 / 800.2, 2),
+        # -dE/T = -800 exactly on every sweep: never retired.
+        (800.0, 1.0, 1.0, 4),
+    ],
+)
+def test_one_variable_retires_once_below_the_threshold(coefficient, t_initial, t_final, retired):
+    # A read that starts at 1 flips to 0 in the first sweep; from 0 its one
+    # proposal has dE = +coefficient.
+    coeffs = {(0, 0): coefficient}
+    problem = QuboProblem(n_mol=1, n_grid=1, coeffs=coeffs, term_coeffs={"imported": dict(coeffs)})
+    sched = AnnealSchedule(n_reads=4, n_sweeps=4, t_initial=t_initial, t_final=t_final, seed=5)
+    assert assert_retires_as_reference(problem, sched) == [retired] * 4
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
