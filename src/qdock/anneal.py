@@ -52,7 +52,6 @@ row index; samples are stable-sorted by energy, so ties keep row order.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import numbers
 import time
@@ -61,6 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QdockError, SampleFormatError
+from .model import read_json
 from .qubo import Assignment, QuboProblem, active_sums, energies, exact_sum
 
 BRUTE_FORCE_MAX_VARS = 24
@@ -277,45 +277,48 @@ def _anneal_reads(
     unifs = np.full((n_reads, width), 2.0)
     steps_flat, unifs_flat = steps.reshape(-1), unifs.reshape(-1)
     active = np.arange(n_reads)
-    for temperature in temps:
-        # Retire each read none of whose proposals can be accepted again.
-        peak = (-(signs[active] * fields[active]) / temperature).max(axis=1)
-        active = active[~(peak < _RETIRE_BELOW)]
-        if not active.size:
-            break
-        # The same streams as rng.permutation(n) and rng.random(n).
-        for k in active:
-            row = steps[k, :n]
-            row[:] = entries[k]
-            rngs[k].shuffle(row)
-            rngs[k].random(out=unifs[k, :n])
-        # at: each live read's next step to price.
-        live, at, span = active, np.zeros(active.size, dtype=np.intp), n
-        while live.size:
-            ahead = (live * width + at)[:, None] + np.arange(span)
-            flat = steps_flat[ahead]
-            deltas = signs_flat[flat] * fields_flat[flat]
-            accepts = unifs_flat[ahead] < np.exp(np.minimum(0.0, -deltas / temperature))
-            first = accepts.argmax(axis=1)
-            flips = accepts[np.arange(live.size), first]
-            at += np.where(flips, first, span)
-            span = _WINDOW
-            if flips.any():
-                rows = live[flips]
-                flat = steps_flat[rows * width + at[flips]]
-                sign = signs_flat[flat]
-                delta = sign * fields_flat[flat]
-                signs_flat[flat] = -sign
-                # f + (+-1) q is exactly f +- q.
-                fields[rows] += sign[:, None] * q_sym[flat - rows * n]
-                running[rows] += delta
-                improved = rows[running[rows] < best_energy[rows]]
-                if improved.size:
-                    best_energy[improved] = running[improved]
-                    best_state[improved] = signs[improved] < 0.0
-                at += flips
-            stay = at < n
-            live, at = live[stay], at[stay]
+    # Both divisions by a temperature below 1 can overflow a coefficient near
+    # the float limit to +-inf, which retirement, min and exp read as exact.
+    with np.errstate(over="ignore"):
+        for temperature in temps:
+            # Retire each read none of whose proposals can be accepted again.
+            peak = (-(signs[active] * fields[active]) / temperature).max(axis=1)
+            active = active[~(peak < _RETIRE_BELOW)]
+            if not active.size:
+                break
+            # The same streams as rng.permutation(n) and rng.random(n).
+            for k in active:
+                row = steps[k, :n]
+                row[:] = entries[k]
+                rngs[k].shuffle(row)
+                rngs[k].random(out=unifs[k, :n])
+            # at: each live read's next step to price.
+            live, at, span = active, np.zeros(active.size, dtype=np.intp), n
+            while live.size:
+                ahead = (live * width + at)[:, None] + np.arange(span)
+                flat = steps_flat[ahead]
+                deltas = signs_flat[flat] * fields_flat[flat]
+                accepts = unifs_flat[ahead] < np.exp(np.minimum(0.0, -deltas / temperature))
+                first = accepts.argmax(axis=1)
+                flips = accepts[np.arange(live.size), first]
+                at += np.where(flips, first, span)
+                span = _WINDOW
+                if flips.any():
+                    rows = live[flips]
+                    flat = steps_flat[rows * width + at[flips]]
+                    sign = signs_flat[flat]
+                    delta = sign * fields_flat[flat]
+                    signs_flat[flat] = -sign
+                    # f + (+-1) q is exactly f +- q.
+                    fields[rows] += sign[:, None] * q_sym[flat - rows * n]
+                    running[rows] += delta
+                    improved = rows[running[rows] < best_energy[rows]]
+                    if improved.size:
+                        best_energy[improved] = running[improved]
+                        best_state[improved] = signs[improved] < 0.0
+                    at += flips
+                stay = at < n
+                live, at = live[stay], at[stay]
     return best_state
 
 
@@ -586,39 +589,27 @@ def brute_force(problem: QuboProblem, keep: int = BRUTE_FORCE_KEEP) -> SampleSet
 
 def incremental_delta(problem: QuboProblem, assignment: Assignment, flip: int) -> float:
     """Energy change of flipping one bit: the fsum of its linear entry and
-    of its couplings to set variables, from the arrays of `coeffs`. Any
-    nonzero bit counts as set, as in `energy`, and flipping it clears it."""
-    if not 0 <= flip < problem.n_vars:
-        raise ValueError(f"variable id {flip} out of range")
-    bits = assignment.bits
-    if len(bits) != problem.n_vars:
-        raise ValueError(
-            f"assignment has {len(bits)} bits, problem has {problem.n_vars} variables"
-        )
+    of its couplings to set variables, from the arrays of `coeffs`. A bit
+    is set as `QuboProblem.bit_row` reads it, and flipping it clears it."""
+    problem.var_pair(flip)
+    on = problem.bit_row(assignment)
     a, b, values = problem.coeffs.arrays
     touching = np.flatnonzero((a == flip) | (b == flip))
     a, b = a[touching], b[touching]
-    active = touching[(a == b) | (bits[np.where(a == flip, b, a)] != 0)]
-    sign = -1.0 if bits[flip] else 1.0
+    active = touching[(a == b) | on[np.where(a == flip, b, a)]]
+    sign = -1.0 if on[flip] else 1.0
     return sign * exact_sum(values[active].tolist())
 
 
 def import_samples(problem: QuboProblem, path) -> SampleSet:
-    """Load externally produced bitstrings (JSON array) and score them."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except FileNotFoundError:
-        raise SampleFormatError(f"samples file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise SampleFormatError(f"{path}: invalid JSON ({exc})") from None
-    except (UnicodeDecodeError, RecursionError) as exc:
-        raise SampleFormatError(f"{path}: not readable as JSON ({exc})") from None
+    """Load externally produced bitstrings (JSON array) and score them.
+    `model.read_json` reads the file; each entry is checked here."""
+    document = read_json(path, SampleFormatError, "samples")
     if not isinstance(document, list):
         raise SampleFormatError(f"{path}: expected a JSON array of bitstrings")
 
     for position, entry in enumerate(document):
-        if not isinstance(entry, str) or any(c not in "01" for c in entry):
+        if not isinstance(entry, str) or entry.strip("01"):
             raise SampleFormatError(f"{path}: entry {position} is not a bitstring: {entry!r}")
         if len(entry) != problem.n_vars:
             raise SampleFormatError(

@@ -27,7 +27,7 @@ from .dockeval import DockingReport, dock, greedy_tune, report_from_samples
 from .errors import NoValidSolutionError, QdockError
 from .ligand import build_ligand_graph
 from .grid import build_grid_graph
-from .model import load_complex
+from .model import load_complex, read_json
 from .qubo import TERM_NAMES, Hyperparameters, build_full
 from .qubofile import export_qubo, import_qubo
 
@@ -153,15 +153,7 @@ def _load_config(args) -> dict:
     if not getattr(args, "config", None):
         return {}
     path = Path(args.config)
-    if not path.exists():
-        raise QdockError(f"config file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise QdockError(f"{path}: invalid JSON ({exc})")
-    except (UnicodeDecodeError, RecursionError) as exc:
-        raise QdockError(f"{path}: not readable as JSON ({exc})") from None
+    doc = read_json(path, QdockError, "config")
     if not isinstance(doc, dict):
         raise QdockError(f"{path}: config must be a JSON object")
     for key, value in doc.items():

@@ -75,17 +75,12 @@ def decode(assignment: Assignment, problem: QuboProblem) -> Pose | InvalidAssign
     """Read a bitstring as a pose, or say precisely why it is not one.
 
     Rows are scanned first (missing/duplicate grid point per atom), then
-    columns (grid point claimed twice). Any nonzero bit counts as set, as
-    in `energy`. Invalidity is a value, not an exception.
+    columns (grid point claimed twice). `QuboProblem.bit_row` reads the
+    bits, as for `energy`. Invalidity is a value, not an exception.
     """
     if not problem.has_decode_context():
         raise ValueError("problem carries no atom/grid context to decode against")
-    bits = assignment.bits
-    if len(bits) != problem.n_vars:
-        raise ValueError(
-            f"assignment has {len(bits)} bits, problem has {problem.n_vars} variables"
-        )
-    grid = (bits != 0).reshape(problem.n_mol, problem.n_grid)
+    grid = problem.bit_row(assignment).reshape(problem.n_mol, problem.n_grid)
     per_atom = grid.sum(axis=1)
     for i in range(problem.n_mol):
         if per_atom[i] == 0:

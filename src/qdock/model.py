@@ -4,7 +4,8 @@ A "complex" bundles everything the pipeline consumes: protein atoms with
 precomputed charges/types/roles, the ligand (atoms + bonds) in its
 experimental pose, the pocket grid points, and the per-type Lennard-Jones
 parameter table. All chemistry perception happens upstream; this module
-only validates and carries the data.
+only validates and carries the data. `read_json` is the one reader of a
+JSON input file, `parse_complex` the one check of a complex document.
 
 Units are fixed globally: Angstrom for lengths, elementary charges for q,
 kcal/mol for energies.
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ComplexFormatError, InfeasibleComplexError
+from .errors import ComplexFormatError, InfeasibleComplexError, QdockError
 
 # Coulomb prefactor 1/(4*pi*eps0) in kcal*Angstrom/(mol*e^2); divide by the
 # relative dielectric to get the working constant.
@@ -337,17 +338,24 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
     )
 
 
+def read_json(path: str | Path, error: type[QdockError], what: str):
+    """The decoded JSON document at `path`, a complex, config or samples
+    file. A missing file, a decode error (its line and column), text that
+    is not UTF-8 or nests too deep raise `error` naming `path` as given."""
+    if not Path(path).exists():
+        raise error(f"{what} file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{path}: not readable as JSON ({exc})") from None
+
+
 def load_complex(path: str | Path) -> ComplexInput:
     """Load and validate a complex JSON document from disk."""
     path = Path(path)
-    if not path.exists():
-        raise ComplexFormatError(f"complex file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ComplexFormatError(
-            f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        )
-    except (UnicodeDecodeError, RecursionError) as exc:
-        raise ComplexFormatError(f"{path}: not readable as JSON ({exc})") from None
-    return parse_complex(doc, name=path.stem)
+    return parse_complex(read_json(path, ComplexFormatError, "complex"), name=path.stem)

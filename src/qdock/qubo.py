@@ -35,7 +35,8 @@ read-only `CoeffMap` of its arrays, which stores nothing else and has no
 key lookup. The summed map's arrays are the stored form of the geom
 entries and the penalty keys: the geom map is a slice of them, and the
 penalty map slices the keys beside its own values, so each of those
-entries is stored once.
+entries is stored once. `QuboProblem` checks each map's keys once, and
+its `bit_row` is the one reader of an assignment.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ class Assignment:
 
     @classmethod
     def from_string(cls, text: str) -> "Assignment":
-        if any(c not in "01" for c in text):
+        if text.strip("01"):
             raise ValueError(f"bitstring must contain only 0/1, got {text!r}")
         return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
 
@@ -206,7 +207,8 @@ class QuboProblem:
     `coeffs` is the stored form, and the geom and penalty maps are slices
     of it (the penalty map with its own values). A plain dict given for
     `coeffs` or a term becomes a `CoeffMap` of its keys and values. A map
-    with a key that is not integers 0 <= a <= b < n_vars raises ValueError.
+    with a key that is not integers 0 <= a <= b < n_vars raises ValueError;
+    a term that is `coeffs` itself (an imported problem's) is checked once.
     Problems built from a complex carry the decode context (atom/grid ids,
     grid positions, experimental coordinates) and the raw tables
     `with_lambdas` weights; imported or hand-built ones only coefficients.
@@ -227,9 +229,11 @@ class QuboProblem:
     physchem_raw: dict[str, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.coeffs = self._checked("coeffs", self.coeffs)
+        given = self.coeffs
+        self.coeffs = self._checked("coeffs", given)
         self.term_coeffs = {
-            name: self._checked(f"term {name!r}", cmap) for name, cmap in self.term_coeffs.items()
+            name: self.coeffs if cmap is given else self._checked(f"term {name!r}", cmap)
+            for name, cmap in self.term_coeffs.items()
         }
 
     def _checked(self, label: str, mapping) -> CoeffMap:
@@ -258,6 +262,14 @@ class QuboProblem:
         if not 0 <= var < self.n_vars:
             raise ValueError(f"variable id {var} out of range")
         return divmod(var, self.n_grid)
+
+    def bit_row(self, assignment: Assignment) -> np.ndarray:
+        """The assignment as a boolean row, any nonzero bit set, for `energy`,
+        `incremental_delta` and `decode`: ValueError unless it has n_vars bits."""
+        bits = assignment.bits
+        if len(bits) != self.n_vars:
+            raise ValueError(f"assignment has {len(bits)} bits, problem has {self.n_vars} variables")
+        return np.asarray(bits) != 0
 
     def has_decode_context(self) -> bool:
         return self.grid_positions is not None
@@ -455,16 +467,11 @@ def energy(problem: QuboProblem, assignment: Assignment) -> EnergyBreakdown:
     """Evaluate every term map at a bitstring.
 
     Per-term sums use math.fsum over the values whose two bits are both
-    set (nonzero), so the result depends only on which coefficients are
-    active, not on their order; in particular the penalty term of a
-    constraint-satisfying assignment is exactly zero.
+    set (`QuboProblem.bit_row`), so the result depends only on which
+    coefficients are active, not on their order; in particular the penalty
+    term of a constraint-satisfying assignment is exactly zero.
     """
-    bits = assignment.bits
-    if len(bits) != problem.n_vars:
-        raise ValueError(
-            f"assignment has {len(bits)} bits, problem has {problem.n_vars} variables"
-        )
-    return energies(problem, np.asarray(bits).reshape(1, -1))[0]
+    return energies(problem, problem.bit_row(assignment)[None])[0]
 
 
 def exact_sum(values) -> float:

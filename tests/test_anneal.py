@@ -431,7 +431,7 @@ def test_import_samples_rejects_malformed(tmp_path):
 
     with pytest.raises(SampleFormatError, match="not found"):
         import_samples(problem, tmp_path / "absent.json")
-    with pytest.raises(SampleFormatError, match="invalid JSON"):
+    with pytest.raises(SampleFormatError, match="JSON parse error at line 1, column 2"):
         attempt("{nope")
     with pytest.raises(SampleFormatError, match="expected a JSON array"):
         attempt('{"bits": "01"}')

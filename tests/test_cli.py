@@ -100,9 +100,14 @@ def test_unreadable_path_exits_without_traceback(tmp_path, args):
     assert len(lines) == 1 and lines[0].startswith("error: ") and args[-1] in lines[0]
 
 
+# Each defect's error line, the same for every reader but for the word
+# naming the missing file's kind; None writes no file.
 BAD_JSON = {
-    "not-utf8": b'{"name": "\xff"}',
-    "too-deep": b"[" * 200_000 + b"]" * 200_000,
+    "missing": (None, "error: {what} file not found: {path}\n"),
+    "syntax-line-2": (b'{"name": "x",\n  nope}', "error: {path}: JSON parse error at line 2, "
+                      "column 3: Expecting property name enclosed in double quotes\n"),
+    "not-utf8": (b'{"name": "\xff"}', "error: {path}: not readable as JSON ("),
+    "too-deep": (b"[" * 200_000 + b"]" * 200_000, "error: {path}: not readable as JSON ("),
 }
 JSON_READERS = {
     "complex": (["graph", "--complex", "{bad}"], load_complex, ComplexFormatError),
@@ -122,10 +127,13 @@ JSON_READERS = {
 @pytest.mark.parametrize("content", sorted(BAD_JSON))
 @pytest.mark.parametrize("reader", sorted(JSON_READERS))
 def test_unreadable_json_exits_naming_the_file(tmp_path, reader, content):
-    """A JSON file that is not UTF-8, or nests past the recursion limit,
-    is the reader's domain error naming the file, and one error line."""
+    """A complex, samples or config file that is missing, fails to decode,
+    is not UTF-8 or nests past the recursion limit: the reader's domain
+    error naming the file, and one error line of the same form for all three."""
     path = tmp_path / "bad.json"
-    path.write_bytes(BAD_JSON[content])
+    data, line = BAD_JSON[content]
+    if data is not None:
+        path.write_bytes(data)
     args, read, error = JSON_READERS[reader]
     args = [a.format(bad=path) for a in args]
     proc = subprocess.run(
@@ -133,8 +141,8 @@ def test_unreadable_json_exits_naming_the_file(tmp_path, reader, content):
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(line.format(what=reader, path=path))
     with pytest.raises(error, match=re.escape(str(path))):
         read(path)
 
@@ -260,6 +268,23 @@ def test_coincident_grid_points_exit_naming_them(tmp_path, capsys, command):
     assert not (tmp_path / "p.qubo").exists()
     code, out, err = run(capsys, ["graph", "--complex", str(bad)])
     assert code == 0 and err == "" and json.loads(out)["n_atoms"] == len(doc["ligand"]["atoms"])
+
+
+@pytest.mark.parametrize("reads", [1, 8])
+def test_sa_on_a_coefficient_near_the_float_limit_does_not_warn(tmp_path, reads):
+    """A finite 1e308 coefficient passes `window_scale`; over temperatures
+    below 1 it overflows SA's two divisions to inf, which must not warn."""
+    path = tmp_path / "big.qubo"
+    path.write_text("p qubo 3 4\n0 0 1e308\n0 1 -2.0\n1 1 0.5\n2 2 -1.0\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qdock.cli", "solve", "--qubo", str(path),
+         "--reads", str(reads), "--sweeps", "50"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout, parse_constant=pytest.fail)
+    assert len(doc["samples"]) == reads and doc["samples"][0]["bits"] == "001"
 
 
 def test_unallocatable_qubo_exits_without_traceback(tmp_path):

@@ -129,6 +129,28 @@ def test_a_bad_key_in_arrays_is_named():
         QuboProblem(n_mol=1, n_grid=2, coeffs=CoeffMap([0, 0], [1, 5], [1.0, 1.0]), term_coeffs={})
 
 
+def test_a_term_that_is_the_summed_map_is_checked_once(monkeypatch, tmp_path):
+    """An imported problem's one term is its `coeffs` map: one check, and a
+    bad key in it is named as a key of `coeffs`."""
+    checked, check = [], QuboProblem._checked
+
+    def counted(self, label, mapping):
+        checked.append(label)
+        return check(self, label, mapping)
+
+    monkeypatch.setattr(QuboProblem, "_checked", counted)
+    path = tmp_path / "p.qubo"
+    path.write_text("p qubo 2 2\n0 0 1.0\n0 1 -2.0\n", encoding="utf-8")
+    import_qubo(path)
+    assert checked == ["coeffs"]
+    coeffs = {(0, 0): 1.0, (0, 1): -2.0}
+    problem = QuboProblem(n_mol=1, n_grid=2, coeffs=coeffs, term_coeffs={"imported": coeffs})
+    assert problem.term_coeffs["imported"] is problem.coeffs and checked == ["coeffs"] * 2
+    shared = CoeffMap([0, 0], [1, 5], [1.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape("coeffs key (0, 5) is not (a, b)")):
+        QuboProblem(n_mol=1, n_grid=2, coeffs=shared, term_coeffs={"imported": shared})
+
+
 def test_views_are_read_only_and_share_the_summed_arrays(planted6):
     problem = build_full(planted6, UNIT_HP)
     for view in views(problem):

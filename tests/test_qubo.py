@@ -24,7 +24,9 @@ from qdock import (
     build_full,
     build_grid_graph,
     build_ligand_graph,
+    decode,
     energy,
+    incremental_delta,
     one_hot_assignment,
     parse_complex,
     report_from_samples,
@@ -861,6 +863,27 @@ def test_energy_rejects_wrong_length(tiny4):
     problem = build_full(tiny4, UNIT_HP)
     with pytest.raises(ValueError, match="bits"):
         energy(problem, Assignment.from_string("101"))
+
+
+def test_assignment_readers_share_one_length_check_and_read_nonzero_as_set(tiny4):
+    """`energy`, `incremental_delta` and `decode` read an assignment through
+    `QuboProblem.bit_row`: one error for a wrong length, and 2 is a set bit."""
+    problem = build_full(tiny4, UNIT_HP)
+    readers = {
+        "energy": lambda assignment, flip: energy(problem, assignment),
+        "incremental_delta": lambda assignment, flip: incremental_delta(problem, assignment, flip),
+        "decode": lambda assignment, flip: decode(assignment, problem).mapping,
+    }
+    for read in readers.values():
+        with pytest.raises(ValueError) as raised:
+            read(Assignment.from_string("101"), 0)
+        assert str(raised.value) == f"assignment has 3 bits, problem has {problem.n_vars} variables"
+    ones = one_hot_assignment(problem, index_mapping(problem, TINY4_PLANTED)).bits
+    twos = ones * np.uint8(2)
+    # Flipping a set bit clears it, and flipping a clear one sets it.
+    for flip in (int(ones.argmax()), int(ones.argmin())):
+        for name, read in readers.items():
+            assert read(Assignment(twos), flip) == read(Assignment(ones), flip), name
 
 
 def test_hyperparameter_validation():
