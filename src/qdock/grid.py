@@ -17,9 +17,10 @@ Hamiltonian assembly never touches protein atoms again:
 
 Edge weights are the complete pairwise distance matrix. `build_grid_graph`
 measures the point-atom distances to the id-sorted protein once per grid;
-each coloring reads them, for one point or an (n, 3) array, and gives one
-value (an LJ row) per point, the same bit for bit either way. The Coulomb
-potential adds atoms one at a time in ascending id order.
+each coloring reads them and the protein's columns (`ProteinAtoms`), for
+one point or an (n, 3) array, and gives one value (an LJ row) per point,
+the same bit for bit either way. The Coulomb potential adds atoms one at a
+time in ascending id order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphBuildError
-from .model import COULOMB_CONSTANT, AtomTypeTable, ComplexInput, ProteinAtom
+from .model import COULOMB_CONSTANT, AtomTypeTable, ComplexInput, ProteinAtoms
 
 HBOND_DISTANCE_MAX = 3.5      # donor-acceptor heavy-atom distance gate, Angstrom
 HBOND_ANGLE_MIN_DEG = 130.0   # donor-H-acceptor angle window (strict bounds)
@@ -63,16 +64,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _point_atom_distances(points, protein: list[ProteinAtom]):
-    """The protein sorted by id and the (..., n_atoms) distances from one point
-    or an (n, 3) array of points to its atoms, in that order."""
-    atoms = sorted(protein, key=lambda a: a.id)
-    atom_positions = np.array([a.position for a in atoms], dtype=float).reshape(len(atoms), 3)
-    delta = np.asarray(points, dtype=float)[..., None, :] - atom_positions
+def _point_atom_distances(points, protein: ProteinAtoms):
+    """The protein's atoms sorted by id (stably) and the (..., n_atoms)
+    distances from one point or an (n, 3) array of points to them, in that order."""
+    atoms = protein
+    if not (protein.ids[1:] >= protein.ids[:-1]).all():
+        atoms = protein.take(np.argsort(protein.ids, kind="stable"))
+    delta = np.asarray(points, dtype=float)[..., None, :] - atoms.positions
     return atoms, np.sqrt(_dot(delta, delta))
 
 
-def coulomb_potential(atoms: list[ProteinAtom], r, dielectric: float):
+def coulomb_potential(atoms: ProteinAtoms, r, dielectric: float):
     """Electrostatic potential at the points `r` measures, kcal/(mol*e).
 
     The prefactor is applied per atom before summing, so the potential of a
@@ -80,12 +82,12 @@ def coulomb_potential(atoms: list[ProteinAtom], r, dielectric: float):
     Atoms are added one at a time in ascending id order, so splitting off
     the highest-id atom is exact bit for bit.
     """
-    terms = COULOMB_CONSTANT / dielectric * np.array([a.charge for a in atoms], dtype=float) / r
+    terms = COULOMB_CONSTANT / dielectric * atoms.charges / r
     # cumsum folds left like `total += term` from total = 0.0
     return np.cumsum(np.insert(terms, 0, 0.0, axis=-1), axis=-1)[..., -1][()]
 
 
-def lj_vector(atoms: list[ProteinAtom], r, table: AtomTypeTable) -> np.ndarray:
+def lj_vector(atoms: ProteinAtoms, r, table: AtomTypeTable) -> np.ndarray:
     """Lennard-Jones 8-4 energy for every ligand atom type: (n_types,) at
     one point, (n, n_types) at n points.
 
@@ -94,7 +96,7 @@ def lj_vector(atoms: list[ProteinAtom], r, table: AtomTypeTable) -> np.ndarray:
     contributions are clamped to LJ_CONTRIBUTION_CAP before summation so a
     near-clash cannot blow up the coefficient range.
     """
-    types = np.array([a.type_index for a in atoms], dtype=int)
+    types = atoms.type_indices
     # (n_types, n_atoms) mixed parameters
     eps_mix = np.sqrt(np.outer(table.epsilon, table.epsilon[types]))
     rmin_mix = (table.r_min[:, None] + table.r_min[types][None, :]) / 2.0
@@ -116,32 +118,32 @@ def _dha_angle_deg(donor: np.ndarray, hydrogens: np.ndarray, acceptor_points) ->
     return np.where((nd < 1e-12) | (na < 1e-12), np.nan, phi)
 
 
-def hbond_acceptor_count(points, atoms: list[ProteinAtom], r):
+def hbond_acceptor_count(points, atoms: ProteinAtoms, r):
     """Protein donors that could hydrogen-bond to an acceptor at `points`, which `r` measures.
 
     The angles of every (donor, hydrogen) pair are measured in one pass; a donor
     counts at a point within its distance gate where any of its pairs is in the window."""
     in_range = r < HBOND_DISTANCE_MAX
-    donors = [k for k, atom in enumerate(atoms) if atom.hbond_role.is_donor]
-    for k in donors:
-        if not atoms[k].donor_hydrogens and in_range[..., k].any():
+    bare = atoms.donor & (atoms.hydrogen_counts == 0)
+    for k in np.flatnonzero(bare):
+        if in_range[..., k].any():
             warnings.warn(
-                f"donor protein atom {atoms[k].id} has no explicit hydrogens; "
+                f"donor protein atom {atoms.ids[k]} has no explicit hydrogens; "
                 "it cannot satisfy the angle condition",
                 stacklevel=2,
             )
-    donors = [k for k in donors if atoms[k].donor_hydrogens]
-    sizes = [len(atoms[k].donor_hydrogens) for k in donors]
-    heavy = np.repeat([atoms[k].position for k in donors], sizes, axis=0).reshape(-1, 3)
-    hydrogens = np.array([h for k in donors for h in atoms[k].donor_hydrogens]).reshape(-1, 3)
+    donors = atoms.donor & ~bare
+    sizes = atoms.hydrogen_counts[donors]
+    heavy = np.repeat(atoms.positions[donors], sizes, axis=0)
+    hydrogens = atoms.donor_hydrogens[np.repeat(donors, atoms.hydrogen_counts)]
     phi = _dha_angle_deg(heavy, hydrogens, points)
     in_window = (HBOND_ANGLE_MIN_DEG < phi) & (phi < HBOND_ANGLE_MAX_DEG)
     # Each donor's pairs are contiguous, from the running sum of the sizes before it.
-    angled = np.logical_or.reduceat(in_window, np.cumsum([0, *sizes])[:-1], axis=-1)
+    angled = np.logical_or.reduceat(in_window, np.cumsum(sizes) - sizes, axis=-1)
     return (angled & in_range[..., donors]).sum(axis=-1)
 
 
-def hbond_donor_count(atoms: list[ProteinAtom], r):
+def hbond_donor_count(atoms: ProteinAtoms, r):
     """Protein acceptors a donor at the points `r` measures could reach.
 
     The ligand model has no explicit hydrogens, so the hydrogen is free to
@@ -150,14 +152,12 @@ def hbond_donor_count(atoms: list[ProteinAtom], r):
     the angle condition is satisfiable exactly when the acceptor lies
     beyond that radius; only the distance window remains.
     """
-    acceptor = np.array([a.hbond_role.is_acceptor for a in atoms], dtype=bool)
-    return (acceptor & (VIRTUAL_H_BOND_LENGTH < r) & (r < HBOND_DISTANCE_MAX)).sum(axis=-1)
+    return (atoms.acceptor & (VIRTUAL_H_BOND_LENGTH < r) & (r < HBOND_DISTANCE_MAX)).sum(axis=-1)
 
 
-def hydrophobic_count(atoms: list[ProteinAtom], r):
+def hydrophobic_count(atoms: ProteinAtoms, r):
     """Hydrophobic protein atoms within HYDROPHOBIC_DISTANCE_MAX of the points `r` measures."""
-    hydrophobic = np.array([a.hydrophobic for a in atoms], dtype=bool)
-    return (hydrophobic & (r < HYDROPHOBIC_DISTANCE_MAX)).sum(axis=-1)
+    return (atoms.hydrophobic & (r < HYDROPHOBIC_DISTANCE_MAX)).sum(axis=-1)
 
 
 def build_grid_graph(complex_input: ComplexInput) -> GridGraph:
@@ -181,7 +181,7 @@ def build_grid_graph(complex_input: ComplexInput) -> GridGraph:
     if len(clashes):
         k, j = clashes[0]
         raise GraphBuildError(
-            f"grid point {points[k].id} coincides with protein atom {atoms[j].id} "
+            f"grid point {points[k].id} coincides with protein atom {atoms.ids[j]} "
             f"(r = {r[k, j]:.2e} A)"
         )
 

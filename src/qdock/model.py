@@ -6,6 +6,7 @@ experimental pose, the pocket grid points, and the per-type Lennard-Jones
 parameter table. All chemistry perception happens upstream; this module
 only validates and carries the data. `read_json` is the one reader of a
 JSON input file, `parse_complex` the one check of a complex document.
+The protein is held as columns (`ProteinAtoms`), one row per atom.
 
 Units are fixed globally: Angstrom for lengths, elementary charges for q,
 kcal/mol for energies.
@@ -16,8 +17,10 @@ from __future__ import annotations
 import json
 import numbers
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +63,95 @@ class ProteinAtom:
     donor_hydrogens: tuple[np.ndarray, ...] = ()
 
 
+def read_only(x, dtype) -> np.ndarray:
+    """A non-writeable view of x as a contiguous array of dtype (a copy only
+    where x is not one already); x itself keeps its flags."""
+    view = np.ascontiguousarray(x, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+def _id_column(ids) -> np.ndarray:
+    """Atom ids as int64, or as Python ints where one is past that range."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
+
+
+# dtype of each ProteinAtoms column; ids keep theirs (see _id_column).
+_COLUMN_TYPES = {
+    "ids": None,
+    "positions": np.float64,
+    "charges": np.float64,
+    "type_indices": np.intp,
+    "donor": bool,
+    "acceptor": bool,
+    "hydrophobic": bool,
+    "donor_hydrogens": np.float64,
+    "hydrogen_counts": np.intp,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class ProteinAtoms:
+    """A protein as columns, one row per atom in document order; every array
+    is read-only. Atom k's donor hydrogens are the `hydrogen_counts[k]` rows
+    of `donor_hydrogens` after those of the atoms before it."""
+
+    ids: np.ndarray              # (n,) int64, object past its range
+    positions: np.ndarray        # (n, 3)
+    charges: np.ndarray          # (n,)
+    type_indices: np.ndarray     # (n,)
+    donor: np.ndarray            # (n,) bool: hbond_role is donor or donor_acceptor
+    acceptor: np.ndarray         # (n,) bool: hbond_role is acceptor or donor_acceptor
+    hydrophobic: np.ndarray      # (n,) bool
+    donor_hydrogens: np.ndarray  # (m, 3)
+    hydrogen_counts: np.ndarray  # (n,)
+
+    def __post_init__(self):
+        for name, dtype in _COLUMN_TYPES.items():
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def from_atoms(cls, atoms: Iterable[ProteinAtom]) -> ProteinAtoms:
+        """The columns of a list of ProteinAtom records, in list order."""
+        return cls._of_rows([
+            (a.id, a.position, a.charge, a.type_index, a.hbond_role, a.hydrophobic, a.donor_hydrogens)
+            for a in atoms
+        ])
+
+    @classmethod
+    def _of_rows(cls, rows: list[tuple]) -> ProteinAtoms:
+        """The columns of (id, position, charge, type_index, role, hydrophobic,
+        hydrogens) rows."""
+        ids, positions, charges, types, roles, hydrophobic, hydrogens = zip(*rows) if rows else [()] * 7
+        return cls(
+            ids=_id_column(ids),
+            positions=np.array(positions, dtype=float).reshape(-1, 3),
+            charges=np.array(charges, dtype=float),
+            type_indices=np.array(types, dtype=np.intp),
+            donor=np.array([role.is_donor for role in roles], dtype=bool),
+            acceptor=np.array([role.is_acceptor for role in roles], dtype=bool),
+            hydrophobic=np.array(hydrophobic, dtype=bool),
+            donor_hydrogens=np.array([h for hs in hydrogens for h in hs], dtype=float).reshape(-1, 3),
+            hydrogen_counts=np.array([len(hs) for hs in hydrogens], dtype=np.intp),
+        )
+
+    def take(self, order) -> ProteinAtoms:
+        """The atoms at the indices `order`, in that order, with their hydrogens."""
+        order = np.asarray(order, dtype=np.intp)
+        counts = self.hydrogen_counts[order]
+        starts = (np.cumsum(self.hydrogen_counts) - self.hydrogen_counts)[order]
+        # each taken atom's run of hydrogen rows, moved to its new offset
+        rows = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        per_atom = {name: getattr(self, name)[order] for name in _COLUMN_TYPES if name != "donor_hydrogens"}
+        return ProteinAtoms(**per_atom, donor_hydrogens=self.donor_hydrogens[rows])
+
+
 @dataclass(frozen=True)
 class LigandAtom:
     id: int
@@ -96,13 +188,20 @@ class GridPointInput:
 
 @dataclass(frozen=True)
 class ComplexInput:
-    protein: list[ProteinAtom]
+    """A complex; a list of ProteinAtom records given as `protein` is
+    converted to its columns on construction."""
+
+    protein: ProteinAtoms
     ligand_atoms: list[LigandAtom]
     ligand_bonds: list[LigandBond]
     grid_points: list[GridPointInput]
     type_table: AtomTypeTable
     dielectric: float = 1.0
     name: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.protein, ProteinAtoms):
+            object.__setattr__(self, "protein", ProteinAtoms.from_atoms(self.protein))
 
     def ligand_coordinates(self) -> np.ndarray:
         """Experimental ligand positions, one row per atom in input order."""
@@ -213,12 +312,121 @@ def _position(entry: dict, where: str) -> np.ndarray:
     return _as_vec3(_required(entry, "position", where), where, "position")
 
 
-def _check_unique_ids(items, kind: str) -> None:
+def _check_unique_ids(ids, kind: str) -> None:
     seen = set()
-    for item in items:
-        if item.id in seen:
-            raise ComplexFormatError(f"duplicate {kind} id {item.id}")
-        seen.add(item.id)
+    for key in ids:
+        if key in seen:
+            raise ComplexFormatError(f"duplicate {kind} id {key}")
+        seen.add(key)
+
+
+def _types(values) -> set:
+    """The exact types among the values."""
+    return set(map(type, values))
+
+
+def _role_mask(roles: list[str], kind: str) -> np.ndarray:
+    """Which of the hbond_role values are a donor (kind "is_donor") or an acceptor."""
+    names = frozenset(role.value for role in HBondRole if getattr(role, kind))
+    return np.fromiter(map(names.__contains__, roles), dtype=bool, count=len(roles))
+
+
+def _protein_columns(entries, n_types: int) -> ProteinAtoms | None:
+    """The protein's columns, each field gathered across all entries and
+    checked with array masks, when every entry is a JSON object of plain
+    JSON values that passes every check; otherwise None, and
+    `_protein_walk` names the first bad entry or normalises the values."""
+    if not _types(entries) <= {dict}:
+        return None
+    try:
+        ids = [e["id"] for e in entries]
+        positions = [e["position"] for e in entries]
+        charges = [e["charge"] for e in entries]
+        types = [e["type_index"] for e in entries]
+    except KeyError:
+        return None
+    roles = [e.get("hbond_role", "none") for e in entries]
+    flags = [e.get("hydrophobic", False) for e in entries]
+    hydrogens = [e.get("donor_hydrogens", []) for e in entries]
+    if not (
+        _types(ids) <= {int} and _types(types) <= {int} and _types(charges) <= {int, float}
+        and _types(roles) <= {str} and _types(flags) <= {bool, int}
+        and _types(positions) <= {list} and _types(hydrogens) <= {list}
+    ):
+        return None
+    flat = list(chain.from_iterable(hydrogens))
+    vectors = positions + flat
+    if not (
+        _types(flat) <= {list} and set(map(len, vectors)) <= {3}
+        and _types(chain.from_iterable(vectors)) <= {int, float}
+        and set(roles) <= set(_HBOND_ROLES) and set(flags) <= {0, 1}
+        and len(set(ids)) == len(ids)
+    ):
+        return None
+    try:
+        # Ints past int64 or the float range go to the walk.
+        ids = np.array(ids, dtype=np.int64)
+        coords = np.array(vectors, dtype=float).reshape(-1, 3)
+        charges = np.array(charges, dtype=float)
+        types = np.array(types, dtype=np.intp)
+    except OverflowError:
+        return None
+    counts = np.fromiter(map(len, hydrogens), dtype=np.intp, count=len(hydrogens))
+    donor = _role_mask(roles, "is_donor")
+    # Strict bounds: a JSON int just past a bound may round onto it, and
+    # the walk compares the int itself.
+    if not (
+        (np.abs(coords) < COORDINATE_LIMIT).all()
+        and (np.abs(charges) < sys.float_info.max).all()
+        and ((0 <= types) & (types < n_types)).all()
+        and (donor == (counts > 0)).all()
+    ):
+        return None
+    return ProteinAtoms(
+        ids=ids,
+        positions=coords[: len(positions)],
+        charges=charges,
+        type_indices=types,
+        donor=donor,
+        acceptor=_role_mask(roles, "is_acceptor"),
+        hydrophobic=np.array(flags, dtype=bool),
+        donor_hydrogens=coords[len(positions):],
+        hydrogen_counts=counts,
+    )
+
+
+def _protein_walk(entries, table: AtomTypeTable) -> ProteinAtoms:
+    """The protein's columns from entry-by-entry checks: the first bad
+    entry in document order raises, naming where it failed."""
+    rows = []
+    for where, entry in _objects(entries, "protein"):
+        role = entry.get("hbond_role", "none")
+        if role not in _HBOND_ROLES:
+            raise ComplexFormatError(f"{where}.hbond_role: unknown role {role!r}")
+        hydrogens = _array(entry.get("donor_hydrogens", []), where, "donor_hydrogens")
+        hydrogens = tuple(
+            _as_vec3(h, f"{where}.donor_hydrogens[{k}]") for k, h in enumerate(hydrogens)
+        )
+        kind = HBondRole(role)
+        rows.append((
+            _field(entry, "id", where, int),
+            _position(entry, where),
+            _field(entry, "charge", where),
+            _type_index(entry, where, table),
+            kind,
+            bool(_flag(entry, "hydrophobic", where, False)),
+            hydrogens,
+        ))
+        if kind.is_donor and not hydrogens:
+            raise ComplexFormatError(
+                f"{where}: donor role requires at least one explicit hydrogen"
+            )
+        if not kind.is_donor and hydrogens:
+            raise ComplexFormatError(
+                f"{where}: donor_hydrogens given but hbond_role is {role}"
+            )
+    _check_unique_ids((row[0] for row in rows), "protein atom")
+    return ProteinAtoms._of_rows(rows)
 
 
 def parse_complex(doc: dict, name: str = "") -> ComplexInput:
@@ -249,34 +457,10 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
     if not dielectric > 0:
         raise ComplexFormatError(f"dielectric must be > 0, got {dielectric}")
 
-    protein = []
-    for where, entry in _objects(doc["protein"], "protein"):
-        role = entry.get("hbond_role", "none")
-        if role not in _HBOND_ROLES:
-            raise ComplexFormatError(f"{where}.hbond_role: unknown role {role!r}")
-        hydrogens = _array(entry.get("donor_hydrogens", []), where, "donor_hydrogens")
-        hydrogens = tuple(
-            _as_vec3(h, f"{where}.donor_hydrogens[{k}]") for k, h in enumerate(hydrogens)
-        )
-        atom = ProteinAtom(
-            id=_field(entry, "id", where, int),
-            position=_position(entry, where),
-            charge=_field(entry, "charge", where),
-            type_index=_type_index(entry, where, table),
-            hbond_role=HBondRole(role),
-            hydrophobic=bool(_flag(entry, "hydrophobic", where, False)),
-            donor_hydrogens=hydrogens,
-        )
-        if atom.hbond_role.is_donor and not hydrogens:
-            raise ComplexFormatError(
-                f"{where}: donor role requires at least one explicit hydrogen"
-            )
-        if not atom.hbond_role.is_donor and hydrogens:
-            raise ComplexFormatError(
-                f"{where}: donor_hydrogens given but hbond_role is {role}"
-            )
-        protein.append(atom)
-    _check_unique_ids(protein, "protein atom")
+    entries = _array(doc["protein"], "protein")
+    protein = _protein_columns(entries, table.n_types)
+    if protein is None:
+        protein = _protein_walk(entries, table)
 
     ligand_doc = _object(doc["ligand"], "ligand")
     if "atoms" not in ligand_doc:
@@ -295,7 +479,7 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
         ligand_atoms.append(atom)
     if not ligand_atoms:
         raise ComplexFormatError("ligand must have at least one atom")
-    _check_unique_ids(ligand_atoms, "ligand atom")
+    _check_unique_ids((a.id for a in ligand_atoms), "ligand atom")
     atom_ids = {a.id for a in ligand_atoms}
 
     ligand_bonds = []
@@ -319,7 +503,7 @@ def parse_complex(doc: dict, name: str = "") -> ComplexInput:
                 position=_position(entry, where),
             )
         )
-    _check_unique_ids(grid_points, "grid")
+    _check_unique_ids((p.id for p in grid_points), "grid")
 
     if len(ligand_atoms) > len(grid_points):
         raise InfeasibleComplexError(

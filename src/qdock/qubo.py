@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,7 +51,7 @@ import numpy as np
 from .errors import CoefficientOverflowError, GraphBuildError
 from .grid import GridGraph, build_grid_graph
 from .ligand import LigandGraph, build_ligand_graph
-from .model import ComplexInput
+from .model import ComplexInput, read_only
 
 TERM_NAMES = ("geom", "penalty", "el", "vdw", "hba", "hbd", "hydro")
 PHYSCHEM_TERMS = ("el", "vdw", "hba", "hbd", "hydro")
@@ -78,7 +79,7 @@ class CoeffMap:
     __slots__ = ("arrays",)
 
     def __init__(self, a, b, values):
-        self.arrays = (_read_only(a, np.intp), _read_only(b, np.intp), _read_only(values, np.float64))
+        self.arrays = (read_only(a, np.intp), read_only(b, np.intp), read_only(values, np.float64))
 
     @classmethod
     def nonzero(cls, a: np.ndarray, b: np.ndarray, values: np.ndarray) -> "CoeffMap":
@@ -137,14 +138,6 @@ def _variable_id(x) -> int:
     if isinstance(x, (int, np.integer)) and 0 <= int(x) <= _INTP_MAX:
         return int(x)
     return -1
-
-
-def _read_only(x, dtype) -> np.ndarray:
-    """A non-writeable view of x as a contiguous array of dtype (a copy only
-    where x is not one already); x itself keeps its flags."""
-    view = np.ascontiguousarray(x, dtype=dtype).view()
-    view.flags.writeable = False
-    return view
 
 
 @dataclass(frozen=True)
@@ -259,6 +252,9 @@ class QuboProblem:
         return atom * self.n_grid + point
 
     def var_pair(self, var: int) -> tuple[int, int]:
+        """(atom, point) of a variable id, an integer other than a bool."""
+        if isinstance(var, bool) or not isinstance(var, numbers.Integral):
+            raise ValueError(f"variable id {var!r} out of range: not an integer")
         if not 0 <= var < self.n_vars:
             raise ValueError(f"variable id {var} out of range")
         return divmod(var, self.n_grid)

@@ -243,9 +243,12 @@ def _rows_valid(rows: np.ndarray, lines: list[str], n_vars: int) -> bool:
 
 def _first_repeat(a: np.ndarray, b: np.ndarray) -> int | None:
     """The position of the first row whose (a, b) key an earlier row holds,
-    or None. The stable key order lists each key's rows in file order, so a
-    repeat is a row whose key equals the one before it there; the order is
-    compared one block of rows at a time."""
+    or None. Keys that ascend strictly in file order, as `export_qubo`
+    writes them, hold no repeat. Otherwise the stable key order lists each
+    key's rows in file order, so a repeat is a row whose key equals the one
+    before it there; the order is compared one block of rows at a time."""
+    if ((a[1:] > a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] > b[:-1]))).all():
+        return None
     order = np.lexsort((b, a))
     first = len(a)
     for at in range(0, len(a), _BLOCK_ROWS):

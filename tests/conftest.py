@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from qdock import load_complex
+from qdock.grid import _point_atom_distances
+from qdock.model import HBondRole, ProteinAtom, ProteinAtoms
 from qdock.qubo import CoeffMap
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -50,6 +52,29 @@ def index_mapping(problem, id_mapping):
         problem.atom_ids.index(aid): problem.grid_ids.index(gid)
         for aid, gid in id_mapping.items()
     }
+
+
+def records(protein: ProteinAtoms) -> list[ProteinAtom]:
+    """One ProteinAtom record per row of a protein's columns, in row order."""
+    roles = {(r.is_donor, r.is_acceptor): r for r in HBondRole}
+    hydrogens = np.split(protein.donor_hydrogens, np.cumsum(protein.hydrogen_counts)[:-1])
+    return [
+        ProteinAtom(
+            id=int(protein.ids[k]),
+            position=protein.positions[k],
+            charge=float(protein.charges[k]),
+            type_index=int(protein.type_indices[k]),
+            hbond_role=roles[bool(protein.donor[k]), bool(protein.acceptor[k])],
+            hydrophobic=bool(protein.hydrophobic[k]),
+            donor_hydrogens=tuple(hydrogens[k]),
+        )
+        for k in range(len(protein))
+    ]
+
+
+def atom_distances(points, atoms: list[ProteinAtom]):
+    """The id-sorted columns of a list of records and their distances to `points`."""
+    return _point_atom_distances(points, ProteinAtoms.from_atoms(atoms))
 
 
 def shuffled_map(n: int) -> CoeffMap:

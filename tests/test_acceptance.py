@@ -35,10 +35,10 @@ from qdock import (
     rmsd,
     simulated_anneal,
 )
-from qdock.grid import _point_atom_distances, coulomb_potential, lj_vector
+from qdock.grid import coulomb_potential, lj_vector
 from qdock.model import AtomTypeTable, ProteinAtom
 
-from conftest import PLANTED6_PLANTED, TINY4_PLANTED, index_mapping
+from conftest import PLANTED6_PLANTED, TINY4_PLANTED, atom_distances, index_mapping, records
 
 TINY4_HP = Hyperparameters(lambdas=(1.0, 1.0, 1.0, 1.0, 1.0), gamma=25.0)
 PLANTED6_HP = Hyperparameters(lambdas=(0.0, 0.0, 0.0, 0.0, 0.05), gamma=5.0)
@@ -208,24 +208,24 @@ def test_criterion_4_analytic_physics(builds, capsys):
         single = AtomTypeTable(
             epsilon=table.epsilon[t : t + 1], r_min=table.r_min[t : t + 1]
         )
-        got = lj_vector(*_point_atom_distances(point, [probe]), single)[0]
+        got = lj_vector(*atom_distances(point, [probe]), single)[0]
         worst_lj = max(worst_lj, abs(got + table.epsilon[t]) / table.epsilon[t])
     lj_ok = worst_lj <= 1e-12
 
-    protein = sorted(builds["tiny4"]["cx"].protein, key=lambda a: a.id)
+    protein = sorted(records(builds["tiny4"]["cx"].protein), key=lambda a: a.id)
     dielectric = builds["tiny4"]["cx"].dielectric
     grid_points = builds["tiny4"]["cx"].grid_points
     super_ok = True
     flip_ok = True
     for gp in grid_points:
-        whole = coulomb_potential(*_point_atom_distances(gp.position, protein), dielectric)
+        whole = coulomb_potential(*atom_distances(gp.position, protein), dielectric)
         # Splitting off the last atom respects the id-ordered sum exactly.
         for k in range(1, len(protein)):
-            prefix = coulomb_potential(*_point_atom_distances(gp.position, protein[:k]), dielectric)
+            prefix = coulomb_potential(*atom_distances(gp.position, protein[:k]), dielectric)
             rest = protein[k:]
             tail = prefix
             for atom in rest:
-                measured = _point_atom_distances(gp.position, [atom])
+                measured = atom_distances(gp.position, [atom])
                 tail = tail + coulomb_potential(*measured, dielectric)
             super_ok = super_ok and tail == whole
         flipped = [
@@ -234,13 +234,13 @@ def test_criterion_4_analytic_physics(builds, capsys):
             )
             for a in protein
         ]
-        measured = _point_atom_distances(gp.position, flipped)
+        measured = atom_distances(gp.position, flipped)
         flip_ok = flip_ok and coulomb_potential(*measured, dielectric) == -whole
 
     mixing_ok = math.sqrt(0.1 * 0.4) == 0.2 and (1.5 + 2.5) / 2.0 == 2.0
     mixed_table = AtomTypeTable(epsilon=np.array([0.1, 0.4]), r_min=np.array([1.5, 2.5]))
     probe = ProteinAtom(id=1, position=np.array([2.0, 0.0, 0.0]), charge=0.0, type_index=1)
-    measured = _point_atom_distances(point, [probe])
+    measured = atom_distances(point, [probe])
     mixing_ok = mixing_ok and lj_vector(*measured, mixed_table)[0] == -0.2
 
     ok = lj_ok and super_ok and flip_ok and mixing_ok

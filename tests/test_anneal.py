@@ -394,6 +394,10 @@ def test_incremental_delta_input_validation(tiny4):
         incremental_delta(problem, zero, problem.n_vars)
     with pytest.raises(ValueError, match="bits"):
         incremental_delta(problem, Assignment.from_string("01"), 0)
+    for flip in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="out of range: not an integer"):
+            incremental_delta(problem, zero, flip)
+    assert incremental_delta(problem, zero, np.int64(1)) == incremental_delta(problem, zero, 1)
 
 
 # ---------------------------------------------------------------- samples

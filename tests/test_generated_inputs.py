@@ -35,9 +35,12 @@ CONFIG = {"reads": 2, "sweeps": 10, "seed": 3, "gamma": 5.0, "lambdas": [0, 0, 0
 
 def leaves(doc, path=()):
     """Paths to the scalars and empty containers of a document, descending
-    into the first three items of each list."""
+    into every protein entry and the first three items of each other list."""
     if isinstance(doc, (dict, list)) and doc:
-        keys = doc.keys() if isinstance(doc, dict) else range(min(len(doc), 3))
+        if isinstance(doc, dict):
+            keys = doc.keys()
+        else:
+            keys = range(len(doc) if path == ("protein",) else min(len(doc), 3))
         for key in keys:
             yield from leaves(doc[key], (*path, key))
     else:

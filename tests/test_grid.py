@@ -1,8 +1,13 @@
 """Pocket grid colorings: Coulomb, Lennard-Jones, H-bond counts, distances."""
 
 import copy
+import dataclasses
+import hashlib
+import importlib.util
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,13 +27,14 @@ from qdock.grid import (
     HYDROPHOBIC_DISTANCE_MAX,
     LJ_CONTRIBUTION_CAP,
     VIRTUAL_H_BOND_LENGTH,
-    _point_atom_distances,
     coulomb_potential,
     hbond_acceptor_count,
     hbond_donor_count,
     hydrophobic_count,
     lj_vector,
 )
+
+from conftest import PLANTED6, TINY4, atom_distances, records
 
 
 def atom(id, position, charge=0.0, type_index=0, role=HBondRole.NONE,
@@ -51,7 +57,7 @@ ORIGIN = np.zeros(3)
 
 def test_unit_charge_at_prefactor_distance():
     protein = [atom(1, (COULOMB_CONSTANT, 0, 0), charge=1.0)]
-    assert coulomb_potential(*_point_atom_distances(ORIGIN, protein), 1.0) == 1.0
+    assert coulomb_potential(*atom_distances(ORIGIN, protein), 1.0) == 1.0
 
 
 def test_opposite_charges_equidistant_cancel_exactly():
@@ -59,7 +65,7 @@ def test_opposite_charges_equidistant_cancel_exactly():
         atom(1, (2.0, 0, 0), charge=0.37),
         atom(2, (-2.0, 0, 0), charge=-0.37),
     ]
-    assert coulomb_potential(*_point_atom_distances(ORIGIN, protein), 4.0) == 0.0
+    assert coulomb_potential(*atom_distances(ORIGIN, protein), 4.0) == 0.0
 
 
 def test_coulomb_matches_brute_sum():
@@ -78,7 +84,7 @@ def test_coulomb_matches_brute_sum():
                 COULOMB_CONSTANT / dielectric * a.charge / math.dist(point, a.position)
             )
         assert coulomb_potential(
-            *_point_atom_distances(point, protein), dielectric
+            *atom_distances(point, protein), dielectric
         ) == pytest.approx(expected, rel=1e-12)
 
 
@@ -94,8 +100,8 @@ def test_coulomb_sign_flip_antisymmetry_exact():
             atom(a.id, a.position, charge=-a.charge) for a in protein
         ]
         point = rng.uniform(-1.0, 1.0, 3)
-        v = coulomb_potential(*_point_atom_distances(point, protein), 2.0)
-        assert coulomb_potential(*_point_atom_distances(point, flipped), 2.0) == -v
+        v = coulomb_potential(*atom_distances(point, protein), 2.0)
+        assert coulomb_potential(*atom_distances(point, flipped), 2.0) == -v
 
 
 def test_coulomb_superposition_prefix_plus_singleton_exact():
@@ -109,9 +115,9 @@ def test_coulomb_superposition_prefix_plus_singleton_exact():
         point = rng.uniform(-1.0, 1.0, 3)
         # The sum is a left fold in ascending id order, so splitting off the
         # final atom must be exact, with no tolerance at all.
-        whole = coulomb_potential(*_point_atom_distances(point, protein), 1.5)
-        prefix = coulomb_potential(*_point_atom_distances(point, protein[:-1]), 1.5)
-        last = coulomb_potential(*_point_atom_distances(point, protein[-1:]), 1.5)
+        whole = coulomb_potential(*atom_distances(point, protein), 1.5)
+        prefix = coulomb_potential(*atom_distances(point, protein[:-1]), 1.5)
+        last = coulomb_potential(*atom_distances(point, protein[-1:]), 1.5)
         assert whole == prefix + last
 
 
@@ -125,15 +131,15 @@ def test_coulomb_superposition_arbitrary_split():
         ]
         point = rng.uniform(-1.0, 1.0, 3)
         k = int(rng.integers(1, n))
-        whole = coulomb_potential(*_point_atom_distances(point, protein), 1.0)
+        whole = coulomb_potential(*atom_distances(point, protein), 1.0)
         split = coulomb_potential(
-            *_point_atom_distances(point, protein[:k]), 1.0
-        ) + coulomb_potential(*_point_atom_distances(point, protein[k:]), 1.0)
+            *atom_distances(point, protein[:k]), 1.0
+        ) + coulomb_potential(*atom_distances(point, protein[k:]), 1.0)
         assert split == pytest.approx(whole, rel=1e-13, abs=1e-13)
 
 
 def test_empty_protein_zero_potential():
-    assert coulomb_potential(*_point_atom_distances(ORIGIN, []), 1.0) == 0.0
+    assert coulomb_potential(*atom_distances(ORIGIN, []), 1.0) == 0.0
 
 
 # ----------------------------------------------------------- Lennard-Jones
@@ -141,14 +147,14 @@ def test_empty_protein_zero_potential():
 def test_lj_at_minimum_equals_negative_well_depth():
     table = AtomTypeTable(epsilon=np.array([0.25]), r_min=np.array([2.0]))
     protein = [atom(1, (2.0, 0, 0))]
-    value = lj_vector(*_point_atom_distances(ORIGIN, protein), table)
+    value = lj_vector(*atom_distances(ORIGIN, protein), table)
     assert value.shape == (1,)
     assert value[0] == pytest.approx(-0.25, rel=1e-12)
 
     # Same property at a non-dyadic minimum distance.
     table = AtomTypeTable(epsilon=np.array([0.3]), r_min=np.array([1.7]))
     protein = [atom(1, (1.7, 0, 0))]
-    value = lj_vector(*_point_atom_distances(ORIGIN, protein), table)[0]
+    value = lj_vector(*atom_distances(ORIGIN, protein), table)[0]
     assert value == pytest.approx(-0.3, rel=1e-12)
 
 
@@ -156,7 +162,7 @@ def test_lj_tail_vanishes_at_ten_minima():
     eps, rmin = 0.2, 1.8
     table = AtomTypeTable(epsilon=np.array([eps]), r_min=np.array([rmin]))
     protein = [atom(1, (10.0 * rmin, 0, 0))]
-    value = float(lj_vector(*_point_atom_distances(ORIGIN, protein), table)[0])
+    value = float(lj_vector(*atom_distances(ORIGIN, protein), table)[0])
     ratio4 = (rmin / (10.0 * rmin)) ** 4
     assert value == pytest.approx(eps * (ratio4 * ratio4 - 2.0 * ratio4), rel=1e-12)
     assert abs(value) < 2.1e-4 * eps
@@ -170,7 +176,7 @@ def test_lorentz_berthelot_mixing_worked_example():
     assert (1.5 + 2.5) / 2.0 == 2.0
     table = AtomTypeTable(epsilon=np.array([0.1, 0.4]), r_min=np.array([1.5, 2.5]))
     protein = [atom(1, (2.0, 0, 0), type_index=1)]
-    value = lj_vector(*_point_atom_distances(ORIGIN, protein), table)
+    value = lj_vector(*atom_distances(ORIGIN, protein), table)
     assert value[0] == -0.2
     # Type-1 self term at r = 2.0 sits inside its R_min = 2.5 minimum; the
     # ratio 1.25 is dyadic, so the repulsive value is reproducible exactly.
@@ -181,10 +187,10 @@ def test_lorentz_berthelot_mixing_worked_example():
 def test_lj_clash_is_clamped():
     table = AtomTypeTable(epsilon=np.array([0.25]), r_min=np.array([2.0]))
     protein = [atom(1, (0.01, 0, 0))]
-    assert lj_vector(*_point_atom_distances(ORIGIN, protein), table)[0] == LJ_CONTRIBUTION_CAP
+    assert lj_vector(*atom_distances(ORIGIN, protein), table)[0] == LJ_CONTRIBUTION_CAP
     # Two clashing atoms: clamp applies per atom, then contributions add.
     protein = [atom(1, (0.01, 0, 0)), atom(2, (0, 0.01, 0))]
-    assert lj_vector(*_point_atom_distances(ORIGIN, protein), table)[0] == 2.0 * LJ_CONTRIBUTION_CAP
+    assert lj_vector(*atom_distances(ORIGIN, protein), table)[0] == 2.0 * LJ_CONTRIBUTION_CAP
 
 
 def test_lj_matches_brute_formula():
@@ -201,7 +207,7 @@ def test_lj_matches_brute_formula():
             for k in range(n)
         ]
         point = rng.uniform(-0.5, 0.5, 3)
-        got = lj_vector(*_point_atom_distances(point, protein), table)
+        got = lj_vector(*atom_distances(point, protein), table)
         for t in range(n_types):
             expected = 0.0
             for a in protein:
@@ -237,7 +243,7 @@ def donor_with_angle(phi_deg, da_target=3.0):
 
 def test_acceptor_count_geometry_window():
     def count(donor):
-        return hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [donor]))
+        return hbond_acceptor_count(ORIGIN, *atom_distances(ORIGIN, [donor]))
 
     # 3.0 A donor with a 150 degree D-H-A angle binds.
     assert count(donor_with_angle(150.0)) == 1
@@ -253,7 +259,7 @@ def test_acceptor_count_geometry_window():
 def test_acceptor_angle_bounds_are_strict():
     # H exactly on the D-A segment: angle is exactly 180 degrees, excluded.
     donor = atom(1, (3.0, 0, 0), role=HBondRole.DONOR, hydrogens=[(2.0, 0, 0)])
-    assert hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [donor])) == 0
+    assert hbond_acceptor_count(ORIGIN, *atom_distances(ORIGIN, [donor])) == 0
 
 
 def test_acceptor_counts_atom_once_with_multiple_hydrogens():
@@ -265,25 +271,34 @@ def test_acceptor_counts_atom_once_with_multiple_hydrogens():
         role=HBondRole.DONOR,
         hydrogens=[bad_h, good.donor_hydrogens[0]],
     )
-    assert hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [donor])) == 1
+    assert hbond_acceptor_count(ORIGIN, *atom_distances(ORIGIN, [donor])) == 1
     both_good = atom(
         2,
         good.position,
         role=HBondRole.DONOR,
         hydrogens=[good.donor_hydrogens[0], good.donor_hydrogens[0] + 1e-6],
     )
-    assert hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [both_good])) == 1
+    assert hbond_acceptor_count(ORIGIN, *atom_distances(ORIGIN, [both_good])) == 1
 
 
 def test_acceptor_ignores_non_donor_roles():
     acceptor_only = atom(1, (2.5, 0, 0), role=HBondRole.ACCEPTOR)
-    assert hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [acceptor_only])) == 0
+    assert hbond_acceptor_count(ORIGIN, *atom_distances(ORIGIN, [acceptor_only])) == 0
+
+
+def test_acceptor_count_ignores_hydrogens_of_non_donors():
+    # A record built in Python may give hydrogens to an atom that is no
+    # donor; only the donor's own hydrogens are paired with it. Paired with
+    # the donor, the acceptor's hydrogen would make a 0 degree angle.
+    good = donor_with_angle(150.0)
+    acceptor = atom(0, (0, 2.5, 0), role=HBondRole.ACCEPTOR, hydrogens=[1.2 * good.position])
+    assert hbond_acceptor_count(ORIGIN, *atom_distances(ORIGIN, [acceptor, good])) == 1
 
 
 def test_donor_without_hydrogens_warns_and_skips():
     bare = atom(1, (2.5, 0, 0), role=HBondRole.DONOR)
     with pytest.warns(UserWarning, match="no explicit hydrogens"):
-        assert hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [bare])) == 0
+        assert hbond_acceptor_count(ORIGIN, *atom_distances(ORIGIN, [bare])) == 0
 
 
 # --------------------------------------------------------- H-bond donor
@@ -291,7 +306,7 @@ def test_donor_without_hydrogens_warns_and_skips():
 def test_donor_count_distance_window():
     def count(r):
         acceptor = atom(1, (r, 0, 0), role=HBondRole.ACCEPTOR)
-        return hbond_donor_count(*_point_atom_distances(ORIGIN, [acceptor]))
+        return hbond_donor_count(*atom_distances(ORIGIN, [acceptor]))
 
     assert count(2.9) == 1
     assert count(3.6) == 0
@@ -309,19 +324,19 @@ def test_dual_role_atom_counts_for_both_directions():
         role=HBondRole.DONOR_ACCEPTOR,
         hydrogens=[(1.0, 0, 0)],  # H on the segment: 180 degrees, no acceptor hit
     )
-    assert hbond_donor_count(*_point_atom_distances(ORIGIN, [dual])) == 1
-    assert hbond_acceptor_count(ORIGIN, *_point_atom_distances(ORIGIN, [dual])) == 0
+    assert hbond_donor_count(*atom_distances(ORIGIN, [dual])) == 1
+    assert hbond_acceptor_count(ORIGIN, *atom_distances(ORIGIN, [dual])) == 0
 
 
 # ---------------------------------------------------------- hydrophobic
 
 def test_hydrophobic_count_gate():
     near = atom(1, (4.4, 0, 0), hydrophobic=True)
-    assert hydrophobic_count(*_point_atom_distances(ORIGIN, [near])) == 1
+    assert hydrophobic_count(*atom_distances(ORIGIN, [near])) == 1
     polar = atom(1, (1.0, 0, 0), hydrophobic=False)
-    assert hydrophobic_count(*_point_atom_distances(ORIGIN, [polar])) == 0
+    assert hydrophobic_count(*atom_distances(ORIGIN, [polar])) == 0
     boundary = atom(1, (HYDROPHOBIC_DISTANCE_MAX, 0, 0), hydrophobic=True)
-    assert hydrophobic_count(*_point_atom_distances(ORIGIN, [boundary])) == 0
+    assert hydrophobic_count(*atom_distances(ORIGIN, [boundary])) == 0
 
 
 def test_hydrophobic_count_three_of_five():
@@ -336,7 +351,7 @@ def test_hydrophobic_count_three_of_five():
         1 for a in protein if math.dist(ORIGIN, a.position) < HYDROPHOBIC_DISTANCE_MAX
     )
     assert expected == 3
-    assert hydrophobic_count(*_point_atom_distances(ORIGIN, protein)) == 3
+    assert hydrophobic_count(*atom_distances(ORIGIN, protein)) == 3
 
 
 def test_counts_monotone_under_atom_addition():
@@ -357,9 +372,9 @@ def test_counts_monotone_under_atom_addition():
                 )
             )
             cur = (
-                hbond_acceptor_count(point, *_point_atom_distances(point, protein)),
-                hbond_donor_count(*_point_atom_distances(point, protein)),
-                hydrophobic_count(*_point_atom_distances(point, protein)),
+                hbond_acceptor_count(point, *atom_distances(point, protein)),
+                hbond_donor_count(*atom_distances(point, protein)),
+                hydrophobic_count(*atom_distances(point, protein)),
             )
             assert all(c >= p for c, p in zip(cur, prev))
             prev = cur
@@ -488,7 +503,7 @@ def test_distance_matrix_properties():
 
 def test_tiny4_colorings_match_composed_oracle(tiny4):
     graph = build_grid_graph(tiny4)
-    protein = sorted(tiny4.protein, key=lambda a: a.id)
+    protein = sorted(records(tiny4.protein), key=lambda a: a.id)
     table = tiny4.type_table
     for idx, gp in enumerate(tiny4.grid_points):
         point = gp.position
@@ -582,19 +597,19 @@ def test_grid_colorings_do_not_depend_on_batch():
     )
     graph = build_grid_graph(cx)
     batch = {
-        "coulomb": coulomb_potential(*_point_atom_distances(points, protein), cx.dielectric),
-        "lj": lj_vector(*_point_atom_distances(points, protein), table),
-        "hb_acceptor": hbond_acceptor_count(points, *_point_atom_distances(points, protein)),
-        "hb_donor": hbond_donor_count(*_point_atom_distances(points, protein)),
-        "hydrophobic": hydrophobic_count(*_point_atom_distances(points, protein)),
+        "coulomb": coulomb_potential(*atom_distances(points, protein), cx.dielectric),
+        "lj": lj_vector(*atom_distances(points, protein), table),
+        "hb_acceptor": hbond_acceptor_count(points, *atom_distances(points, protein)),
+        "hb_donor": hbond_donor_count(*atom_distances(points, protein)),
+        "hydrophobic": hydrophobic_count(*atom_distances(points, protein)),
     }
     for j, point in enumerate(points):
         single = {
-            "coulomb": coulomb_potential(*_point_atom_distances(point, protein), cx.dielectric),
-            "lj": lj_vector(*_point_atom_distances(point, protein), table),
-            "hb_acceptor": hbond_acceptor_count(point, *_point_atom_distances(point, protein)),
-            "hb_donor": hbond_donor_count(*_point_atom_distances(point, protein)),
-            "hydrophobic": hydrophobic_count(*_point_atom_distances(point, protein)),
+            "coulomb": coulomb_potential(*atom_distances(point, protein), cx.dielectric),
+            "lj": lj_vector(*atom_distances(point, protein), table),
+            "hb_acceptor": hbond_acceptor_count(point, *atom_distances(point, protein)),
+            "hb_donor": hbond_donor_count(*atom_distances(point, protein)),
+            "hydrophobic": hydrophobic_count(*atom_distances(point, protein)),
         }
         for name, value in single.items():
             assert np.array_equal(value, batch[name][j]), name
@@ -616,6 +631,54 @@ def test_grid_colorings_do_not_depend_on_batch():
 
     bare = atom(1, points[0] + np.array([2.5, 0.0, 0.0]), role=HBondRole.DONOR)
     with pytest.warns(UserWarning, match="donor protein atom 1 has no explicit hydrogens"):
-        with_bare = _point_atom_distances(points, protein + [bare])
+        with_bare = atom_distances(points, protein + [bare])
         batch_with_bare = hbond_acceptor_count(points, *with_bare)
     assert np.array_equal(batch_with_bare, batch["hb_acceptor"])
+
+
+# ------------------------------------------------------- recorded grids
+
+def _make_complex():
+    """`make_complex` of the benchmark's seeded synthetic complexes (read only)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("synth", path)
+    synth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synth)
+    return synth.make_complex
+
+
+def grid_digest(doc) -> str:
+    """sha256 over every GridGraph array of a document's grid: dtype, shape and bytes."""
+    graph = build_grid_graph(parse_complex(json.loads(json.dumps(doc))))
+    digest = hashlib.sha256()
+    for column in dataclasses.fields(graph):
+        value = np.asarray(getattr(graph, column.name))
+        digest.update(f"{column.name} {value.dtype.str} {value.shape}".encode())
+        digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+# Recorded while the protein was parsed into one ProteinAtom record per atom
+# and every colouring read the records.
+GRID_DIGESTS = {
+    "tiny4": "7de3564c5a6e3a9ae7d21714d5850bebaa133797133ad745b6939f80651d1ad0",
+    "planted6": "4908517d687d35d35affc266b898ec9283a28a853dc41c07a1a0780fc88aa9e2",
+    "synth-250": "bf4607afe9041a6ef10dd09d8f69b1a58c42cb09c815493f3db89cc5cd6c17cd",
+    "synth-300": "2353ee25fa8b1fb7af9c91ed7b4c30e0b4469eaee2092a1f4df67f68c69e6251",
+    "synth-1000": "bcfa53b49706d80eec104ef37523a02f7f51bd38e1550bbf3117f760e75825fb",
+}
+SYNTH_SIZES = {
+    # (seed, ligand atoms, grid points, protein atoms)
+    "synth-250": ([1, 1], 8, 40, 250),
+    "synth-300": ([1, 0], 3, 6, 300),
+    "synth-1000": ([1, 0], 20, 100, 1000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_DIGESTS))
+def test_grid_arrays_match_recorded_digest(case):
+    if case in SYNTH_SIZES:
+        doc = _make_complex()(*SYNTH_SIZES[case], case)[0]
+    else:
+        doc = json.loads({"tiny4": TINY4, "planted6": PLANTED6}[case].read_text())
+    assert grid_digest(doc) == GRID_DIGESTS[case]

@@ -1,12 +1,16 @@
 """Parsing, validation, and loading of complex documents."""
 
 import copy
+import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdock import (
     ComplexFormatError,
@@ -18,7 +22,10 @@ from qdock import (
     load_complex,
     parse_complex,
 )
-from qdock.model import COULOMB_CONSTANT, HBondRole
+from qdock import model
+from qdock.model import COULOMB_CONSTANT, AtomTypeTable, HBondRole, ProteinAtom, ProteinAtoms
+
+from conftest import records
 
 
 def minimal_doc():
@@ -38,7 +45,7 @@ def test_minimal_document_parses():
     cx = parse_complex(minimal_doc())
     assert len(cx.ligand_atoms) == 1
     assert len(cx.grid_points) == 1
-    assert cx.protein == []
+    assert len(cx.protein) == 0
     assert cx.dielectric == 1.0
 
 
@@ -302,7 +309,7 @@ def test_donor_acceptor_role_accepted():
         }
     ]
     cx = parse_complex(doc)
-    role = cx.protein[0].hbond_role
+    role = records(cx.protein)[0].hbond_role
     assert role is HBondRole.DONOR_ACCEPTOR
     assert role.is_donor and role.is_acceptor
 
@@ -411,3 +418,208 @@ def test_ligand_coordinates_order(tiny4):
     assert coords.shape == (4, 3)
     for row, atom in zip(coords, tiny4.ligand_atoms):
         assert list(row) == list(atom.position)
+
+
+# ------------------------------------------------------ protein columns
+
+TABLE = AtomTypeTable(epsilon=np.array([0.1, 0.2, 0.3]), r_min=np.array([1.5, 1.6, 1.7]))
+COORDINATES = st.one_of(st.integers(-50, 50), st.floats(-50.0, 50.0))
+VEC3 = st.lists(COORDINATES, min_size=3, max_size=3)
+
+
+def protein_doc(entries):
+    doc = minimal_doc()
+    doc["protein"] = entries
+    doc["type_table"] = {"epsilon": TABLE.epsilon.tolist(), "r_min": TABLE.r_min.tolist()}
+    return doc
+
+
+@st.composite
+def protein_entries(draw, floats=True):
+    """Valid protein entries with shuffled distinct ids: ints or (with
+    `floats`) integral floats for ids and type indices, int or float
+    coordinates and charges, every role (or none given), bool or 0/1 flags
+    (or none given), and donors with 1-3 hydrogens."""
+    n = draw(st.integers(0, 12))
+    entries = []
+    integral = (lambda k: st.sampled_from([k, float(k)])) if floats else st.just
+    for id in draw(st.permutations(range(-3, 30)))[:n]:
+        entry = {
+            "id": draw(integral(id)),
+            "position": draw(VEC3),
+            "charge": draw(st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))),
+            "type_index": draw(integral(draw(st.integers(0, TABLE.n_types - 1)))),
+        }
+        role = draw(st.sampled_from([None, *(r.value for r in HBondRole)]))
+        if role is not None:
+            entry["hbond_role"] = role
+        flag = draw(st.sampled_from([None, False, True, 0, 1]))
+        if flag is not None:
+            entry["hydrophobic"] = flag
+        if role is not None and HBondRole(role).is_donor:
+            entry["donor_hydrogens"] = draw(st.lists(VEC3, min_size=1, max_size=3))
+        elif draw(st.booleans()):
+            entry["donor_hydrogens"] = []
+        entries.append(entry)
+    return entries
+
+
+def record(entry) -> ProteinAtom:
+    """The ProteinAtom an entry describes, read field by field."""
+    return ProteinAtom(
+        id=int(entry["id"]),
+        position=np.array(entry["position"], dtype=float),
+        charge=float(entry["charge"]),
+        type_index=int(entry["type_index"]),
+        hbond_role=HBondRole(entry.get("hbond_role", "none")),
+        hydrophobic=bool(entry.get("hydrophobic", False)),
+        donor_hydrogens=tuple(np.array(h, dtype=float) for h in entry.get("donor_hydrogens", [])),
+    )
+
+
+def assert_same_columns(got: ProteinAtoms, expected: ProteinAtoms):
+    """Equal dtypes, shapes and bits (-0.0 is not 0.0), every array read-only."""
+    for column in dataclasses.fields(ProteinAtoms):
+        a, b = getattr(got, column.name), getattr(expected, column.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), column.name
+        if a.dtype == object:
+            assert a.tolist() == b.tolist(), column.name
+        else:
+            assert a.tobytes() == b.tobytes(), column.name
+        assert not a.flags.writeable, column.name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(entries=protein_entries())
+def test_bulk_protein_columns_equal_the_records(entries):
+    expected = ProteinAtoms.from_atoms([record(e) for e in entries])
+    assert_same_columns(parse_complex(protein_doc(entries)).protein, expected)
+    assert_same_columns(model._protein_walk(entries, TABLE), expected)
+    # Only a float id or type index sends a valid protein to the walk.
+    plain = all(type(e["id"]) is int and type(e["type_index"]) is int for e in entries)
+    assert (model._protein_columns(entries, TABLE.n_types) is not None) == plain
+
+
+ODD_VALUES = [None, "", "x", "donor", [], {}, [1.0, 2.0], [[0, 0, 0]], 1e308, -1e308, 1.7976931348623157e308,
+              1e-320, math.nan, math.inf, True, False, 0, 1, 2, -1, 1.5, 3.0, 1e100, -1e100, 1e101,
+              2**63, 2**70, 10**100, 10**400, int(1e100) + 1]
+
+
+@st.composite
+def edited_entries(draw):
+    """Valid entries with one or two fields, coordinates or hydrogens
+    replaced by odd values, deleted, or an entry's id copied to another."""
+    entries = draw(protein_entries(floats=False).filter(len))
+    for _ in range(draw(st.integers(1, 2))):
+        entry = draw(st.sampled_from(entries))
+        key = draw(st.sampled_from(["id", "position", "charge", "type_index", "hbond_role",
+                                    "hydrophobic", "donor_hydrogens"]))
+        kind = draw(st.sampled_from(["set", "delete", "item", "copy-id"]))
+        if kind == "delete":
+            entry.pop(key, None)
+        elif kind == "copy-id":
+            entry["id"] = draw(st.sampled_from(entries)).get("id")
+        elif kind == "item" and isinstance(entry.get(key), list) and entry[key]:
+            entry[key][draw(st.integers(0, len(entry[key]) - 1))] = draw(st.sampled_from(ODD_VALUES))
+        else:
+            entry[key] = draw(st.sampled_from(ODD_VALUES))
+    return entries
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(entries=edited_entries())
+def test_bulk_protein_columns_never_disagree_with_the_walk(entries):
+    # The bulk pass either steps aside or gives the walk's columns; it never
+    # accepts an entry that the walk rejects.
+    columns = model._protein_columns(entries, TABLE.n_types)
+    try:
+        walked = model._protein_walk(entries, TABLE)
+    except ComplexFormatError:
+        assert columns is None
+    else:
+        if columns is not None:
+            assert_same_columns(columns, walked)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("charge", int(sys.float_info.max) + 1, "protein[0].charge: expected a finite number"),
+        ("position", [0, int(1e100) + 1, 0], "protein[0].position[1]: coordinate"),
+    ],
+    ids=["charge", "position"],
+)
+def test_protein_bounds_compare_the_json_int(key, value, message):
+    # These ints round onto the bound as floats; the check compares the int.
+    entries = [{"id": 1, "position": [5.0, 0.0, 0.0], "charge": 0.0, "type_index": 0, key: value}]
+    with pytest.raises(ComplexFormatError, match="^" + re.escape(message)):
+        parse_complex(protein_doc(entries))
+
+
+def test_unusual_protein_values_are_normalised():
+    entries = [
+        {"id": 3.0, "position": (4.0, 0, 0), "charge": np.float64(0.5),
+         "type_index": np.int64(1), "hydrophobic": 1.0},
+        {"id": 2**70, "position": [0, 4, 0], "charge": 1, "type_index": 0,
+         "hbond_role": "donor", "donor_hydrogens": ((0, 3, 0),)},
+    ]
+    cx = parse_complex(protein_doc(entries))
+    assert cx.protein.ids.tolist() == [3, 2**70]
+    assert_same_columns(cx.protein, ProteinAtoms.from_atoms([record(e) for e in entries]))
+    assert build_grid_graph(cx).n_points == 1
+
+
+def _entries():
+    return [
+        {"id": k, "position": [5.0 + k, 0.0, 0.0], "charge": 0.0, "type_index": 0}
+        for k in range(1, 6)
+    ]
+
+
+def _set(k, key, value):
+    return lambda entries: entries[k].__setitem__(key, value)
+
+
+TWO_BAD_ENTRIES = [
+    # Within an entry the role is checked first, so the later entry's role
+    # would be reported if the walk went by field rather than by entry.
+    (_set(1, "charge", float("nan")), _set(3, "hbond_role", "foo"), "protein[1].charge: "),
+    (_set(1, "type_index", 7), lambda e: e[2].pop("position"),
+     "protein[1]: type_index 7 outside table of size 3"),
+    (_set(2, "hbond_role", "donor"), _set(3, "id", "x"),
+     "protein[2]: donor role requires at least one explicit hydrogen"),
+    # A duplicate id is checked once every entry has passed.
+    (_set(1, "id", 1), _set(3, "hydrophobic", 2), "protein[3].hydrophobic: flag must be 0 or 1"),
+    # Every entry must be a JSON object before any field is read, as before.
+    (_set(1, "hbond_role", "foo"), lambda e: e.__setitem__(3, 7), "protein[3]: expected a JSON object"),
+]
+
+
+@pytest.mark.parametrize("earlier, later, message", TWO_BAD_ENTRIES)
+def test_first_bad_protein_entry_is_named(earlier, later, message):
+    entries = _entries()
+    earlier(entries)
+    later(entries)
+    with pytest.raises(ComplexFormatError, match="^" + re.escape(message)):
+        parse_complex(protein_doc(entries))
+
+
+def test_complex_input_converts_protein_records(tiny4):
+    cx = dataclasses.replace(tiny4, protein=records(tiny4.protein))
+    assert isinstance(cx.protein, ProteinAtoms)
+    assert_same_columns(cx.protein, tiny4.protein)
+    assert len(cx.protein) == 7
+
+
+def test_take_moves_each_atoms_hydrogens():
+    atoms = [
+        record({"id": 1, "position": [0, 0, 0], "charge": 0.1, "type_index": 0,
+                "hbond_role": "donor", "donor_hydrogens": [[1, 0, 0], [0, 1, 0]]}),
+        record({"id": 2, "position": [5, 0, 0], "charge": 0.2, "type_index": 1}),
+        record({"id": 3, "position": [0, 5, 0], "charge": 0.3, "type_index": 2,
+                "hbond_role": "donor_acceptor", "donor_hydrogens": [[0, 6, 0]]}),
+    ]
+    columns = ProteinAtoms.from_atoms(atoms)
+    for order in ([2, 0], [1, 2, 0], [0, 0], []):
+        expected = ProteinAtoms.from_atoms([atoms[k] for k in order])
+        assert_same_columns(columns.take(order), expected)

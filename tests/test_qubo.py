@@ -859,6 +859,18 @@ def test_var_index_round_trip(tiny4):
         problem.var_pair(problem.n_vars)
 
 
+@pytest.mark.parametrize("var", [1.5, True, "1"], ids=["float", "bool", "str"])
+def test_var_pair_rejects_a_non_integer_id(tiny4, var):
+    problem = build_full(tiny4, UNIT_HP)
+    with pytest.raises(ValueError, match=r"^variable id .* out of range: not an integer$"):
+        problem.var_pair(var)
+
+
+def test_var_pair_accepts_a_numpy_integer(tiny4):
+    problem = build_full(tiny4, UNIT_HP)
+    assert problem.var_pair(np.int64(1)) == problem.var_pair(1) == (0, 1)
+
+
 def test_energy_rejects_wrong_length(tiny4):
     problem = build_full(tiny4, UNIT_HP)
     with pytest.raises(ValueError, match="bits"):

@@ -4,6 +4,7 @@ import collections
 import io
 import math
 import os
+import random
 import threading
 import tracemalloc
 import warnings
@@ -613,6 +614,36 @@ def test_first_duplicate_named_across_blocks(tmp_path):
     # In one block, the repeat of the larger key comes first in the file.
     path.write_text("p qubo 3 4\n1 1 1.0\n0 0 1.0\n1 1 2.0\n0 0 3.0\n")
     with pytest.raises(QuboFormatError, match=r"repeats\.qubo:4: duplicate entry for \(1, 1\)$"):
+        import_qubo(path)
+
+
+def test_repeat_check_sorts_only_keys_out_of_order(tmp_path, monkeypatch):
+    problem = map_problem(shuffled_map(3000))
+    path = tmp_path / "keys.qubo"
+    export_qubo(problem, path)
+    header, *lines = path.read_text().splitlines(keepends=True)
+
+    def no_sort(*args):
+        raise AssertionError("the keys were sorted")
+
+    # Exported keys ascend strictly in file order: no repeat, and no sort.
+    with monkeypatch.context() as patch:
+        patch.setattr(qubofile.np, "lexsort", no_sort)
+        imported = import_qubo(path)
+    assert imported.coeffs == problem.coeffs
+    # Shuffled lines with one key repeated: the sort names the later copy's line.
+    shuffled = random.Random(4).sample(lines, len(lines))
+    shuffled.insert(2500, shuffled[100])
+    path.write_text(f"p qubo {problem.n_vars} {len(shuffled)}\n" + "".join(shuffled))
+    a, b, _ = shuffled[100].split()
+    with pytest.raises(QuboFormatError, match=rf"keys\.qubo:2502: duplicate entry for \({a}, {b}\)$"):
+        import_qubo(path)
+    assert outcome(import_qubo, path) == outcome(reference_import, path)
+    # Ascending keys with one repeated next to itself are not strictly ascending.
+    lines.insert(1001, lines[1000])
+    path.write_text(f"p qubo {problem.n_vars} {len(lines)}\n" + "".join(lines))
+    a, b, _ = lines[1000].split()
+    with pytest.raises(QuboFormatError, match=rf"keys\.qubo:1003: duplicate entry for \({a}, {b}\)$"):
         import_qubo(path)
 
 
