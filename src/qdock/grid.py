@@ -67,9 +67,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _point_atom_distances(points, protein: ProteinAtoms):
     """The protein's atoms sorted by id (stably) and the (..., n_atoms)
     distances from one point or an (n, 3) array of points to them, in that order."""
-    atoms = protein
-    if not (protein.ids[1:] >= protein.ids[:-1]).all():
-        atoms = protein.take(np.argsort(protein.ids, kind="stable"))
+    atoms = protein.take(np.argsort(protein.ids, kind="stable"))
     delta = np.asarray(points, dtype=float)[..., None, :] - atoms.positions
     return atoms, np.sqrt(_dot(delta, delta))
 

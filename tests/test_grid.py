@@ -3,16 +3,13 @@
 import copy
 import dataclasses
 import hashlib
-import importlib.util
-import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qdock import GraphBuildError, build_grid_graph, grid, parse_complex
+from qdock import GraphBuildError, build_grid_graph, grid, load_complex, parse_complex
 from qdock.model import (
     COULOMB_CONSTANT,
     AtomTypeTable,
@@ -34,7 +31,7 @@ from qdock.grid import (
     lj_vector,
 )
 
-from conftest import PLANTED6, TINY4, atom_distances, records
+from conftest import FIXTURE_DIR, PLANTED6, TINY4, atom_distances, records
 
 
 def atom(id, position, charge=0.0, type_index=0, role=HBondRole.NONE,
@@ -638,18 +635,9 @@ def test_grid_colorings_do_not_depend_on_batch():
 
 # ------------------------------------------------------- recorded grids
 
-def _make_complex():
-    """`make_complex` of the benchmark's seeded synthetic complexes (read only)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "synth.py"
-    spec = importlib.util.spec_from_file_location("synth", path)
-    synth = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(synth)
-    return synth.make_complex
-
-
-def grid_digest(doc) -> str:
-    """sha256 over every GridGraph array of a document's grid: dtype, shape and bytes."""
-    graph = build_grid_graph(parse_complex(json.loads(json.dumps(doc))))
+def grid_digest(path) -> str:
+    """sha256 over every GridGraph array of a complex file's grid: dtype, shape and bytes."""
+    graph = build_grid_graph(load_complex(path))
     digest = hashlib.sha256()
     for column in dataclasses.fields(graph):
         value = np.asarray(getattr(graph, column.name))
@@ -667,18 +655,9 @@ GRID_DIGESTS = {
     "synth-300": "2353ee25fa8b1fb7af9c91ed7b4c30e0b4469eaee2092a1f4df67f68c69e6251",
     "synth-1000": "bcfa53b49706d80eec104ef37523a02f7f51bd38e1550bbf3117f760e75825fb",
 }
-SYNTH_SIZES = {
-    # (seed, ligand atoms, grid points, protein atoms)
-    "synth-250": ([1, 1], 8, 40, 250),
-    "synth-300": ([1, 0], 3, 6, 300),
-    "synth-1000": ([1, 0], 20, 100, 1000),
-}
 
 
 @pytest.mark.parametrize("case", sorted(GRID_DIGESTS))
 def test_grid_arrays_match_recorded_digest(case):
-    if case in SYNTH_SIZES:
-        doc = _make_complex()(*SYNTH_SIZES[case], case)[0]
-    else:
-        doc = json.loads({"tiny4": TINY4, "planted6": PLANTED6}[case].read_text())
-    assert grid_digest(doc) == GRID_DIGESTS[case]
+    path = {"tiny4": TINY4, "planted6": PLANTED6}.get(case, FIXTURE_DIR / "synth" / f"{case}.json")
+    assert grid_digest(path) == GRID_DIGESTS[case]
