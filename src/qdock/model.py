@@ -223,6 +223,12 @@ def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _magnitude(value):
+    """abs(value), of a numpy float as a Python float: a float32 compared
+    with a float bound casts the bound, and float max overflows there."""
+    return abs(value.item() if isinstance(value, np.floating) else value)
+
+
 def _at(where: str, key) -> str:
     """A value's location in an error message: `where`, or where.key."""
     return where if key is None else f"{where}.{key}"
@@ -233,7 +239,7 @@ def _number(value, where: str, kind=float, key=None):
     A JSON int or float skips the `_real` test."""
     if _plain(value) and (kind is float or value == int(value)):
         return kind(value)
-    if not (_real(value) and abs(value) <= sys.float_info.max):
+    if not (_real(value) and _magnitude(value) <= sys.float_info.max):
         raise ComplexFormatError(f"{_at(where, key)}: expected a finite number, got {value!r}")
     if kind is int and value != int(value):
         raise ComplexFormatError(f"{_at(where, key)}: expected an integer, got {value!r}")
@@ -265,7 +271,7 @@ def _as_vec3(value, where: str, key=None) -> np.ndarray:
         raise ComplexFormatError(f"{where}: non-numeric coordinate in {value!r}")
     vec = _numbers(value, where)
     for k, c in enumerate(value):
-        if abs(c) > COORDINATE_LIMIT:
+        if _magnitude(c) > COORDINATE_LIMIT:
             raise ComplexFormatError(
                 f"{where}[{k}]: coordinate {c!r} exceeds {COORDINATE_LIMIT:g} A in magnitude"
             )

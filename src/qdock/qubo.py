@@ -145,12 +145,10 @@ class Hyperparameters:
     """Weights of the Hamiltonian terms.
 
     gamma None means "ten times the largest geometric coefficient".
-    component_scales None means per-term automatic normalization.
     """
 
     lambdas: tuple[float, float, float, float, float] = (0.0, 0.0, 0.0, 0.0, 0.0)
     gamma: float | None = None
-    component_scales: tuple[float, float, float, float, float] | None = None
 
     def __post_init__(self):
         if len(self.lambdas) != 5:
@@ -159,11 +157,6 @@ class Hyperparameters:
             raise ValueError("lambdas must be non-negative and finite")
         if self.gamma is not None and not 0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
-        if self.component_scales is not None:
-            if len(self.component_scales) != 5:
-                raise ValueError("component_scales must have exactly 5 entries")
-            if not all(0 < s < math.inf for s in self.component_scales):
-                raise ValueError("component_scales must be positive and finite")
 
 
 @dataclass
@@ -322,14 +315,11 @@ def build_physchem_raw(lig: LigandGraph, grid: GridGraph) -> dict[str, np.ndarra
         }
 
 
-def resolve_scales(hp: Hyperparameters, geom: np.ndarray, raw: dict[str, np.ndarray]) -> tuple:
-    """Component scales: explicit values, or geometric/raw magnitude ratio.
-
-    An automatic scale falls back to 1.0 when either magnitude is zero or
-    the ratio is not finite (a subnormal raw magnitude overflows it)."""
-    if hp.component_scales is not None:
-        return tuple(float(s) for s in hp.component_scales)
-    geom_magnitude = float(np.abs(geom).max(initial=0.0))
+def resolve_scales(geom_magnitude: float, raw: dict[str, np.ndarray]) -> tuple:
+    """Each physicochemical term's scale: the largest geometric magnitude
+    over the term's largest raw magnitude, or 1.0 where either is zero or
+    the ratio is not finite (a subnormal raw magnitude overflows it). The
+    scales are always automatic; a term is reweighted through its lambda."""
     scales = []
     for name in PHYSCHEM_TERMS:
         raw_magnitude = float(np.abs(raw[name]).max(initial=0.0))
@@ -340,11 +330,10 @@ def resolve_scales(hp: Hyperparameters, geom: np.ndarray, raw: dict[str, np.ndar
     return tuple(scales)
 
 
-def resolve_gamma(hp: Hyperparameters, geom: np.ndarray) -> float:
-    """Explicit gamma, or ten times the largest geometric coefficient."""
+def resolve_gamma(hp: Hyperparameters, geom_magnitude: float) -> float:
+    """Explicit gamma, or ten times the largest geometric magnitude."""
     if hp.gamma is not None:
         return float(hp.gamma)
-    geom_magnitude = float(np.abs(geom).max(initial=0.0))
     return float(10.0 * geom_magnitude) if geom_magnitude > 0.0 else 1.0
 
 
@@ -436,11 +425,12 @@ def assemble(lig: LigandGraph, grid: GridGraph, hp: Hyperparameters) -> QuboProb
     physicochemical tables, then `with_lambdas` at hp.lambdas."""
     n_mol, n_grid = lig.n_atoms, grid.n_points
     geom_a, geom_b, geom_values = build_distortion(lig, grid)
-    gamma = resolve_gamma(hp, geom_values)
+    geom_magnitude = float(np.abs(geom_values).max(initial=0.0))
+    gamma = resolve_gamma(hp, geom_magnitude)
     penalty, offset = build_penalty(n_mol, n_grid, gamma)
     geom = CoeffMap.nonzero(geom_a, geom_b, geom_values)
     raw = build_physchem_raw(lig, grid)
-    scales = resolve_scales(hp, geom_values, raw)
+    scales = resolve_scales(geom_magnitude, raw)
     # `with_lambdas` builds the summed map, so this half carries none.
     lambda_free = QuboProblem(
         n_mol=n_mol,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -414,13 +415,20 @@ def test_tuner_raises_when_nothing_decodes():
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_tuner_reports_coefficient_sum_overflow(planted6, exact):
-    # Scale x lambda stays finite at the first weight (0.2), but the
-    # coefficient magnitudes sum past the float range in the exact window
-    # scale and in SA's start energies.
-    template = Hyperparameters(gamma=5.0, component_scales=(1e308,) * 5)
+    # The weight puts the largest vdw coefficient at half the float range.
+    # Every coefficient stays finite, but planted6 has several vdw entries
+    # that large, so the magnitudes sum past the float range in the window
+    # scale that brute force and SA both take. el, tried first, has no raw
+    # entries here, so vdw is the first term the weight reaches.
+    template = Hyperparameters(gamma=5.0)
+    base = build_full(planted6, template)
+    scale, raw = base.scales[1], base.physchem_raw["vdw"]
+    weight = sys.float_info.max / (2.0 * scale * np.abs(raw).max())
+    weighted = qubo.with_lambdas(base, (0.0, weight, 0.0, 0.0, 0.0))
+    assert np.isfinite(weighted.coeffs.arrays[2]).all()
     sched = AnnealSchedule(n_reads=2, n_sweeps=2)
     with pytest.raises(CoefficientOverflowError, match="sum past the float range"):
-        greedy_tune([planted6], sched, hp_template=template, exact=exact)
+        greedy_tune([planted6], sched, weights=(weight,), hp_template=template, exact=exact)
 
 
 def test_tuner_counts_excluded_complexes():

@@ -569,6 +569,56 @@ def test_unusual_protein_values_are_normalised():
     assert build_grid_graph(cx).n_points == 1
 
 
+# Where a Python-built document can hold a numpy float.
+FLOAT_PATHS = {
+    "protein-charge": ("protein", 0, "charge"),
+    "ligand-charge": ("ligand", "atoms", 0, "charge"),
+    "dielectric": ("dielectric",),
+    "grid-point": ("grid_points", 0, "position", 1),
+}
+
+
+def assert_same_records(got: list, expected: list):
+    """Records equal field by field: arrays by dtype, shape and bits,
+    other fields by type and value."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(y, np.ndarray):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            else:
+                assert (type(x), x) == (type(y), y), field.name
+
+
+@pytest.mark.parametrize("path", FLOAT_PATHS.values(), ids=FLOAT_PATHS.keys())
+def test_float32_values_parse_as_their_python_floats(tiny4_doc, path):
+    # The suite turns RuntimeWarning into an error, so an overflowing cast
+    # of a bound to float32 fails this test.
+    value = np.float32(0.3)
+    doc, expected_doc = copy.deepcopy(tiny4_doc), copy.deepcopy(tiny4_doc)
+    _replace(value, *path)(doc)
+    _replace(float(value), *path)(expected_doc)
+    got, expected = parse_complex(doc), parse_complex(expected_doc)
+    assert_same_columns(got.protein, expected.protein)
+    for name in ("ligand_atoms", "ligand_bonds", "grid_points"):
+        assert_same_records(getattr(got, name), getattr(expected, name))
+    assert (type(got.dielectric), got.dielectric) == (float, expected.dielectric)
+
+
+@pytest.mark.parametrize(
+    "path, where",
+    [(FLOAT_PATHS["protein-charge"], "protein[0].charge"),
+     (FLOAT_PATHS["ligand-charge"], "ligand.atoms[0].charge")],
+    ids=["protein", "ligand"],
+)
+def test_charge_past_the_float_range_is_rejected(tiny4_doc, path, where):
+    doc = copy.deepcopy(tiny4_doc)
+    _replace(10**400, *path)(doc)
+    with pytest.raises(ComplexFormatError, match="^" + re.escape(f"{where}: expected a finite number")):
+        parse_complex(doc)
+
+
 def _entries():
     return [
         {"id": k, "position": [5.0 + k, 0.0, 0.0], "charge": 0.0, "type_index": 0}

@@ -154,11 +154,7 @@ def test_acceptor_coefficient_worked_example():
         "type_table": {"epsilon": [0.2], "r_min": [1.5]},
     }
     cx = parse_complex(doc)
-    hp = Hyperparameters(
-        lambdas=(0.0, 0.0, 1.0, 0.0, 0.0),
-        gamma=1.0,
-        component_scales=(1.0, 1.0, 1.0, 1.0, 1.0),
-    )
+    hp = Hyperparameters(lambdas=(0.0, 0.0, 1.0, 0.0, 0.0), gamma=1.0)
     problem = build_full(cx, hp)
     assert problem.term_coeffs["hba"] == {(0, 0): -2.0}
 
@@ -271,15 +267,12 @@ def per_entry_reference(cx, hp):
             for name, value in entry.items():
                 if value != 0.0:
                     raw[name][(i * n_grid + j, i * n_grid + j)] = value
-    if hp.component_scales is not None:
-        scales = tuple(float(s) for s in hp.component_scales)
-    else:
-        scales = []
-        for name in PHYSCHEM_TERMS:
-            raw_max = max((abs(v) for v in raw[name].values()), default=0.0)
-            ratio = geom_max / raw_max if geom_max > 0.0 and raw_max > 0.0 else 1.0
-            scales.append(ratio if math.isfinite(ratio) else 1.0)
-        scales = tuple(scales)
+    scales = []
+    for name in PHYSCHEM_TERMS:
+        raw_max = max((abs(v) for v in raw[name].values()), default=0.0)
+        ratio = geom_max / raw_max if geom_max > 0.0 and raw_max > 0.0 else 1.0
+        scales.append(ratio if math.isfinite(ratio) else 1.0)
+    scales = tuple(scales)
     for name, scale, lam in zip(PHYSCHEM_TERMS, scales, hp.lambdas):
         factor = scale * lam
         terms[name] = {k: v * factor for k, v in raw[name].items() if v * factor != 0.0}
@@ -316,13 +309,14 @@ def assert_matches_per_entry_reference(cx, hp):
 REFERENCE_HPS = [
     Hyperparameters(lambdas=(1.0, 0.5, 2.0, 1.0, 3.0)),
     Hyperparameters(lambdas=(1.0, 0.5, 2.0, 1.0, 3.0), gamma=25.0),
-    Hyperparameters(lambdas=(0.01,) * 5, component_scales=(0.3, 2.0, 1.5, 0.7, 4.0)),
-    Hyperparameters(lambdas=(1.0, 0.0, 1.0, 1.0, 0.0), gamma=7.0,
-                    component_scales=(3.0, 1.0, 0.1, 1.0, 1e-3)),
+    Hyperparameters(lambdas=(0.003, 0.02, 0.015, 0.007, 0.04)),
+    Hyperparameters(lambdas=(3.0, 0.0, 0.1, 1.0, 0.0), gamma=7.0),
 ]
 
 
-@pytest.mark.parametrize("hp", REFERENCE_HPS, ids=["auto", "gamma", "scales", "gamma-scales"])
+@pytest.mark.parametrize(
+    "hp", REFERENCE_HPS, ids=["auto", "gamma", "small-lambdas", "gamma-zero-lambdas"]
+)
 @pytest.mark.parametrize("fixture_name", ["tiny4", "planted6"])
 def test_assembly_matches_per_entry_reference(fixture_name, hp, request):
     assert_matches_per_entry_reference(request.getfixturevalue(fixture_name), hp)
@@ -390,7 +384,6 @@ hyperparameters = st.builds(
     Hyperparameters,
     lambdas=st.tuples(*[st.sampled_from([0.0, 0.01, 1.0, 2.5])] * 5),
     gamma=st.one_of(st.none(), st.floats(0.1, 100.0)),
-    component_scales=st.one_of(st.none(), st.tuples(*[st.floats(1e-3, 1e3)] * 5)),
 )
 
 
@@ -608,12 +601,12 @@ def test_non_finite_coefficient_names_its_term(tiny4_doc):
         (None, Hyperparameters(gamma=1e308), "in term 'penalty': entry (0, 1) = inf", False),
         (
             None,
-            Hyperparameters(lambdas=(5.0,) * 5, component_scales=(1e308,) * 5),
+            Hyperparameters(lambdas=(1e308,) * 5),
             "in term 'el': entry (0, 0) = -inf",
             False,
         ),
     ],
-    ids=["far-point", "huge-gamma", "huge-scales"],
+    ids=["far-point", "huge-gamma", "huge-lambdas"],
 )
 def test_non_finite_message_names_first_entry(
     tiny4_doc, monkeypatch, edit_input, hp, message, warns
@@ -799,23 +792,6 @@ def test_scale_fallback_when_term_is_silent(planted6):
         assert problem.scales[idx] == 1.0
 
 
-def test_explicit_scales_bypass_normalization(tiny4):
-    hp = Hyperparameters(
-        lambdas=(1.0, 0, 0, 0, 0), gamma=25.0, component_scales=(2.0, 1, 1, 1, 1)
-    )
-    problem = build_full(tiny4, hp)
-    el = dict(problem.term_coeffs["el"].items())
-    grid = build_grid_graph(tiny4)
-    for i, atom in enumerate(tiny4.ligand_atoms):
-        for j in range(problem.n_grid):
-            v = problem.var_index(i, j)
-            raw = atom.charge * grid.coulomb[j]
-            if raw != 0.0:
-                assert el[(v, v)] == pytest.approx(
-                    2.0 * raw, rel=1e-12
-                )
-
-
 # ------------------------------------------------- invariants and plumbing
 
 def test_variable_count_always_product_of_sizes():
@@ -905,15 +881,11 @@ def test_hyperparameter_validation():
         Hyperparameters(lambdas=(-1.0, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="gamma"):
         Hyperparameters(gamma=0.0)
-    with pytest.raises(ValueError, match="positive"):
-        Hyperparameters(component_scales=(1.0, 1.0, 0.0, 1.0, 1.0))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="lambdas must be non-negative and finite"):
             Hyperparameters(lambdas=(0, 0, bad, 0, 0))
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             Hyperparameters(gamma=bad)
-        with pytest.raises(ValueError, match="component_scales must be positive and finite"):
-            Hyperparameters(component_scales=(1.0, bad, 1.0, 1.0, 1.0))
 
 
 def test_assignment_round_trip_and_equality():

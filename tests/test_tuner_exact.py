@@ -144,19 +144,19 @@ def test_exact_tuner_reports_overflow_like_assemble(planted6):
     """A weight whose scale * lambda overflows raises the GraphBuildError
     that assembling at those lambdas raises, on both tuner paths and in
     the prepared evaluation, which builds no problem otherwise."""
-    template = Hyperparameters(gamma=5.0, component_scales=(1e308,) * 5)
+    template = Hyperparameters(gamma=5.0)
     sched = AnnealSchedule(n_reads=2, n_sweeps=2)
     messages = []
     for exact in (True, False):
         with pytest.raises(GraphBuildError, match="non-finite QUBO coefficient") as caught:
-            greedy_tune([planted6], sched, weights=(5.0,), hp_template=template, exact=exact)
+            greedy_tune([planted6], sched, weights=(1e308,), hp_template=template, exact=exact)
         messages.append(str(caught.value))
     # planted6 has no charges, so el stays finite at any weight; vdw, the
-    # tuner's next candidate, overflows.
+    # tuner's next candidate, overflows through its automatic scale (> 1).
     lig, grid = build_ligand_graph(planted6), build_grid_graph(planted6)
     enumerated = _EnumeratedComplex(assemble(lig, grid, template))
-    enumerated.evaluate((5.0, 0.0, 0.0, 0.0, 0.0))
-    lambdas = (0.0, 5.0, 0.0, 0.0, 0.0)
+    enumerated.evaluate((1e308, 0.0, 0.0, 0.0, 0.0))
+    lambdas = (0.0, 1e308, 0.0, 0.0, 0.0)
     with pytest.raises(GraphBuildError) as assembling:
         dock(planted6, replace(template, lambdas=lambdas), sched, exact=True)
     with pytest.raises(GraphBuildError) as evaluating:
